@@ -58,7 +58,6 @@ DERIVED_VALUE_TOL = 1e-10
 class RunConfig:
     """Resolved invocation parameters shared by the subcommands."""
 
-    command: str
     seed: int
     trials: int
     modes: Union[tuple[int, int], None]
@@ -443,7 +442,6 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         print(f"fermiorder: {exc}", file=sys.stderr)
         return 2
     cfg = RunConfig(
-        command=args.command,
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", 1),
         modes=getattr(args, "modes", None),

@@ -23,7 +23,7 @@ single integer sign rule is the source of every sign in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -263,32 +263,20 @@ class DensityOperator:
 
     system: ModeSystem
     matrix: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix)
         if m.shape != (self.system.dim, self.system.dim):
             raise ValueError(f"expected a {self.system.dim}x{self.system.dim} matrix")
-        if self.validate:
-            dev = np.abs(m - m.conj().T).max()
-            if dev >= DEFAULT_TOL:
-                raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
-            tr = m.trace()
-            if abs(tr - 1.0) >= 1e-9:
-                raise ValueError(f"density matrix trace is {tr}, expected 1")
+        dev = np.abs(m - m.conj().T).max()
+        if dev >= DEFAULT_TOL:
+            raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+        tr = m.trace()
+        if abs(tr - 1.0) >= 1e-9:
+            raise ValueError(f"density matrix trace is {tr}, expected 1")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def to_json(self) -> dict:
-        entries = {}
-        for i in range(self.system.dim):
-            for j in range(self.system.dim):
-                v = self.matrix[i, j]
-                if v != 0:
-                    key = f"{self.system.bits_of_index(i)},{self.system.bits_of_index(j)}"
-                    entries[key] = [float(v.real), float(v.imag)]
-        return {"modes": list(self.system.modes), "entries": entries}
 
 
 FockState = Union[FockVector, DensityOperator]

@@ -1,9 +1,10 @@
 """Dense Hermitian linear algebra for small complex matrices.
 
-Everything downstream (trace norms, negativity, trace distances) runs on the
-cyclic Jacobi eigensolver implemented here. The matrices this package
-produces are small (dimension 2**N with N <= 14 for states, and far smaller
-for reduced states), so a robust in-house solver beats a fast one.
+Everything downstream (trace norms, negativity, trace distances) takes its
+spectra from ``hermitian_eigenvalues``. That routine checks and Hermitizes
+its input and then diagonalizes it with LAPACK through ``numpy.linalg.eigh``;
+what it adds on top is the package's input contract, a fixed descending
+order, and the reconstruction residual that says how far to trust a result.
 """
 
 from __future__ import annotations
@@ -15,22 +16,12 @@ import numpy as np
 #: Absolute tolerance on matrix entries for Hermiticity and equality checks.
 DEFAULT_TOL = 1e-12
 
-#: Off-diagonal Frobenius norm at which the Jacobi sweep stops.
-JACOBI_OFFDIAG_TARGET = 1e-13
-
-#: Hard cap on Jacobi sweeps before giving up.
-JACOBI_MAX_SWEEPS = 100
-
 #: Largest dimension the eigensolver accepts.
 MAX_EIG_DIM = 4096
 
 
 class NotHermitianError(ValueError):
     """The input matrix is not Hermitian within tolerance."""
-
-
-class NoConvergenceError(RuntimeError):
-    """The Jacobi iteration exhausted its sweep budget."""
 
 
 class DimensionMismatchError(ValueError):
@@ -57,15 +48,6 @@ def _check_hermitian(m: np.ndarray, tol: float) -> None:
         raise NotHermitianError(f"max |m - m^dag| entry is {dev:.3e} (tolerance {tol:.1e})")
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # Summing |a|^2 over everything and subtracting the diagonal part leaves
-    # a one-ulp residue on exactly diagonal input, which the sweep loop can
-    # never rotate away. Sum the off-diagonal entries alone instead.
-    squares = np.abs(a) ** 2
-    squares[np.diag_indices_from(squares)] = 0.0
-    return float(np.sqrt(squares.sum()))
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Spectrum of a Hermitian matrix.
@@ -81,11 +63,12 @@ class EigenResult:
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResult:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix with ``numpy.linalg.eigh``.
 
-    Convergence is declared when the off-diagonal Frobenius norm drops below
-    ``JACOBI_OFFDIAG_TARGET``; ``NoConvergenceError`` is raised if that does
-    not happen within ``JACOBI_MAX_SWEEPS`` sweeps.
+    The input must be square, finite and Hermitian within ``tol``; it is
+    Hermitized exactly before the call, so LAPACK sees a matrix whose upper
+    and lower triangles agree. Eigenvalues come back sorted descending. A
+    LAPACK failure surfaces as ``numpy.linalg.LinAlgError``.
     """
     m = as_complex_matrix(m)
     dim = m.shape[0]
@@ -94,57 +77,8 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResul
     _check_hermitian(m, tol)
 
     a = 0.5 * (m + m.conj().T)  # exact Hermitization; deviation is < tol by the check above
-    v = np.eye(dim, dtype=np.complex128)
-
-    converged = dim == 1
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = _offdiag_norm(a)
-        if off < JACOBI_OFFDIAG_TARGET:
-            converged = True
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
-                v[:, q] = s * phase * vec_p + c * vec_q
-    if not converged:
-        off = _offdiag_norm(a)
-        if off >= JACOBI_OFFDIAG_TARGET:
-            raise NoConvergenceError(
-                f"off-diagonal norm {off:.3e} after {JACOBI_MAX_SWEEPS} sweeps"
-            )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(a)
+    w, v = w[::-1], v[:, ::-1]  # eigh sorts ascending
     residual = float(np.abs(m - (v * w) @ v.conj().T).max())
     return EigenResult(eigenvalues=w, vectors=v, residual=residual)
 

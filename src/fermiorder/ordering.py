@@ -156,23 +156,16 @@ def qubit_image(state: FockState, ordering: ModeOrdering) -> QubitState:
     return QubitState(state.system, ordering, signs[:, None] * state.matrix * signs[None, :])
 
 
-def inverse_image_restricted(q: QubitState, normalize_trace: bool = False) -> FockState:
+def inverse_image_restricted(q: QubitState) -> FockState:
     """Undo the qubit map on a (possibly reduced) register.
 
     The inverse uses the same diagonal sign matrix as the forward map, built
     from ``q.ordering`` on ``q.system``; for a register that came from a
     partial trace, that ordering must be the original one restricted to the
     surviving modes. Pure data returns a Fock vector; matrices return a
-    density operator (set ``normalize_trace`` to rescale a trace that is not
-    exactly 1, e.g. after projecting out a sector).
+    density operator.
     """
     signs = ordering_sign_vector(q.system, q.ordering)
     if q.is_pure:
         return FockVector(q.system, signs * q.data)
-    matrix = signs[:, None] * q.data * signs[None, :]
-    if normalize_trace:
-        tr = matrix.trace()
-        if abs(tr) < 1e-14:
-            raise ValueError("cannot rescale: matrix trace is zero")
-        matrix = matrix / tr
-    return DensityOperator(q.system, matrix)
+    return DensityOperator(q.system, signs[:, None] * q.data * signs[None, :])

@@ -45,6 +45,10 @@ from .ordering import (
 #: Orderings are enumerated exhaustively; N! at 8 modes is the ceiling.
 MAX_SCAN_MODES = 8
 
+#: Non-representative members per precedence class that the scan recomputes
+#: to check the class is uniform.
+SCAN_VERIFY_SAMPLES = 3
+
 
 class InvalidBipartitionError(ValueError):
     """A bipartition does not cover the state's mode system."""
@@ -237,8 +241,6 @@ def theorem_check(
 def _system_for(bp: BipartitionSpec, system: ModeSystem) -> ModeSystem:
     """A view of the system whose kept/traced split matches the bipartition."""
     kept, traced = _split_positions(system, bp)
-    if tuple(kept) + tuple(traced) == system.modes:
-        return ModeSystem(system.modes, a_count=len(kept))
     return ModeSystem(tuple(kept) + tuple(traced), a_count=len(kept))
 
 
@@ -290,7 +292,6 @@ def ordering_scan(
     rho: FockState,
     bp: Union[BipartitionSpec, None] = None,
     tol: float = DEFAULT_TOL,
-    verify_samples: int = 3,
 ) -> list[OrderingClass]:
     """Group all mode orderings by the reduced state their route produces.
 
@@ -329,7 +330,7 @@ def ordering_scan(
         representative = members[0]
         reduced = qubit_route_reduction(rho, representative, bp)
         others = members[1:]
-        for pick in rng.choice(len(others), size=min(verify_samples, len(others)), replace=False) if others else []:
+        for pick in rng.choice(len(others), size=min(SCAN_VERIFY_SAMPLES, len(others)), replace=False) if others else []:
             check = qubit_route_reduction(rho, others[int(pick)], bp)
             if not np.array_equal(check.matrix, reduced.matrix):
                 raise AssertionError(
@@ -431,21 +432,21 @@ def theorem_sweep(
     m: int,
     trials: int,
     seed: int = 0,
-    sectors: Sequence[str] = ("even", "odd"),
     tol: float = DEFAULT_TOL,
 ) -> SweepResult:
     """Run the route comparison over random superselected states.
 
     Each trial draws a random pure state in one parity sector, forms its
     density operator, and checks the two routes under the canonical
-    kept-before-traced ordering. Trial seeds are ``seed + i`` in sector
-    blocks, so a reported seed reproduces its state directly.
+    kept-before-traced ordering. ``trials`` states are drawn in the even
+    sector, then ``trials`` in the odd one; trial seeds are ``seed + i`` in
+    that order, so a reported seed reproduces its state directly.
     """
     system = sweep_system(n, m)
     ordering = ModeOrdering.canonical(system)
     rows = []
     offset = 0
-    for sector in sectors:
+    for sector in ("even", "odd"):
         for t in range(trials):
             state_seed = seed + offset + t
             state = random_state(system, sector=sector, seed=state_seed)

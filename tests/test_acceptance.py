@@ -111,7 +111,7 @@ def test_route_disagreement_gap_pinned(capsys):
     image_ba = qubit_image(rho, ModeOrdering(("b", "a")))
     oracle_first = qubit_ptrace(image_ab.data, 2, [1])
     oracle_second = qubit_ptrace(image_ba.data, 2, [1])
-    oracle_gap = float(np.sum(np.abs(np.linalg.eigvalsh(oracle_first - oracle_second)))) / 2.0
+    oracle_gap = float(np.linalg.svd(oracle_first - oracle_second, compute_uv=False).sum()) / 2.0
 
     ok = gap > 1e-6 and abs(gap - 0.5) <= DERIVED_TOL and abs(gap - oracle_gap) <= DERIVED_TOL
     announce(capsys, ok, "route-disagreement-gap", f"trace distance {gap:.12f} (oracle {oracle_gap:.12f})")

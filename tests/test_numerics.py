@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,14 +45,26 @@ def test_eigenvalue_sum_matches_trace():
         assert abs(result.eigenvalues.sum() - np.trace(m).real) < 10 * tol
 
 
-def test_matches_library_eigensolver():
-    """The in-house Jacobi spectrum must track numpy's to near machine level."""
+def test_known_spectrum_recovered():
+    """U diag(d) U^dag with a random unitary U has spectrum d by construction."""
     rng = np.random.default_rng(5)
-    for dim in (2, 4, 8, 16, 32):
-        m = random_hermitian(dim, rng)
+    for dim in (2, 3, 4, 8, 16, 32, 64):
+        d = rng.uniform(-1.0, 1.0, size=dim)
+        u = random_unitary(dim, rng)
+        m = (u * d) @ u.conj().T
         ours = hermitian_eigenvalues(m).eigenvalues
-        reference = np.linalg.eigvalsh(m)[::-1]
-        assert np.abs(ours - reference).max() < 1e-10
+        assert np.abs(ours - np.sort(d)[::-1]).max() < 1e-13
+
+
+def test_tiny_pivot_does_not_overflow():
+    """A 1e-200 off-diagonal entry is a valid input, not a numerical hazard."""
+    m = np.array([[1.0, 1e-200, 0.0], [1e-200, 0.0, 0.5], [0.0, 0.5, 2.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = hermitian_eigenvalues(m)
+    root = np.sqrt(1.25)  # the lower 2x2 block [[0, 0.5], [0.5, 2]] has eigenvalues 1 +- root
+    assert np.allclose(result.eigenvalues, [1.0 + root, 1.0, 1.0 - root], atol=tol)
+    assert result.residual < 10 * tol
 
 
 def test_reconstruction_residual_small():
