@@ -18,6 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .fock import (
+    MAX_MODES,
     BipartitionSpec,
     ModeSystem,
     OperatorString,
@@ -85,7 +86,7 @@ def _modes_arg(text: str) -> tuple[int, int]:
         n, m = int(n_text), int(m_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'n,m' integers, got {text!r}") from None
-    if n < 0 or m < 0 or n + m < 1 or n + m > 14:
+    if n < 1 or m < 0 or n + m > MAX_MODES:
         raise argparse.ArgumentTypeError(f"mode counts ({n},{m}) out of range")
     return n, m
 

@@ -24,6 +24,7 @@ from .fock import (
     FockVector,
     ModeSystem,
     OperatorString,
+    _block_partial_trace,
     from_operator_string,
 )
 from .numerics import DEFAULT_TOL, hermitian_eigenvalues, trace_norm
@@ -159,16 +160,8 @@ def ppt_separable(
     matrix, system, _ = _as_qubit_matrix(state, ordering)
     bp = system.bipartition() if bp is None else bp
     bp.validate_for(system)
-    n = system.n_modes
-    kept_axes = sorted(system.position(l) for l in bp.kept)
-    traced_axes = sorted(system.position(l) for l in bp.traced)
-    t = matrix.reshape([2] * (2 * n))
-    perm = kept_axes + traced_axes
-    t = t.transpose(perm + [n + ax for ax in perm])
-    dk, dt = 1 << len(kept_axes), 1 << len(traced_axes)
-    t = t.reshape(dk, dt, dk, dt)
-    rank_kept = _support_rank(np.einsum("ajbj->ab", t))
-    rank_traced = _support_rank(np.einsum("iaib->ab", t))
+    rank_kept = _support_rank(_block_partial_trace(matrix, system, bp.kept))
+    rank_traced = _support_rank(_block_partial_trace(matrix, system, bp.traced))
     low, high = sorted((rank_kept, rank_traced))
     if low > 2 or high > 3:
         raise UnsupportedDimensionsError(

@@ -22,6 +22,7 @@ from .fock import (
     FockState,
     FockVector,
     ModeSystem,
+    _SIGN_CACHE_SIZE,
     _check_label,
 )
 
@@ -87,7 +88,7 @@ def is_physical(ordering: ModeOrdering, system: ModeSystem) -> bool:
     return last_kept < first_traced
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SIGN_CACHE_SIZE)
 def ordering_sign_vector(system: ModeSystem, ordering: ModeOrdering) -> np.ndarray:
     """Per-basis-state sign relating the ordering's phases to canonical ones.
 

@@ -2,7 +2,8 @@
 
 The native fermionic route discards modes by sandwiching the density
 operator between annihilator and creator products for every traced
-occupation pattern and evaluating on the traced vacuum. The qubit route
+occupation pattern and evaluating on the traced vacuum, which amounts to a
+sign conjugation followed by a block trace. The qubit route
 maps the state onto qubits under a chosen mode ordering, performs the
 ordinary tensor-product partial trace, and pulls the result back to the
 kept fermionic block. For parity-superselected states and any ordering
@@ -22,14 +23,13 @@ import numpy as np
 
 from .fock import (
     ANNIHILATION,
-    CREATION,
     BipartitionSpec,
     DensityOperator,
     FockState,
     FockVector,
     ModeSystem,
-    _apply_left,
-    _apply_right,
+    _block_partial_trace,
+    _mode_action,
     random_state,
     ssr_compliant,
 )
@@ -81,15 +81,21 @@ def _split_positions(system: ModeSystem, bp: BipartitionSpec) -> tuple[list[str]
     return kept, traced
 
 
-def _embedding_indices(system: ModeSystem, kept: Sequence[str]) -> np.ndarray:
-    """Full-system indices of kept-block basis states with traced modes empty."""
-    shifts = [system.n_modes - 1 - system.position(label) for label in kept]
-    sub = np.arange(1 << len(kept), dtype=np.int64)
-    full = np.zeros_like(sub)
-    for i, shift in enumerate(shifts):
-        bit = (sub >> (len(kept) - 1 - i)) & 1
-        full |= bit << shift
-    return full
+def _sandwich_signs(system: ModeSystem, traced: Sequence[str]) -> np.ndarray:
+    """Sign s(x) that c_{t_k}...c_{t_1} gives basis index x, over x's occupied
+    traced modes t_1 < ... < t_k in canonical order with t_1 acting first:
+    each mode's sign is read on x with the earlier traced modes emptied."""
+    signs = np.ones(system.dim, dtype=np.int64)
+    current = np.arange(system.dim, dtype=np.int64)
+    for label in traced:
+        act = _mode_action(system, ANNIHILATION, label)
+        step = np.ones(system.dim, dtype=np.int64)
+        step[act.sources] = act.signs
+        emptied = np.arange(system.dim, dtype=np.int64)
+        emptied[act.sources] = act.targets
+        signs *= step[current]
+        current = emptied[current]
+    return signs
 
 
 def fermionic_partial_trace(
@@ -97,35 +103,20 @@ def fermionic_partial_trace(
 ) -> DensityOperator:
     """Trace out modes with the operator-sandwich construction.
 
-    For every occupation pattern of the traced modes, the density operator
-    is multiplied by the matching annihilators on the left and creators on
-    the right (all signs supplied by the mode-operator machinery), the
-    traced modes are then all empty, and the surviving block is read off in
-    the kept modes' canonical basis. The pattern sum preserves the trace
-    exactly and keeps the result Hermitian and positive.
+    Sandwiching by the annihilators of a traced occupation pattern and their
+    adjoint multiplies entry (x, y) by s(x) s(y), with s built from the
+    mode-operator signs, so the pattern sum is a sign conjugation followed by
+    a block trace over the traced occupations. The trace is preserved
+    exactly, and the result is Hermitian and positive.
     """
     if isinstance(rho, FockVector):
         rho = rho.to_density()
     system = rho.system
     bp = _resolve_bipartition(system, bp)
     kept, traced = _split_positions(system, bp)
-    kept_system = ModeSystem(tuple(kept), a_count=len(kept))
-    embed = _embedding_indices(system, kept)
-
-    total = np.zeros((kept_system.dim, kept_system.dim), dtype=np.complex128)
-    for pattern in range(1 << len(traced)):
-        occupied = [
-            label
-            for i, label in enumerate(traced)
-            if (pattern >> (len(traced) - 1 - i)) & 1
-        ]
-        m = rho.matrix
-        for label in occupied:
-            m = _apply_left(ANNIHILATION, label, m, system)
-        for label in occupied:
-            m = _apply_right(CREATION, label, m, system)
-        total += m[np.ix_(embed, embed)]
-    return DensityOperator(kept_system, total)
+    s = _sandwich_signs(system, traced)
+    reduced = _block_partial_trace(s[:, None] * rho.matrix * s[None, :], system, kept)
+    return DensityOperator(ModeSystem(tuple(kept), a_count=len(kept)), reduced)
 
 
 def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) -> QubitState:
@@ -141,20 +132,12 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
     kept_system = ModeSystem(tuple(kept), a_count=len(kept))
     kept_ordering = q.ordering.restricted_to(kept)
 
-    n = system.n_modes
-    kept_axes = [system.position(l) for l in kept]
-    traced_axes = [system.position(l) for l in traced]
     if q.is_pure:
-        psi = q.data.reshape([2] * n)
-        psi = psi.transpose(kept_axes + traced_axes).reshape(kept_system.dim, -1)
+        axes = [system.position(l) for l in kept + traced]
+        psi = q.data.reshape([2] * system.n_modes).transpose(axes).reshape(kept_system.dim, -1)
         reduced = psi @ psi.conj().T
     else:
-        traced_dim = 1 << len(traced)
-        m = q.data.reshape([2] * (2 * n))
-        perm = kept_axes + traced_axes
-        m = m.transpose(perm + [n + ax for ax in perm])
-        m = m.reshape(kept_system.dim, traced_dim, kept_system.dim, traced_dim)
-        reduced = np.einsum("ajbj->ab", m)
+        reduced = _block_partial_trace(q.data, system, kept)
     return QubitState(kept_system, kept_ordering, reduced)
 
 

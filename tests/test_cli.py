@@ -63,6 +63,12 @@ def test_sweep_csv_columns():
 def test_sweep_rejects_bad_modes():
     proc = run_cli("theorem-sweep", "--modes", "banana")
     assert proc.returncode == 2
+    proc = run_cli("theorem-sweep", "--modes", "0,2")
+    assert proc.returncode == 2
+    assert "out of range" in proc.stderr
+    proc = run_cli("ordering-scan", "--modes", "0,3")
+    assert proc.returncode == 2
+    assert "out of range" in proc.stderr
 
 
 def test_scan_parity_witness_reports_two_classes():

@@ -1,0 +1,39 @@
+"""CLI reports pinned byte for byte against recorded outputs.
+
+Each case runs ``cli.main`` in-process with ``FERMIORDER_TOL`` unset and
+compares stdout with ``tests/golden/<name>.txt``. The files hold reports
+from a known-good commit, so a rewrite of a reduction route or a measure
+that moves any printed digit fails here, not only one that breaks a check.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fermiorder.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {
+    "examples": ("examples",),
+    "examples-json": ("examples", "--format", "json"),
+    "theorem-sweep-3-3": (
+        "theorem-sweep", "--modes", "3,3", "--trials", "10", "--seed", "7", "--format", "csv",
+    ),
+    "ordering-scan-2-3": (
+        "ordering-scan", "--modes", "2,3", "--sector", "any", "--seed", "4", "--format", "json",
+    ),
+    "negativity-readme": (
+        "negativity",
+        "--state", "0.5: a+ c+; 0.5: a+ d+; 0.5: b+ c+; 0.5: b+ d+",
+        "--kept", "a,b", "--traced", "c,d", "--ordering", "a,d,b,c", "--format", "json",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("FERMIORDER_TOL", raising=False)
+    assert main(list(CASES[name])) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")

@@ -33,7 +33,7 @@ from fermiorder.states import (
     spin_singlet_state,
     two_delocalized_fermions,
 )
-from _oracles import fermionic_trace, qubit_ptrace
+from _oracles import fermionic_trace, qubit_ptrace, random_density
 
 tol = 1e-12
 
@@ -74,15 +74,38 @@ def test_singlet_marginals_both_parties():
 
 
 def test_fermionic_route_matches_dense_oracle():
-    """Bitwise operator sandwiches against kron-built matrices, several splits."""
-    cases = [((1, 1), "any"), ((2, 1), "any"), ((2, 2), "even"), ((1, 3), "any")]
-    for (n, m), sector in cases:
-        system = sweep_system(n, m)
+    """Bitwise operator sandwiches against kron-built matrices, several splits.
+
+    Kept sets that are not first or not contiguous leave traced modes ahead
+    of kept ones, so their sandwich signs do not cancel even on
+    superselected states; those cases check the sign table itself.
+    """
+    # (modes, kept positions, sector); "rank2" draws a mixed density instead
+    cases = [
+        (2, (0,), "any"),
+        (3, (0, 1), "any"),
+        (4, (0, 1), "even"),
+        (4, (0,), "any"),
+        (4, (0, 2), "even"),
+        (4, (0, 2), "any"),
+        (5, (1, 3, 4), "odd"),
+        (5, (1, 3, 4), "any"),
+        (4, (1, 3), "rank2"),
+    ]
+    for n_modes, kept_positions, sector in cases:
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        traced_positions = [p for p in range(n_modes) if p not in kept_positions]
+        bp = BipartitionSpec(
+            kept=tuple(system.modes[p] for p in kept_positions),
+            traced=tuple(system.modes[p] for p in traced_positions),
+        )
         for seed in range(4):
-            rho = random_state(system, sector=sector, seed=seed).to_density()
-            ours = fermionic_partial_trace(rho)
-            traced_positions = list(range(n, n + m))
-            reference = fermionic_trace(rho.matrix, n + m, traced_positions)
+            if sector == "rank2":
+                rho = DensityOperator(system, random_density(system.dim, 2, np.random.default_rng(seed)))
+            else:
+                rho = random_state(system, sector=sector, seed=seed).to_density()
+            ours = fermionic_partial_trace(rho, bp)
+            reference = fermionic_trace(rho.matrix, n_modes, traced_positions)
             assert np.abs(ours.matrix - reference).max() < tol
 
 
