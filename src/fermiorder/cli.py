@@ -30,7 +30,7 @@ from .fock import (
 from .numerics import DEFAULT_TOL, trace_distance
 from .ordering import ModeOrdering
 from .reduction import (
-    SystemTooLargeError,
+    _check_scan_size,
     fermionic_partial_trace,
     ordering_scan,
     qubit_route_reduction,
@@ -318,6 +318,9 @@ def cmd_ordering_scan(cfg: RunConfig, args: argparse.Namespace, parser: argparse
         source = f"random sector={args.sector} seed={cfg.seed}"
     else:
         source = "explicit state"
+    _check_scan_size(system)
+    # the scan runs on the density, not the pure state: the pure path's
+    # maxEntryDiff differs in the last digits, and reports are pinned
     rho = state.to_density()
     classes = ordering_scan(rho, tol=cfg.tol)
     ssr = ssr_compliant(rho)
@@ -459,9 +462,6 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
             return cmd_ordering_scan(cfg, args, parser)
         if args.command == "negativity":
             return cmd_negativity(cfg, args, parser)
-    except SystemTooLargeError as exc:
-        print(f"fermiorder: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"fermiorder: {exc}", file=sys.stderr)
         return 2

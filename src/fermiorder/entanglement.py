@@ -27,7 +27,7 @@ from .fock import (
     _block_partial_trace,
     from_operator_string,
 )
-from .numerics import DEFAULT_TOL, hermitian_eigenvalues, trace_norm
+from .numerics import DEFAULT_TOL, _check_eig_dim, hermitian_eigenvalues, trace_norm
 from .ordering import ModeOrdering, QubitState, qubit_image
 
 #: Eigenvalues above this count toward a marginal's support dimension, and
@@ -78,7 +78,11 @@ class MeasureResult:
 def _as_qubit_matrix(
     state: AnyState, ordering: Union[ModeOrdering, None]
 ) -> tuple[np.ndarray, ModeSystem, Union[ModeOrdering, None]]:
-    """Dense qubit-register matrix for any supported state input."""
+    """Dense qubit-register matrix for any supported state input, refused
+    before it is formed if the eigensolver would refuse its dimension."""
+    if not isinstance(state, (QubitState, FockVector, DensityOperator)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    _check_eig_dim(state.system.dim)
     if isinstance(state, QubitState):
         if ordering is not None and ordering != state.ordering:
             raise ValueError(
@@ -86,17 +90,15 @@ def _as_qubit_matrix(
             )
         data = np.outer(state.data, state.data.conj()) if state.is_pure else state.data
         return data, state.system, state.ordering
+    if ordering is None:
+        raise ValueError(
+            "fermionic states require an explicit mode ordering; "
+            "the measured value depends on it"
+        )
     if isinstance(state, FockVector):
         state = state.to_density()
-    if isinstance(state, DensityOperator):
-        if ordering is None:
-            raise ValueError(
-                "fermionic states require an explicit mode ordering; "
-                "the measured value depends on it"
-            )
-        image = qubit_image(state, ordering)
-        return image.data, state.system, ordering
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    image = qubit_image(state, ordering)
+    return image.data, state.system, ordering
 
 
 def partial_transpose(

@@ -160,12 +160,22 @@ def _parity_vector(n_modes: int) -> np.ndarray:
     return par
 
 
-def _block_partial_trace(matrix: np.ndarray, system: ModeSystem, kept: Iterable[str]) -> np.ndarray:
-    """Sum a mode-indexed matrix over the occupations of the modes not kept.
+def _sign_conjugate(signs: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Apply a diagonal sign matrix S to a state: S psi for an amplitude
+    vector, S rho S for a matrix. Callers build the signs by their own rule."""
+    if data.ndim == 1:
+        return signs * data
+    return signs[:, None] * data * signs[None, :]
+
+
+def _block_partial_trace(data: np.ndarray, system: ModeSystem, kept: Iterable[str]) -> np.ndarray:
+    """Sum a mode-indexed vector psi or matrix rho over the occupations of
+    the modes not kept.
 
     Mode k is axis k of the ``[2] * N`` reshape; the kept modes stay in
-    canonical order. No signs are applied: callers conjugate the matrix by
-    their own sign rule first.
+    canonical order. psi is reshaped to dk x dt and reduced as an exactly
+    Hermitized psi psi^dag, never forming its 2^N x 2^N density. No signs
+    are applied: callers conjugate the state by their own sign rule first.
     """
     n = system.n_modes
     kept_set = set(kept)
@@ -173,7 +183,11 @@ def _block_partial_trace(matrix: np.ndarray, system: ModeSystem, kept: Iterable[
     traced_axes = [k for k, label in enumerate(system.modes) if label not in kept_set]
     perm = kept_axes + traced_axes
     dk, dt = 1 << len(kept_axes), 1 << len(traced_axes)
-    t = matrix.reshape([2] * (2 * n)).transpose(perm + [n + ax for ax in perm])
+    if data.ndim == 1:
+        psi = data.reshape([2] * n).transpose(perm).reshape(dk, dt)
+        reduced = psi @ psi.conj().T
+        return 0.5 * (reduced + reduced.conj().T)
+    t = data.reshape([2] * (2 * n)).transpose(perm + [n + ax for ax in perm])
     return np.einsum("ajbj->ab", t.reshape(dk, dt, dk, dt))
 
 

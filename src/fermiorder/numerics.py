@@ -42,6 +42,12 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _check_eig_dim(dim: int) -> None:
+    """Reject a dimension above the eigensolver cap, before anything that size exists."""
+    if dim > MAX_EIG_DIM:
+        raise DimensionMismatchError(f"dimension {dim} exceeds eigensolver cap {MAX_EIG_DIM}")
+
+
 def _check_hermitian(m: np.ndarray, tol: float) -> None:
     dev = np.abs(m - m.conj().T).max()
     if dev >= tol:
@@ -71,9 +77,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResul
     LAPACK failure surfaces as ``numpy.linalg.LinAlgError``.
     """
     m = as_complex_matrix(m)
-    dim = m.shape[0]
-    if dim > MAX_EIG_DIM:
-        raise DimensionMismatchError(f"dimension {dim} exceeds eigensolver cap {MAX_EIG_DIM}")
+    _check_eig_dim(m.shape[0])
     _check_hermitian(m, tol)
 
     a = 0.5 * (m + m.conj().T)  # exact Hermitization; deviation is < tol by the check above

@@ -24,6 +24,7 @@ from .fock import (
     ModeSystem,
     _SIGN_CACHE_SIZE,
     _check_label,
+    _sign_conjugate,
 )
 
 
@@ -152,9 +153,8 @@ def qubit_image(state: FockState, ordering: ModeOrdering) -> QubitState:
     operator the sign matrix acts on both sides.
     """
     signs = ordering_sign_vector(state.system, ordering)
-    if isinstance(state, FockVector):
-        return QubitState(state.system, ordering, signs * state.amplitudes)
-    return QubitState(state.system, ordering, signs[:, None] * state.matrix * signs[None, :])
+    data = state.amplitudes if isinstance(state, FockVector) else state.matrix
+    return QubitState(state.system, ordering, _sign_conjugate(signs, data))
 
 
 def inverse_image_restricted(q: QubitState) -> FockState:
@@ -166,7 +166,7 @@ def inverse_image_restricted(q: QubitState) -> FockState:
     surviving modes. Pure data returns a Fock vector; matrices return a
     density operator.
     """
-    signs = ordering_sign_vector(q.system, q.ordering)
+    data = _sign_conjugate(ordering_sign_vector(q.system, q.ordering), q.data)
     if q.is_pure:
-        return FockVector(q.system, signs * q.data)
-    return DensityOperator(q.system, signs[:, None] * q.data * signs[None, :])
+        return FockVector(q.system, data)
+    return DensityOperator(q.system, data)

@@ -6,7 +6,8 @@ occupation pattern and evaluating on the traced vacuum, which amounts to a
 sign conjugation followed by a block trace. The qubit route
 maps the state onto qubits under a chosen mode ordering, performs the
 ordinary tensor-product partial trace, and pulls the result back to the
-kept fermionic block. For parity-superselected states and any ordering
+kept fermionic block. Both routes reduce a pure state from its amplitudes,
+never forming its density. For parity-superselected states and any ordering
 that puts every kept mode before every traced mode, the routes agree
 exactly; the checker and scanner here measure that, and measure how badly
 it fails everywhere else.
@@ -30,6 +31,7 @@ from .fock import (
     ModeSystem,
     _block_partial_trace,
     _mode_action,
+    _sign_conjugate,
     random_state,
     ssr_compliant,
 )
@@ -61,6 +63,15 @@ class NonPhysicalOrderingError(ValueError):
 
 class SystemTooLargeError(ValueError):
     """The exhaustive ordering scan is capped at 8 modes."""
+
+
+def _check_scan_size(system: ModeSystem) -> None:
+    """Reject a system the exhaustive ordering scan will not enumerate."""
+    if system.n_modes > MAX_SCAN_MODES:
+        raise SystemTooLargeError(
+            f"ordering scan enumerates all permutations; {system.n_modes} modes "
+            f"exceeds the cap of {MAX_SCAN_MODES}"
+        )
 
 
 def _resolve_bipartition(system: ModeSystem, bp: Union[BipartitionSpec, None]) -> BipartitionSpec:
@@ -106,17 +117,17 @@ def fermionic_partial_trace(
     Sandwiching by the annihilators of a traced occupation pattern and their
     adjoint multiplies entry (x, y) by s(x) s(y), with s built from the
     mode-operator signs, so the pattern sum is a sign conjugation followed by
-    a block trace over the traced occupations. The trace is preserved
-    exactly, and the result is Hermitian and positive.
+    a block trace over the traced occupations. A pure state is conjugated as
+    s * psi and reduced without forming its density; it must be normalized.
+    The trace is preserved exactly, and the result is Hermitian and positive.
     """
-    if isinstance(rho, FockVector):
-        rho = rho.to_density()
     system = rho.system
     bp = _resolve_bipartition(system, bp)
     kept, traced = _split_positions(system, bp)
-    s = _sandwich_signs(system, traced)
-    reduced = _block_partial_trace(s[:, None] * rho.matrix * s[None, :], system, kept)
-    return DensityOperator(ModeSystem(tuple(kept), a_count=len(kept)), reduced)
+    data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
+    signed = _sign_conjugate(_sandwich_signs(system, traced), data)
+    reduced = _block_partial_trace(signed, system, kept)
+    return DensityOperator(ModeSystem.from_blocks(kept), reduced)
 
 
 def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) -> QubitState:
@@ -124,34 +135,20 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
 
     The surviving register keeps the kept modes in canonical positions and
     remembers the ordering restricted to those modes, which is what the
-    inverse map needs to return to the fermionic picture.
+    inverse map needs to return to the fermionic picture. The reduced
+    register is a matrix, also when a pure register is reduced.
     """
-    system = q.system
-    bp = _resolve_bipartition(system, bp)
-    kept, traced = _split_positions(system, bp)
-    kept_system = ModeSystem(tuple(kept), a_count=len(kept))
-    kept_ordering = q.ordering.restricted_to(kept)
-
-    if q.is_pure:
-        axes = [system.position(l) for l in kept + traced]
-        psi = q.data.reshape([2] * system.n_modes).transpose(axes).reshape(kept_system.dim, -1)
-        reduced = psi @ psi.conj().T
-    else:
-        reduced = _block_partial_trace(q.data, system, kept)
-    return QubitState(kept_system, kept_ordering, reduced)
+    bp = _resolve_bipartition(q.system, bp)
+    kept, _ = _split_positions(q.system, bp)
+    reduced = _block_partial_trace(q.data, q.system, kept)
+    return QubitState(ModeSystem.from_blocks(kept), q.ordering.restricted_to(kept), reduced)
 
 
 def qubit_route_reduction(
     rho: FockState, ordering: ModeOrdering, bp: Union[BipartitionSpec, None] = None
 ) -> DensityOperator:
     """Map to qubits, trace there, and pull back to the kept fermionic block."""
-    if isinstance(rho, FockVector):
-        rho = rho.to_density()
-    q = qubit_image(rho, ordering)
-    reduced = qubit_partial_trace(q, bp)
-    out = inverse_image_restricted(reduced)
-    assert isinstance(out, DensityOperator)
-    return out
+    return inverse_image_restricted(qubit_partial_trace(qubit_image(rho, ordering), bp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +190,12 @@ def theorem_check(
 
     Orderings that interleave kept and traced modes are outside the
     equivalence statement and are rejected unless ``force`` is set, which
-    is how the disagreement examples are produced on purpose.
+    is how the disagreement examples are produced on purpose. A pure
+    input's ``ssr`` flag comes from ``ssr_compliant``'s amplitude rule.
     """
-    if isinstance(rho, FockVector):
-        rho = rho.to_density()
     system = rho.system
     bp = _resolve_bipartition(system, bp)
-    physical = is_physical(ordering, _system_for(bp, system))
+    physical = is_physical(ordering, ModeSystem.from_blocks(*_split_positions(system, bp)))
     if not physical and not force:
         raise NonPhysicalOrderingError(
             f"ordering {ordering} interleaves kept and traced modes; "
@@ -219,12 +215,6 @@ def theorem_check(
         qubit_route=qubit_side,
         tol=tol,
     )
-
-
-def _system_for(bp: BipartitionSpec, system: ModeSystem) -> ModeSystem:
-    """A view of the system whose kept/traced split matches the bipartition."""
-    kept, traced = _split_positions(system, bp)
-    return ModeSystem(tuple(kept) + tuple(traced), a_count=len(kept))
 
 
 # --- exhaustive ordering scan ----------------------------------------------
@@ -288,17 +278,10 @@ def ordering_scan(
     """
     from itertools import permutations
 
-    if isinstance(rho, FockVector):
-        rho = rho.to_density()
     system = rho.system
-    if system.n_modes > MAX_SCAN_MODES:
-        raise SystemTooLargeError(
-            f"ordering scan enumerates all permutations; {system.n_modes} modes "
-            f"exceeds the cap of {MAX_SCAN_MODES}"
-        )
+    _check_scan_size(system)
     bp = _resolve_bipartition(system, bp)
     kept, traced = _split_positions(system, bp)
-    scan_system = _system_for(bp, system)
 
     groups: dict[bytes, list[ModeOrdering]] = {}
     for perm in permutations(system.modes):
@@ -307,9 +290,8 @@ def ordering_scan(
 
     fermionic = fermionic_partial_trace(rho, bp)
     rng = np.random.default_rng(0)
-    classes: dict[bytes, list[tuple[ModeOrdering, ...]]] = {}
-    reduced_by_key: dict[bytes, DensityOperator] = {}
-    for members in groups.values():
+    classes: dict[bytes, tuple[DensityOperator, list[tuple[bytes, list[ModeOrdering]]]]] = {}
+    for precedence, members in groups.items():
         representative = members[0]
         reduced = qubit_route_reduction(rho, representative, bp)
         others = members[1:]
@@ -323,20 +305,20 @@ def ordering_scan(
         # adding 0.0 flushes negative zeros left behind by sign flips, which
         # would otherwise split byte-identical classes
         key = (reduced.matrix + 0.0).tobytes()
-        classes.setdefault(key, []).append(tuple(members))
-        reduced_by_key.setdefault(key, reduced)
+        classes.setdefault(key, (reduced, []))[1].append((precedence, members))
 
     result = []
-    for key, member_groups in classes.items():
-        orderings = tuple(o for grp in member_groups for o in grp)
-        reduced = reduced_by_key[key]
+    for reduced, member_groups in classes.values():
+        orderings = tuple(o for _, grp in member_groups for o in grp)
         diff = float(np.abs(reduced.matrix - fermionic.matrix).max())
         result.append(
             OrderingClass(
                 representative=orderings[0],
                 orderings=orderings,
                 reduced=reduced,
-                contains_physical=any(is_physical(o, scan_system) for o in orderings),
+                # physical orderings are exactly those where no traced mode
+                # precedes a kept one
+                contains_physical=any(not any(p) for p, _ in member_groups),
                 matches_fermionic=diff < tol,
                 max_entry_diff=diff,
             )
@@ -419,8 +401,8 @@ def theorem_sweep(
 ) -> SweepResult:
     """Run the route comparison over random superselected states.
 
-    Each trial draws a random pure state in one parity sector, forms its
-    density operator, and checks the two routes under the canonical
+    Each trial draws a random pure state in one parity sector and checks
+    the two routes on it, without forming its density, under the canonical
     kept-before-traced ordering. ``trials`` states are drawn in the even
     sector, then ``trials`` in the odd one; trial seeds are ``seed + i`` in
     that order, so a reported seed reproduces its state directly.
@@ -433,7 +415,7 @@ def theorem_sweep(
         for t in range(trials):
             state_seed = seed + offset + t
             state = random_state(system, sector=sector, seed=state_seed)
-            report = theorem_check(state.to_density(), ordering, tol=tol)
+            report = theorem_check(state, ordering, tol=tol)
             rows.append(
                 SweepRow(
                     seed=state_seed,

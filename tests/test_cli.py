@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from fermiorder.cli import main
-from fermiorder.fock import state_to_json_str
+from fermiorder.fock import FockVector, state_to_json_str
 from fermiorder.states import spin_singlet_state
 
 ST1_SPEC = "0.5: a+ c+; 0.5: a+ d+; 0.5: b+ c+; 0.5: b+ d+"
@@ -91,6 +91,29 @@ def test_scan_size_limit_exit_code():
     proc = run_cli("ordering-scan", "--modes", "5,4")
     assert proc.returncode == 2
     assert "exceeds" in proc.stderr
+
+
+def _forbid_density(monkeypatch):
+    def no_density(self):
+        raise AssertionError("a 2^N x 2^N density was formed")
+
+    monkeypatch.setattr(FockVector, "to_density", no_density)
+
+
+def test_size_caps_checked_before_density(monkeypatch, capsys):
+    _forbid_density(monkeypatch)
+    assert main(["ordering-scan", "--modes", "5,4"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+    labels = [f"a{i}" for i in range(1, 8)] + [f"c{j}" for j in range(1, 7)]
+    argv = ["negativity", "--modes", "7,6", "--state", "1: a1+ c1+", "--ordering", ",".join(labels)]
+    assert main(argv) == 2
+    assert "exceeds eigensolver cap" in capsys.readouterr().err
+
+
+def test_sweep_at_fourteen_modes(monkeypatch, capsys):
+    _forbid_density(monkeypatch)
+    assert main(["theorem-sweep", "--modes", "7,7", "--trials", "1"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_negativity_inline_state():

@@ -20,8 +20,16 @@ CASES = {
     "theorem-sweep-3-3": (
         "theorem-sweep", "--modes", "3,3", "--trials", "10", "--seed", "7", "--format", "csv",
     ),
+    "theorem-sweep-4-4": ("theorem-sweep", "--modes", "4,4", "--trials", "25", "--seed", "3"),
+    "theorem-sweep-4-4-json": (
+        "theorem-sweep", "--modes", "4,4", "--trials", "25", "--seed", "3", "--format", "json",
+    ),
     "ordering-scan-2-3": (
         "ordering-scan", "--modes", "2,3", "--sector", "any", "--seed", "4", "--format", "json",
+    ),
+    "ordering-scan-inline": (
+        "ordering-scan", "--kept", "a,b", "--traced", "c,d",
+        "--state", "0.3j: ; 0.5: a+ c+; -0.4: b+ c+; 0.35: a+ d+; 0.2+0.1j: b+ d+; 0.25: a+ b+ c+ d+",
     ),
     "negativity-readme": (
         "negativity",

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from fermiorder.fock import (
     BipartitionSpec,
     DensityOperator,
+    FockVector,
     ModeSystem,
     basis_state,
     random_state,
     ssr_compliant,
 )
 from fermiorder.numerics import hermitian_eigenvalues
-from fermiorder.ordering import ModeOrdering, qubit_image
+from fermiorder.ordering import ModeOrdering, is_physical, qubit_image
 from fermiorder.reduction import (
     InvalidBipartitionError,
     NonPhysicalOrderingError,
@@ -78,7 +79,9 @@ def test_fermionic_route_matches_dense_oracle():
 
     Kept sets that are not first or not contiguous leave traced modes ahead
     of kept ones, so their sandwich signs do not cancel even on
-    superselected states; those cases check the sign table itself.
+    superselected states; those cases check the sign table itself. Each
+    pure case is also passed as the ``FockVector`` itself, which the route
+    reduces without forming its density.
     """
     # (modes, kept positions, sector); "rank2" draws a mixed density instead
     cases = [
@@ -102,11 +105,15 @@ def test_fermionic_route_matches_dense_oracle():
         for seed in range(4):
             if sector == "rank2":
                 rho = DensityOperator(system, random_density(system.dim, 2, np.random.default_rng(seed)))
+                inputs = (rho,)
             else:
-                rho = random_state(system, sector=sector, seed=seed).to_density()
-            ours = fermionic_partial_trace(rho, bp)
+                state = random_state(system, sector=sector, seed=seed)
+                rho = state.to_density()
+                inputs = (rho, state)
             reference = fermionic_trace(rho.matrix, n_modes, traced_positions)
-            assert np.abs(ours.matrix - reference).max() < tol
+            for given in inputs:
+                ours = fermionic_partial_trace(given, bp)
+                assert np.abs(ours.matrix - reference).max() < tol
 
 
 def test_fermionic_route_preserves_trace_and_hermiticity():
@@ -243,6 +250,95 @@ def test_report_json_fields():
     payload = report.to_json()
     assert payload["ordering"] == ["a1", "c1"]
     assert set(payload) == {"ordering", "maxEntryDiff", "traceDistance", "ssr", "physical", "agrees"}
+
+
+# --- pure-state inputs ------------------------------------------------------------
+
+
+def _random_split(rng, system):
+    """A kept set of any size from 1 to N-1 drawn anywhere in the system, so
+    it is often not first and not contiguous."""
+    k = int(rng.integers(1, system.n_modes))
+    kept = tuple(str(m) for m in rng.choice(system.modes, size=k, replace=False))
+    return BipartitionSpec(kept=kept, traced=tuple(m for m in system.modes if m not in kept))
+
+
+def test_pure_input_matches_density_input():
+    """Both routes reduce a FockVector without forming its density; the
+    result agrees with the density input's and is exactly Hermitian, on
+    random bipartitions and random orderings."""
+    rng = np.random.default_rng(2013)
+    for n_modes in range(2, 9):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for trial in range(6):
+            bp = _random_split(rng, system)
+            ordering = ModeOrdering(tuple(str(m) for m in rng.permutation(system.modes)))
+            sector = ("even", "odd", "any")[trial % 3]
+            state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+            rho = state.to_density()
+            for reduce in (
+                lambda s: fermionic_partial_trace(s, bp),
+                lambda s: qubit_route_reduction(s, ordering, bp),
+            ):
+                pure, dense = reduce(state), reduce(rho)
+                assert np.abs(pure.matrix - dense.matrix).max() < 1e-14
+                assert np.array_equal(pure.matrix, pure.matrix.conj().T)
+
+
+def test_pure_input_scan_matches_density_input():
+    """The scan groups orderings identically for a pure state and its
+    density, and a class is physical exactly when one of its orderings is."""
+
+    def summary(classes):
+        return [(c.size, c.representative, c.contains_physical, c.matches_fermionic) for c in classes]
+
+    rng = np.random.default_rng(2011)
+    for n_modes in range(2, 7):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for sector in ("even", "any"):
+            bp = _random_split(rng, system)
+            state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+            pure = ordering_scan(state, bp)
+            dense = ordering_scan(state.to_density(), bp)
+            assert summary(pure) == summary(dense)
+            split = ModeSystem.from_blocks(
+                [m for m in system.modes if m in bp.kept],
+                [m for m in system.modes if m in bp.traced],
+            )
+            for c in pure:
+                assert c.contains_physical == any(is_physical(o, split) for o in c.orderings)
+
+
+def test_unnormalized_pure_state_rejected():
+    system = sweep_system(2, 2)
+    state = FockVector(system, 2.0 * random_state(system, sector="even", seed=1).amplitudes)
+    ordering = ModeOrdering.canonical(system)
+    for reduce in (
+        fermionic_partial_trace,
+        lambda s: qubit_route_reduction(s, ordering),
+        lambda s: theorem_check(s, ordering),
+        ordering_scan,
+    ):
+        with pytest.raises(ValueError):
+            reduce(state)
+
+
+def test_fourteen_mode_pure_state_stays_pure(monkeypatch):
+    """A (7,7) route check on a kept set that is not first runs on the
+    amplitudes; forming the 4 GiB density would fail the test."""
+
+    def no_density(self):
+        raise AssertionError("the pure state was expanded to a density")
+
+    monkeypatch.setattr(FockVector, "to_density", no_density)
+    system = sweep_system(7, 7)
+    kept = ("a2", "c1", "a4", "c3", "a6", "a7", "c6")
+    bp = BipartitionSpec(kept=kept, traced=tuple(m for m in system.modes if m not in kept))
+    state = random_state(system, sector="odd", seed=14)
+    report = theorem_check(state, ModeOrdering(bp.kept + bp.traced), bp)
+    assert report.physical and report.ssr_compliant
+    assert report.agrees
+    assert abs(np.trace(report.fermionic.matrix) - 1.0) < tol
 
 
 # --- ordering scan ---------------------------------------------------------------
