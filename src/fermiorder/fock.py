@@ -38,9 +38,10 @@ ANNIHILATION = "-"
 #: Largest number of modes a system may hold (dense arrays of size 2**N).
 MAX_MODES = 14
 
-#: Entries kept by each sign-table cache. Scanning the four 6-mode splits of
-#: perfbench's ordering-scan workload touches 746 ordering sign vectors; a
-#: single (4,4) scan touches about 20700.
+#: Entries kept by each sign-table cache. The ordering scan builds its
+#: ordering signs in batches outside the cache and only adds the few
+#: mode actions of its fermionic trace; the bound is for callers that walk
+#: many orderings one call at a time.
 _SIGN_CACHE_SIZE = 4096
 
 EVEN = "even"
@@ -162,13 +163,19 @@ def _parity_vector(n_modes: int) -> np.ndarray:
 
 def _sign_conjugate(signs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Apply a diagonal sign matrix S to a state: S psi for an amplitude
-    vector, S rho S for a matrix. Callers build the signs by their own rule."""
+    vector, S rho S for a matrix. Callers build the signs by their own rule.
+
+    A stack of sign rows, one per leading index, gives a stack of results:
+    each row conjugates the one state ``data``, or its own matrix of a
+    stack of matrices."""
     if data.ndim == 1:
         return signs * data
-    return signs[:, None] * data * signs[None, :]
+    return signs[..., :, None] * data * signs[..., None, :]
 
 
-def _block_partial_trace(data: np.ndarray, system: ModeSystem, kept: Iterable[str]) -> np.ndarray:
+def _block_partial_trace(
+    data: np.ndarray, system: ModeSystem, kept: Iterable[str], batch: bool = False
+) -> np.ndarray:
     """Sum a mode-indexed vector psi or matrix rho over the occupations of
     the modes not kept.
 
@@ -176,19 +183,22 @@ def _block_partial_trace(data: np.ndarray, system: ModeSystem, kept: Iterable[st
     canonical order. psi is reshaped to dk x dt and reduced as an exactly
     Hermitized psi psi^dag, never forming its 2^N x 2^N density. No signs
     are applied: callers conjugate the state by their own sign rule first.
+    With ``batch``, axis 0 stacks states that are reduced one by one, and
+    the result stacks their dk x dk reductions.
     """
     n = system.n_modes
     kept_set = set(kept)
     kept_axes = [k for k, label in enumerate(system.modes) if label in kept_set]
     traced_axes = [k for k, label in enumerate(system.modes) if label not in kept_set]
-    perm = kept_axes + traced_axes
     dk, dt = 1 << len(kept_axes), 1 << len(traced_axes)
-    if data.ndim == 1:
-        psi = data.reshape([2] * n).transpose(perm).reshape(dk, dt)
-        reduced = psi @ psi.conj().T
-        return 0.5 * (reduced + reduced.conj().T)
-    t = data.reshape([2] * (2 * n)).transpose(perm + [n + ax for ax in perm])
-    return np.einsum("ajbj->ab", t.reshape(dk, dt, dk, dt))
+    lead = list(data.shape[:1]) if batch else []
+    perm = list(range(len(lead))) + [len(lead) + ax for ax in kept_axes + traced_axes]
+    if data.ndim == len(lead) + 1:
+        psi = data.reshape(lead + [2] * n).transpose(perm).reshape(lead + [dk, dt])
+        reduced = psi @ psi.conj().mT
+        return 0.5 * (reduced + reduced.conj().mT)
+    t = data.reshape(lead + [2] * (2 * n)).transpose(perm + [n + ax for ax in perm[len(lead) :]])
+    return np.einsum("...ajbj->...ab", t.reshape(lead + [dk, dt, dk, dt]))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ order, and the reconstruction residual that says how far to trust a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +61,18 @@ class EigenResult:
 
     ``eigenvalues`` are real and sorted descending; column k of ``vectors``
     is the eigenvector paired with ``eigenvalues[k]``. ``residual`` is the
-    max-entry norm of ``m - V diag(w) V^dag`` against the original input.
+    max-entry norm of ``m - V diag(w) V^dag`` against the original input,
+    computed on first access; the input is held, not copied, until then.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    residual: float
+    _input: np.ndarray = field(repr=False)
+
+    @cached_property
+    def residual(self) -> float:
+        v, w = self.vectors, self.eigenvalues
+        return float(np.abs(self._input - (v * w) @ v.conj().T).max())
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResult:
@@ -82,9 +89,7 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResul
 
     a = 0.5 * (m + m.conj().T)  # exact Hermitization; deviation is < tol by the check above
     w, v = np.linalg.eigh(a)
-    w, v = w[::-1], v[:, ::-1]  # eigh sorts ascending
-    residual = float(np.abs(m - (v * w) @ v.conj().T).max())
-    return EigenResult(eigenvalues=w, vectors=v, residual=residual)
+    return EigenResult(eigenvalues=w[::-1], vectors=v[:, ::-1], _input=m)  # eigh sorts ascending
 
 
 def trace_norm(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:

@@ -89,25 +89,32 @@ def is_physical(ordering: ModeOrdering, system: ModeSystem) -> bool:
     return last_kept < first_traced
 
 
-@lru_cache(maxsize=_SIGN_CACHE_SIZE)
-def ordering_sign_vector(system: ModeSystem, ordering: ModeOrdering) -> np.ndarray:
-    """Per-basis-state sign relating the ordering's phases to canonical ones.
+def _inversion_signs(ranks: np.ndarray) -> np.ndarray:
+    """Per-basis-state signs for a stack of orderings, one row per ordering.
 
-    The sign of an occupation pattern is the parity of the permutation that
-    reorders its occupied modes from the ordering's order into canonical
-    order, which counts the inverted pairs that are both occupied.
+    Row r of ``ranks`` gives, for each mode in canonical order, its position
+    in ordering r. The sign of an occupation pattern is the parity of the
+    permutation that reorders its occupied modes from the ordering's order
+    into canonical order, which counts the inverted pairs that are both
+    occupied. Only rank comparisons enter, so the rank columns of a subset
+    of modes give that subset's signs without renumbering.
     """
-    ordering.validate_for(system)
-    n = system.n_modes
-    idx = np.arange(system.dim, dtype=np.int64)
-    flips = np.zeros(system.dim, dtype=np.int64)
-    ranks = [ordering.rank(label) for label in system.modes]
+    k, n = ranks.shape
+    idx = np.arange(1 << n, dtype=np.int64)
+    odd = np.zeros((k, 1 << n), dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            if ranks[i] > ranks[j]:
-                mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-                flips += (idx & mask) == mask
-    signs = 1 - 2 * (flips & 1)
+            mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
+            odd ^= (ranks[:, i] > ranks[:, j])[:, None] & ((idx & mask) == mask)[None, :]
+    return 1 - 2 * odd.astype(np.int64)
+
+
+@lru_cache(maxsize=_SIGN_CACHE_SIZE)
+def ordering_sign_vector(system: ModeSystem, ordering: ModeOrdering) -> np.ndarray:
+    """Per-basis-state sign relating the ordering's phases to canonical ones,
+    by the pair-inversion rule of ``_inversion_signs``."""
+    ordering.validate_for(system)
+    signs = _inversion_signs(np.array([[ordering.rank(label) for label in system.modes]]))[0]
     signs.setflags(write=False)
     return signs
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Sequence, Union
 
 import numpy as np
@@ -39,13 +40,20 @@ from .numerics import DEFAULT_TOL, trace_distance
 from .ordering import (
     ModeOrdering,
     QubitState,
+    _inversion_signs,
     inverse_image_restricted,
     is_physical,
     qubit_image,
 )
 
-#: Orderings are enumerated exhaustively; N! at 8 modes is the ceiling.
+#: Orderings are enumerated exhaustively. At the cap, a scan holds an
+#: 8! x 8 rank matrix and builds 40320 ``ModeOrdering`` objects, which now
+#: take most of a (4,4) scan's time.
 MAX_SCAN_MODES = 8
+
+#: Bytes the ordering scan may give one stacked array, which holds a state
+#: or a dk x dk reduction per evaluated ordering.
+_SCAN_CHUNK_BYTES = 64 * 1024
 
 #: Non-representative members per precedence class that the scan recomputes
 #: to check the class is uniform.
@@ -245,22 +253,6 @@ class OrderingClass:
         }
 
 
-def _precedence_key(ordering: ModeOrdering, kept: Sequence[str], traced: Sequence[str]) -> bytes:
-    """Which traced modes precede which kept modes, packed as a byte key.
-
-    The qubit-route reduced state depends on the ordering only through
-    these kept/traced precedence bits: signs from inversions inside the
-    kept block are cancelled by the inverse map, and signs from inversions
-    inside the traced block square away on the trace diagonal.
-    """
-    ranks = {label: i for i, label in enumerate(ordering.labels)}
-    bits = bytearray()
-    for a in kept:
-        for c in traced:
-            bits.append(1 if ranks[c] < ranks[a] else 0)
-    return bytes(bits)
-
-
 def ordering_scan(
     rho: FockState,
     bp: Union[BipartitionSpec, None] = None,
@@ -268,57 +260,92 @@ def ordering_scan(
 ) -> list[OrderingClass]:
     """Group all mode orderings by the reduced state their route produces.
 
-    Every permutation of the modes is enumerated (8-mode cap), but the
-    route is only evaluated once per precedence class; class membership is
-    spot-checked by recomputing a few non-representative members, which
-    must agree to the bit. Classes are then merged whenever two precedence
-    classes happen to land on the identical reduced matrix, and each final
-    class is compared against the fermionic trace. Classes are returned
-    largest first, ties broken by representative labels.
+    The qubit-route reduced state depends on the ordering only through its
+    kept/traced precedence bits, which traced modes precede which kept
+    ones: signs from inversions inside the kept block are cancelled by the
+    inverse map, and signs from inversions inside the traced block square
+    away on the trace diagonal. Every permutation of the modes is
+    enumerated (8-mode cap) as a row of mode ranks, and the orderings are
+    grouped by their precedence bits in order of first appearance. The
+    route is evaluated once per group on its first member, and on up to
+    ``SCAN_VERIFY_SAMPLES`` other members drawn at random, which must agree
+    to the bit. These evaluations run stacked, whole groups at a time, in
+    chunks whose largest stacked array stays within ``_SCAN_CHUNK_BYTES``
+    unless one group alone is larger. Groups are then merged whenever they
+    land on the identical reduced matrix, and each final class is compared
+    against the fermionic trace. Classes are returned largest first, ties
+    broken by representative labels.
     """
-    from itertools import permutations
-
     system = rho.system
     _check_scan_size(system)
     bp = _resolve_bipartition(system, bp)
     kept, traced = _split_positions(system, bp)
-
-    groups: dict[bytes, list[ModeOrdering]] = {}
-    for perm in permutations(system.modes):
-        ordering = ModeOrdering(perm)
-        groups.setdefault(_precedence_key(ordering, kept, traced), []).append(ordering)
-
+    kept_cols = [system.position(m) for m in kept]
+    traced_cols = [system.position(m) for m in traced]
     fermionic = fermionic_partial_trace(rho, bp)
+    data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
+
+    # ranks[p, i] is the position of canonical mode i in the p-th permutation
+    perms = np.array(list(permutations(range(system.n_modes))), dtype=np.int8)
+    ranks = np.empty_like(perms)
+    np.put_along_axis(ranks, perms, np.arange(system.n_modes), axis=1)
+    # bit (kept a, traced c) is set when c precedes a; the bits of one
+    # permutation are packed into one integer code, at most 16 bits wide
+    bits = (ranks[:, None, traced_cols] < ranks[:, kept_cols, None]).reshape(len(ranks), -1)
+    codes = bits @ (1 << np.arange(bits.shape[1]))
+    groups: dict[int, list[int]] = {}
+    for p, code in enumerate(codes.tolist()):
+        groups.setdefault(code, []).append(p)
+    members = list(groups.values())
+    # physical orderings are exactly those where no traced mode precedes a kept one
+    physical = np.array([code == 0 for code in groups])
+
     rng = np.random.default_rng(0)
-    classes: dict[bytes, tuple[DensityOperator, list[tuple[bytes, list[ModeOrdering]]]]] = {}
-    for precedence, members in groups.items():
-        representative = members[0]
-        reduced = qubit_route_reduction(rho, representative, bp)
-        others = members[1:]
-        for pick in rng.choice(len(others), size=min(SCAN_VERIFY_SAMPLES, len(others)), replace=False) if others else []:
-            check = qubit_route_reduction(rho, others[int(pick)], bp)
-            if not np.array_equal(check.matrix, reduced.matrix):
-                raise AssertionError(
-                    f"precedence class of {representative} is not uniform: "
-                    f"{others[int(pick)]} disagrees"
-                )
-        # adding 0.0 flushes negative zeros left behind by sign flips, which
-        # would otherwise split byte-identical classes
-        key = (reduced.matrix + 0.0).tobytes()
-        classes.setdefault(key, (reduced, []))[1].append((precedence, members))
+    samples = []
+    for m in members:
+        others = len(m) - 1
+        picks = rng.choice(others, size=min(SCAN_VERIFY_SAMPLES, others), replace=False) if others else []
+        samples.append([m[0]] + [m[1 + int(pick)] for pick in picks])
+
+    orderings = [ModeOrdering(perm) for perm in permutations(system.modes)]
+    kept_system = ModeSystem.from_blocks(kept)
+    group_bytes = data.itemsize * max(data.size, kept_system.dim**2) * (1 + SCAN_VERIFY_SAMPLES)
+    per_chunk = max(1, _SCAN_CHUNK_BYTES // group_bytes)
+    classes: dict[bytes, tuple[DensityOperator, list[int]]] = {}
+    for g in range(0, len(samples), per_chunk):
+        chunk = samples[g : g + per_chunk]
+        lengths = [len(rows) for rows in chunk]
+        starts = np.cumsum([0] + lengths[:-1])
+        heads = np.repeat(starts, lengths)
+        rows = np.concatenate(chunk)
+        r = ranks[rows]
+        signed = _sign_conjugate(_inversion_signs(r), data)
+        reduced = _block_partial_trace(signed, system, kept, batch=True)
+        reduced = _sign_conjugate(_inversion_signs(r[:, kept_cols]), reduced)
+        bad = np.flatnonzero((reduced != reduced[heads]).any(axis=(1, 2)))
+        if bad.size:
+            raise AssertionError(
+                f"precedence class of {orderings[rows[heads[bad[0]]]]} is not uniform: "
+                f"{orderings[rows[bad[0]]]} disagrees"
+            )
+        for h, head in enumerate(starts, start=g):
+            # adding 0.0 flushes negative zeros left behind by sign flips,
+            # which would otherwise split byte-identical classes
+            key = (reduced[head] + 0.0).tobytes()
+            if key not in classes:
+                classes[key] = (DensityOperator(kept_system, reduced[head]), [])
+            classes[key][1].append(h)
 
     result = []
-    for reduced, member_groups in classes.values():
-        orderings = tuple(o for _, grp in member_groups for o in grp)
-        diff = float(np.abs(reduced.matrix - fermionic.matrix).max())
+    for reduced_op, merged in classes.values():
+        members_of = tuple(orderings[p] for h in merged for p in members[h])
+        diff = float(np.abs(reduced_op.matrix - fermionic.matrix).max())
         result.append(
             OrderingClass(
-                representative=orderings[0],
-                orderings=orderings,
-                reduced=reduced,
-                # physical orderings are exactly those where no traced mode
-                # precedes a kept one
-                contains_physical=any(not any(p) for p, _ in member_groups),
+                representative=members_of[0],
+                orderings=members_of,
+                reduced=reduced_op,
+                contains_physical=bool(physical[merged].any()),
                 matches_fermionic=diff < tol,
                 max_entry_diff=diff,
             )

@@ -11,6 +11,7 @@ from fermiorder.ordering import (
     InvalidSubsetError,
     ModeOrdering,
     QubitState,
+    _inversion_signs,
     inverse_image_restricted,
     is_physical,
     ordering_sign,
@@ -55,6 +56,23 @@ def test_ordering_sign_matches_inversion_parity():
             ]
             expected = permutation_parity(occupied_in_order)
             assert ordering_sign(system, ordering, bits) == expected
+
+
+def test_batched_sign_rows_match_sign_vector():
+    """All 720 orderings of 6 modes as one rank matrix give the cached
+    per-ordering sign vectors, and the rank columns of a kept subset give the
+    restricted orderings' signs on the kept block without renumbering."""
+    system = ModeSystem(tuple(f"m{k}" for k in range(6)), a_count=6)
+    orderings = [ModeOrdering(perm) for perm in permutations(system.modes)]
+    ranks = np.array([[o.rank(label) for label in system.modes] for o in orderings])
+    rows = _inversion_signs(ranks)
+    kept = ("m1", "m3", "m4")
+    kept_system = ModeSystem.from_blocks(kept)
+    kept_rows = _inversion_signs(ranks[:, [system.position(m) for m in kept]])
+    assert rows.shape == (720, 64) and kept_rows.shape == (720, 8)
+    for o, row, kept_row in zip(orderings, rows, kept_rows):
+        assert np.array_equal(row, ordering_sign_vector(system, o))
+        assert np.array_equal(kept_row, ordering_sign_vector(kept_system, o.restricted_to(kept)))
 
 
 @settings(deadline=None, max_examples=50)

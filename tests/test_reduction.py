@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from fermiorder.fock import (
     ssr_compliant,
 )
 from fermiorder.numerics import hermitian_eigenvalues
-from fermiorder.ordering import ModeOrdering, is_physical, qubit_image
+from fermiorder import ordering as ordering_module
+from fermiorder import reduction
+from fermiorder.ordering import ModeOrdering, _inversion_signs, is_physical, qubit_image
 from fermiorder.reduction import (
     InvalidBipartitionError,
     NonPhysicalOrderingError,
@@ -390,6 +393,102 @@ def test_scan_size_guard():
 
     with pytest.raises(SystemTooLargeError):
         ordering_scan(FockVector.vacuum(system).to_density())
+
+
+def _split_not_first(rng, system):
+    """A random kept set that does not sit first in canonical order."""
+    while True:
+        bp = _random_split(rng, system)
+        if set(bp.kept) != set(system.modes[: len(bp.kept)]):
+            return bp
+
+
+def _scan_record(classes):
+    return [
+        (
+            c.representative,
+            c.orderings,
+            c.contains_physical,
+            c.matches_fermionic,
+            c.max_entry_diff,
+            c.reduced.matrix.tobytes(),
+        )
+        for c in classes
+    ]
+
+
+def test_scan_classes_match_qubit_route(monkeypatch):
+    """Each class's reduced matrix is exactly what the per-ordering route
+    gives its representative and three random members, on kept sets that
+    are not first, for pure and density inputs. The scan itself neither
+    calls the route nor the cached sign vectors."""
+
+    def forbidden(*args):
+        raise AssertionError("the scan called the per-ordering route")
+
+    rng = np.random.default_rng(2020)
+    for n_modes in range(3, 7):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        bp = _split_not_first(rng, system)
+        state = random_state(system, sector="any", seed=int(rng.integers(1 << 30)))
+        for given in (state, state.to_density()):
+            with monkeypatch.context() as patched:
+                patched.setattr(reduction, "qubit_route_reduction", forbidden)
+                patched.setattr(ordering_module, "ordering_sign_vector", forbidden)
+                classes = ordering_scan(given, bp)
+            assert sum(c.size for c in classes) == factorial(n_modes)
+            for c in classes:
+                picks = rng.choice(c.size, size=min(3, c.size), replace=False)
+                for o in [c.representative] + [c.orderings[int(k)] for k in picks]:
+                    route = qubit_route_reduction(given, o, bp)
+                    assert np.array_equal(c.reduced.matrix, route.matrix)
+
+
+def test_scan_chunk_size_does_not_change_results(monkeypatch):
+    """A byte budget of one group per chunk gives the same scan, to the bit."""
+    rng = np.random.default_rng(2021)
+    system = ModeSystem(tuple(f"m{k}" for k in range(6)), a_count=6)
+    for sector in ("even", "any"):
+        bp = _split_not_first(rng, system)
+        state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+        for given in (state, state.to_density()):
+            default = _scan_record(ordering_scan(given, bp))
+            with monkeypatch.context() as patched:
+                patched.setattr(reduction, "_SCAN_CHUNK_BYTES", 1)
+                assert _scan_record(ordering_scan(given, bp)) == default
+
+
+def test_scan_uniformity_check_fires(monkeypatch):
+    """One flipped sign in a verification sample's row makes that sample
+    disagree with its representative, and the scan refuses to group it."""
+    system = sweep_system(2, 2)
+    state = random_state(system, sector="any", seed=3)
+
+    def one_flip(ranks):
+        signs = _inversion_signs(ranks)
+        if len(ranks) > 1 and ranks.shape[1] == system.n_modes:
+            signs[-1, 1] *= -1
+        return signs
+
+    monkeypatch.setattr(reduction, "_SCAN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(reduction, "_inversion_signs", one_flip)
+    with pytest.raises(AssertionError, match="is not uniform"):
+        ordering_scan(state)
+
+
+def test_seven_mode_scan():
+    """A (3,4) scan on a kept set that is not first covers all 7! orderings,
+    and its one physical class is the fermionic reduction."""
+    system = sweep_system(3, 4)
+    kept = ("a2", "c1", "c3")
+    bp = BipartitionSpec(kept=kept, traced=tuple(m for m in system.modes if m not in kept))
+    state = random_state(system, sector="even", seed=7)
+    classes = ordering_scan(state, bp)
+    assert sum(c.size for c in classes) == factorial(7)
+    physical = [c for c in classes if c.contains_physical]
+    assert len(physical) == 1 and physical[0].matches_fermionic
+    fermionic = fermionic_partial_trace(state, bp)
+    assert np.abs(physical[0].reduced.matrix - fermionic.matrix).max() < tol
 
 
 def test_scan_interleaved_ordering_disagrees_for_some_ssr_state():
