@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -53,18 +52,6 @@ TOL_ENV_VAR = "FERMIORDER_TOL"
 
 #: Tolerance for values frozen from an independent eigen-decomposition.
 DERIVED_VALUE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters shared by the subcommands."""
-
-    seed: int
-    trials: int
-    modes: Union[tuple[int, int], None]
-    output: Union[str, None]
-    fmt: str
-    tol: float
 
 
 def _tolerance() -> float:
@@ -152,7 +139,7 @@ def _examples_checks(tol: float) -> list[dict]:
             _close(n_mixed, 0.5, DERIVED_VALUE_TOL),
         )
     )
-    classes = ordering_scan(pair.to_density(), tol=tol)
+    classes = ordering_scan(pair, tol=tol)
     physical_ok = all(c.matches_fermionic for c in classes if c.contains_physical)
     checks.append(
         _check("two-delocalized-fermions", "physical-class-matches-fermionic", True, physical_ok, physical_ok)
@@ -162,9 +149,8 @@ def _examples_checks(tol: float) -> list[dict]:
     checks.append(
         _check("parity-violating-state", "ssr", False, ssr_compliant(witness), not ssr_compliant(witness))
     )
-    rho = witness.to_density()
-    kept_first = qubit_route_reduction(rho, ModeOrdering(("a", "b")))
-    traced_first = qubit_route_reduction(rho, ModeOrdering(("b", "a")))
+    kept_first = qubit_route_reduction(witness, ModeOrdering(("a", "b")))
+    traced_first = qubit_route_reduction(witness, ModeOrdering(("b", "a")))
     gap = trace_distance(kept_first.matrix, traced_first.matrix)
     checks.append(
         _check(
@@ -175,7 +161,7 @@ def _examples_checks(tol: float) -> list[dict]:
             _close(gap, 0.5, DERIVED_VALUE_TOL),
         )
     )
-    witness_classes = ordering_scan(rho, tol=tol)
+    witness_classes = ordering_scan(witness, tol=tol)
     checks.append(
         _check(
             "parity-violating-state",
@@ -187,7 +173,7 @@ def _examples_checks(tol: float) -> list[dict]:
     )
 
     bell = occupation_bell_state()
-    reduced = fermionic_partial_trace(bell.to_density())
+    reduced = fermionic_partial_trace(bell)
     mixed_diff = float(np.abs(reduced.matrix - maximally_mixed_matrix(2)).max())
     checks.append(
         _check("occupation-bell", "marginal-maximally-mixed", 0.0, mixed_diff, mixed_diff <= tol)
@@ -199,15 +185,14 @@ def _examples_checks(tol: float) -> list[dict]:
 
     singlet = spin_singlet_state()
     checks.append(_check("spin-singlet", "ssr", True, ssr_compliant(singlet), ssr_compliant(singlet)))
-    srho = singlet.to_density()
-    kept_marginal = fermionic_partial_trace(srho)
+    kept_marginal = fermionic_partial_trace(singlet)
     kept_target = one_particle_mixed_matrix(ModeSystem.from_blocks(("uA", "dA")))
     kept_diff = float(np.abs(kept_marginal.matrix - kept_target).max())
     checks.append(
         _check("spin-singlet", "kept-marginal-one-particle-mixed", 0.0, kept_diff, kept_diff <= tol)
     )
     flipped = BipartitionSpec(kept=("uR", "dR"), traced=("uA", "dA"))
-    traced_marginal = fermionic_partial_trace(srho, flipped)
+    traced_marginal = fermionic_partial_trace(singlet, flipped)
     traced_target = one_particle_mixed_matrix(ModeSystem.from_blocks(("uR", "dR")))
     traced_diff = float(np.abs(traced_marginal.matrix - traced_target).max())
     checks.append(
@@ -233,10 +218,10 @@ def _examples_checks(tol: float) -> list[dict]:
     return checks
 
 
-def cmd_examples(cfg: RunConfig) -> int:
-    checks = _examples_checks(cfg.tol)
+def cmd_examples(args: argparse.Namespace, tol: float) -> int:
+    checks = _examples_checks(tol)
     passed = all(c["passed"] for c in checks)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         report = _json_report({"checks": checks, "passed": passed})
     else:
         lines = []
@@ -248,19 +233,19 @@ def cmd_examples(cfg: RunConfig) -> int:
         done = sum(1 for c in checks if c["passed"])
         lines.append(f"examples: {done}/{len(checks)} checks passed")
         report = "\n".join(lines)
-    _emit(report, cfg.output)
+    _emit(report, args.output)
     return 0 if passed else 1
 
 
 # --- theorem sweep -----------------------------------------------------------
 
 
-def cmd_theorem_sweep(cfg: RunConfig) -> int:
-    n, m = cfg.modes
-    result = theorem_sweep(n, m, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
-    if cfg.fmt == "csv":
+def cmd_theorem_sweep(args: argparse.Namespace, tol: float) -> int:
+    n, m = args.modes
+    result = theorem_sweep(n, m, trials=args.trials, seed=args.seed, tol=tol)
+    if args.fmt == "csv":
         report = result.to_csv()
-    elif cfg.fmt == "json":
+    elif args.fmt == "json":
         report = _json_report(
             {
                 "rows": [r.as_record() for r in result.rows],
@@ -271,7 +256,7 @@ def cmd_theorem_sweep(cfg: RunConfig) -> int:
         )
     else:
         lines = [
-            f"theorem sweep: modes=({n},{m}) trials={cfg.trials} per sector seed={cfg.seed}",
+            f"theorem sweep: modes=({n},{m}) trials={args.trials} per sector seed={args.seed}",
             f"max entry diff over {len(result.rows)} trials = {result.max_entry_diff!r}",
         ]
         if result.passed:
@@ -279,7 +264,7 @@ def cmd_theorem_sweep(cfg: RunConfig) -> int:
         else:
             lines.append(f"FAIL (tolerance {result.tol!r}); worst seed = {result.worst_seed}")
         report = "\n".join(lines)
-    _emit(report, cfg.output)
+    _emit(report, args.output)
     return 0 if result.passed else 1
 
 
@@ -310,23 +295,23 @@ def _resolve_state(args: argparse.Namespace, parser: argparse.ArgumentParser, sy
     return None
 
 
-def cmd_ordering_scan(cfg: RunConfig, args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_ordering_scan(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
     system = _resolve_system(args, parser)
     state = _resolve_state(args, parser, system)
     if state is None:
-        state = random_state(system, sector=args.sector, seed=cfg.seed)
-        source = f"random sector={args.sector} seed={cfg.seed}"
+        state = random_state(system, sector=args.sector, seed=args.seed)
+        source = f"random sector={args.sector} seed={args.seed}"
     else:
         source = "explicit state"
     _check_scan_size(system)
     # the scan runs on the density, not the pure state: the pure path's
     # maxEntryDiff differs in the last digits, and reports are pinned
     rho = state.to_density()
-    classes = ordering_scan(rho, tol=cfg.tol)
+    classes = ordering_scan(rho, tol=tol)
     ssr = ssr_compliant(rho)
     violation = ssr and any(c.contains_physical and not c.matches_fermionic for c in classes)
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         report = _json_report(
             {
                 "modes": list(system.modes),
@@ -337,7 +322,7 @@ def cmd_ordering_scan(cfg: RunConfig, args: argparse.Namespace, parser: argparse
                 "violation": violation,
             }
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         lines = ["representative,size,containsPhysical,matchesFermionic,maxEntryDiff"]
         for c in classes:
             rep = " ".join(c.representative.labels)
@@ -360,22 +345,22 @@ def cmd_ordering_scan(cfg: RunConfig, args: argparse.Namespace, parser: argparse
         if violation:
             lines.append("FAIL: a physical ordering disagrees with the fermionic trace on an SSR state")
         report = "\n".join(lines)
-    _emit(report, cfg.output)
+    _emit(report, args.output)
     return 1 if violation else 0
 
 
 # --- negativity --------------------------------------------------------------
 
 
-def cmd_negativity(cfg: RunConfig, args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_negativity(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
     system = _resolve_system(args, parser)
     state = _resolve_state(args, parser, system)
     if state is None:
         parser.error("negativity needs --state or --state-json")
     ordering = ModeOrdering(args.ordering)
-    result = negativity(state, ordering=ordering, tol=cfg.tol)
+    result = negativity(state, ordering=ordering, tol=tol)
     ssr = ssr_compliant(state)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = result.to_json()
         payload["ssr"] = ssr
         report = _json_report(payload)
@@ -389,7 +374,7 @@ def cmd_negativity(cfg: RunConfig, args: argparse.Namespace, parser: argparse.Ar
                 f"ssr = {ssr}",
             ]
         )
-    _emit(report, cfg.output)
+    _emit(report, args.output)
     return 0
 
 
@@ -445,23 +430,15 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     except ValueError as exc:
         print(f"fermiorder: {exc}", file=sys.stderr)
         return 2
-    cfg = RunConfig(
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        modes=getattr(args, "modes", None),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", "text"),
-        tol=tol,
-    )
     try:
         if args.command == "examples":
-            return cmd_examples(cfg)
+            return cmd_examples(args, tol)
         if args.command == "theorem-sweep":
-            return cmd_theorem_sweep(cfg)
+            return cmd_theorem_sweep(args, tol)
         if args.command == "ordering-scan":
-            return cmd_ordering_scan(cfg, args, parser)
+            return cmd_ordering_scan(args, parser, tol)
         if args.command == "negativity":
-            return cmd_negativity(cfg, args, parser)
+            return cmd_negativity(args, parser, tol)
     except (ValueError, OSError) as exc:
         print(f"fermiorder: {exc}", file=sys.stderr)
         return 2

@@ -79,7 +79,9 @@ def _as_qubit_matrix(
     state: AnyState, ordering: Union[ModeOrdering, None]
 ) -> tuple[np.ndarray, ModeSystem, Union[ModeOrdering, None]]:
     """Dense qubit-register matrix for any supported state input, refused
-    before it is formed if the eigensolver would refuse its dimension."""
+    before it is formed if the eigensolver would refuse its dimension. A
+    qubit state must have unit trace (unit norm if pure), as a density
+    formed from a ``FockVector`` must."""
     if not isinstance(state, (QubitState, FockVector, DensityOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     _check_eig_dim(state.system.dim)
@@ -88,6 +90,9 @@ def _as_qubit_matrix(
             raise ValueError(
                 "qubit state already carries an ordering; do not pass a different one"
             )
+        tr = np.vdot(state.data, state.data) if state.is_pure else state.data.trace()
+        if abs(tr - 1.0) >= 1e-9:
+            raise ValueError(f"qubit state trace is {tr}, expected 1")
         data = np.outer(state.data, state.data.conj()) if state.is_pure else state.data
         return data, state.system, state.ordering
     if ordering is None:

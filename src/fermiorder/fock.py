@@ -16,8 +16,10 @@ bitstring maps to the integer whose most significant bit is mode 0, so a
 dense amplitude array reshaped to ``[2] * N`` puts mode k on axis k.
 
 Acting with a creation or annihilation operator on mode k multiplies the
-amplitude by ``(-1) ** (number of occupied modes strictly before k)``; that
-single integer sign rule is the source of every sign in this package.
+amplitude by ``(-1) ** (number of occupied modes strictly before k)``; the
+operators apply that Jordan-Wigner rule through ``_mode_action``. Every
+reduction takes its signs from the pair-inversion rule of
+``ordering._inversion_signs`` instead, the fermionic trace included.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ ANNIHILATION = "-"
 #: Largest number of modes a system may hold (dense arrays of size 2**N).
 MAX_MODES = 14
 
-#: Entries kept by each sign-table cache. The ordering scan builds its
-#: ordering signs in batches outside the cache and only adds the few
-#: mode actions of its fermionic trace; the bound is for callers that walk
-#: many orderings one call at a time.
+#: Entries kept by each sign-table cache: ``_mode_action`` for the
+#: operators, ``ordering_sign_vector`` for both reduction routes. The
+#: ordering scan builds its ordering signs in batches outside the cache and
+#: adds only the traced-first signs of its fermionic trace; the bound is
+#: for callers that walk many orderings one call at a time.
 _SIGN_CACHE_SIZE = 4096
 
 EVEN = "even"
@@ -288,11 +291,24 @@ class FockVector:
 
     @classmethod
     def from_json(cls, obj: dict, a_count: Union[int, None] = None) -> "FockVector":
+        """Inverse of ``to_json``; any other shape raises ``ValueError``."""
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("modes"), list)
+            and isinstance(obj.get("amplitudes"), dict)
+        ):
+            raise ValueError('state JSON must be an object with a "modes" list and an "amplitudes" object')
         modes = tuple(obj["modes"])
         system = ModeSystem(modes, a_count=len(modes) if a_count is None else a_count)
         amps = np.zeros(system.dim, dtype=np.complex128)
-        for bits, (re, im) in obj["amplitudes"].items():
-            amps[system.index_of_bits(bits)] = complex(re, im)
+        for bits, pair in obj["amplitudes"].items():
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            ):
+                raise ValueError(f"amplitude of {bits!r} must be a [re, im] pair of numbers, got {pair!r}")
+            amps[system.index_of_bits(bits)] = complex(*pair)
         return cls(system, amps)
 
 

@@ -2,15 +2,17 @@
 
 The native fermionic route discards modes by sandwiching the density
 operator between annihilator and creator products for every traced
-occupation pattern and evaluating on the traced vacuum, which amounts to a
-sign conjugation followed by a block trace. The qubit route
-maps the state onto qubits under a chosen mode ordering, performs the
-ordinary tensor-product partial trace, and pulls the result back to the
-kept fermionic block. Both routes reduce a pure state from its amplitudes,
-never forming its density. For parity-superselected states and any ordering
-that puts every kept mode before every traced mode, the routes agree
-exactly; the checker and scanner here measure that, and measure how badly
-it fails everywhere else.
+occupation pattern and evaluating on the traced vacuum. That sandwich is
+the sign conjugation of the ordering that lists the traced modes first,
+followed by a block trace, so both routes take their signs from the one
+pair-inversion rule of ``_inversion_signs``. The qubit route maps the
+state onto qubits under a chosen mode ordering, performs the ordinary
+tensor-product partial trace, and pulls the result back to the kept
+fermionic block. Both routes reduce a pure state from its amplitudes,
+never forming its density. For parity-superselected states and any
+ordering that puts every kept mode before every traced mode, the routes
+agree exactly; the checker and scanner here measure that, and measure how
+badly it fails everywhere else.
 """
 
 from __future__ import annotations
@@ -19,19 +21,17 @@ import csv
 import io
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .fock import (
-    ANNIHILATION,
     BipartitionSpec,
     DensityOperator,
     FockState,
     FockVector,
     ModeSystem,
     _block_partial_trace,
-    _mode_action,
     _sign_conjugate,
     random_state,
     ssr_compliant,
@@ -43,6 +43,7 @@ from .ordering import (
     _inversion_signs,
     inverse_image_restricted,
     is_physical,
+    ordering_sign_vector,
     qubit_image,
 )
 
@@ -100,41 +101,27 @@ def _split_positions(system: ModeSystem, bp: BipartitionSpec) -> tuple[list[str]
     return kept, traced
 
 
-def _sandwich_signs(system: ModeSystem, traced: Sequence[str]) -> np.ndarray:
-    """Sign s(x) that c_{t_k}...c_{t_1} gives basis index x, over x's occupied
-    traced modes t_1 < ... < t_k in canonical order with t_1 acting first:
-    each mode's sign is read on x with the earlier traced modes emptied."""
-    signs = np.ones(system.dim, dtype=np.int64)
-    current = np.arange(system.dim, dtype=np.int64)
-    for label in traced:
-        act = _mode_action(system, ANNIHILATION, label)
-        step = np.ones(system.dim, dtype=np.int64)
-        step[act.sources] = act.signs
-        emptied = np.arange(system.dim, dtype=np.int64)
-        emptied[act.sources] = act.targets
-        signs *= step[current]
-        current = emptied[current]
-    return signs
-
-
 def fermionic_partial_trace(
     rho: FockState, bp: Union[BipartitionSpec, None] = None
 ) -> DensityOperator:
     """Trace out modes with the operator-sandwich construction.
 
     Sandwiching by the annihilators of a traced occupation pattern and their
-    adjoint multiplies entry (x, y) by s(x) s(y), with s built from the
-    mode-operator signs, so the pattern sum is a sign conjugation followed by
-    a block trace over the traced occupations. A pure state is conjugated as
-    s * psi and reduced without forming its density; it must be normalized.
-    The trace is preserved exactly, and the result is Hermitian and positive.
+    adjoint multiplies entry (x, y) by s(x) s(y), where s(x) is the sign of
+    annihilating x's occupied traced modes in canonical order. That is the
+    sign of the ordering that lists the traced modes first, so the pattern
+    sum is that ordering's sign conjugation followed by a block trace over
+    the traced occupations: the fermionic trace is ``qubit_route_reduction``
+    under the traced-first ordering. A pure state is conjugated as s * psi
+    and reduced without forming its density; it must be normalized. The
+    trace is preserved exactly, and the result is Hermitian and positive.
     """
     system = rho.system
     bp = _resolve_bipartition(system, bp)
     kept, traced = _split_positions(system, bp)
+    signs = ordering_sign_vector(system, ModeOrdering(traced + kept))
     data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
-    signed = _sign_conjugate(_sandwich_signs(system, traced), data)
-    reduced = _block_partial_trace(signed, system, kept)
+    reduced = _block_partial_trace(_sign_conjugate(signs, data), system, kept)
     return DensityOperator(ModeSystem.from_blocks(kept), reduced)
 
 

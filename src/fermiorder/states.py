@@ -85,10 +85,11 @@ def spin_singlet_state() -> FockVector:
     """
     system = ModeSystem.from_blocks(("uA", "dA"), ("uR", "dR"))
     amp = 1.0 / np.sqrt(2.0)
-    amps = np.zeros(system.dim, dtype=np.complex128)
-    amps[system.index_of_bits("1001")] = amp
-    amps[system.index_of_bits("0110")] = amp
-    return FockVector(system, amps)
+    terms = [
+        (amp, OperatorString.parse("uA+ dR+")),
+        (amp, OperatorString.parse("dA+ uR+")),
+    ]
+    return state_from_terms(system, terms, normalize=False)
 
 
 def tilted_pair_state(theta: float) -> FockVector:

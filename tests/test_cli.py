@@ -153,6 +153,24 @@ def test_negativity_from_json_file(tmp_path):
     assert "ssr = True" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"amplitudes": {}}', '"modes" list'),
+        ("[1, 2]", '"modes" list'),
+        ('{"modes": ["a", "c"], "amplitudes": {"10": ["x", 0]}}', "[re, im] pair"),
+        ('{"modes": "ac", "amplitudes": {"10": [1, 0]}}', '"modes" list'),
+    ],
+    ids=["no-modes", "top-level-list", "non-numeric-amplitude", "modes-string"],
+)
+def test_malformed_state_json_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "state.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ["negativity", "--state-json", str(path), "--kept", "a", "--traced", "c", "--ordering", "a,c"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_tolerance_env_var_validation():
     proc = run_cli("examples", env_extra={"FERMIORDER_TOL": "not-a-number"})
     assert proc.returncode == 2

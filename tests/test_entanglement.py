@@ -137,6 +137,24 @@ def test_measure_result_serialization_echoes_context():
     assert payload["bipartition"] == {"kept": ["A"], "traced": ["R"]}
 
 
+def test_unnormalized_qubit_state_rejected():
+    """A qubit state off unit trace (or unit norm) by 1e-9 or more raises,
+    as an unnormalized FockVector does, instead of giving a meaningless
+    value; one within the bound is accepted."""
+    system = qubit_pair_system()
+    ordering = ModeOrdering.canonical(system)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
+    for data in (2.0 * psi, 2.0 * bell_matrix(), (1.0 + 2e-9) * bell_matrix()):
+        q = QubitState(system, ordering, data)
+        for measure in (negativity, ppt_separable):
+            with pytest.raises(ValueError, match="trace"):
+                measure(q)
+    near = QubitState(system, ordering, (1.0 + 5e-10) * bell_matrix())
+    assert abs(negativity(near).value - 0.5) < 1e-9
+    assert not ppt_separable(near)
+
+
 # --- separability ------------------------------------------------------------------
 
 

@@ -27,6 +27,9 @@ CASES = {
     "ordering-scan-2-3": (
         "ordering-scan", "--modes", "2,3", "--sector", "any", "--seed", "4", "--format", "json",
     ),
+    "ordering-scan-csv": (
+        "ordering-scan", "--modes", "2,3", "--sector", "odd", "--seed", "5", "--format", "csv",
+    ),
     "ordering-scan-inline": (
         "ordering-scan", "--kept", "a,b", "--traced", "c,d",
         "--state", "0.3j: ; 0.5: a+ c+; -0.4: b+ c+; 0.35: a+ d+; 0.2+0.1j: b+ d+; 0.25: a+ b+ c+ d+",
@@ -35,6 +38,11 @@ CASES = {
         "negativity",
         "--state", "0.5: a+ c+; 0.5: a+ d+; 0.5: b+ c+; 0.5: b+ d+",
         "--kept", "a,b", "--traced", "c,d", "--ordering", "a,d,b,c", "--format", "json",
+    ),
+    "negativity-text": (
+        "negativity",
+        "--state", "0.3j: ; 0.5: a+ c+; -0.4: b+ c+; 0.35: a+ d+; 0.2+0.1j: b+ d+; 0.25: a+ b+ c+ d+",
+        "--kept", "a,b", "--traced", "c,d", "--ordering", "b,c,a,d",
     ),
 }
 

@@ -119,6 +119,30 @@ def test_fermionic_route_matches_dense_oracle():
                 assert np.abs(ours.matrix - reference).max() < tol
 
 
+def test_fermionic_trace_is_traced_first_qubit_route():
+    """The sandwich signs are those of the ordering that lists the traced
+    modes first, so the fermionic trace is the qubit route under that
+    ordering to the last bit, for kept sets anywhere in the system and
+    blocks listed in any order."""
+    rng = np.random.default_rng(2017)
+    for n_modes in range(2, 9):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for trial in range(8):
+            k = int(rng.integers(1, n_modes))
+            modes = [str(m) for m in rng.permutation(system.modes)]
+            bp = BipartitionSpec(kept=tuple(modes[:k]), traced=tuple(modes[k:]))
+            kind = ("even", "odd", "any", "rank3")[trial % 4]
+            if kind == "rank3":
+                state = DensityOperator(system, random_density(system.dim, 3, rng))
+            else:
+                state = random_state(system, sector=kind, seed=int(rng.integers(1 << 30)))
+            traced_first = ModeOrdering(bp.traced + bp.kept)
+            assert np.array_equal(
+                fermionic_partial_trace(state, bp).matrix,
+                qubit_route_reduction(state, traced_first, bp).matrix,
+            )
+
+
 def test_fermionic_route_preserves_trace_and_hermiticity():
     system = sweep_system(2, 2)
     for seed in range(5):
