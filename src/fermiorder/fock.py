@@ -16,8 +16,9 @@ bitstring maps to the integer whose most significant bit is mode 0, so a
 dense amplitude array reshaped to ``[2] * N`` puts mode k on axis k.
 
 Acting with a creation or annihilation operator on mode k multiplies the
-amplitude by ``(-1) ** (number of occupied modes strictly before k)``; the
-operators apply that Jordan-Wigner rule through ``_mode_action``. Every
+amplitude by ``(-1) ** (number of occupied modes strictly before k)``;
+``apply`` reads that Jordan-Wigner sign off the ``(2**k, 2, -1)`` reshape,
+whose leading index holds the modes before k, and keeps no table. Every
 reduction takes its signs from the pair-inversion rule of
 ``ordering._inversion_signs`` instead, the fermionic trace included.
 """
@@ -39,13 +40,6 @@ ANNIHILATION = "-"
 
 #: Largest number of modes a system may hold (dense arrays of size 2**N).
 MAX_MODES = 14
-
-#: Entries kept by each sign-table cache: ``_mode_action`` for the
-#: operators, ``ordering_sign_vector`` for both reduction routes. The
-#: ordering scan builds its ordering signs in batches outside the cache and
-#: adds only the traced-first signs of its fermionic trace; the bound is
-#: for callers that walk many orderings one call at a time.
-_SIGN_CACHE_SIZE = 4096
 
 EVEN = "even"
 ODD = "odd"
@@ -204,37 +198,6 @@ def _block_partial_trace(
     return np.einsum("...ajbj->...ab", t.reshape(lead + [dk, dt, dk, dt]))
 
 
-@dataclass(frozen=True)
-class _ModeAction:
-    """Nonzero matrix elements <target|op|source> of a single mode operator."""
-
-    sources: np.ndarray
-    targets: np.ndarray
-    signs: np.ndarray
-
-
-@lru_cache(maxsize=_SIGN_CACHE_SIZE)
-def _mode_action(system: ModeSystem, kind: str, label: str) -> _ModeAction:
-    if kind not in (CREATION, ANNIHILATION):
-        raise ValueError(f"kind must be {CREATION!r} or {ANNIHILATION!r}, got {kind!r}")
-    k = system.position(label)
-    n = system.n_modes
-    idx = np.arange(system.dim, dtype=np.int64)
-    bit = 1 << (n - 1 - k)
-    # occupied modes strictly before k live in the bits above position n-1-k
-    before = (idx >> (n - k)).astype(np.uint64)
-    signs_all = 1 - 2 * (np.bitwise_count(before).astype(np.int64) & 1)
-    if kind == CREATION:
-        sources = idx[(idx & bit) == 0]
-    else:
-        sources = idx[(idx & bit) != 0]
-    targets = sources ^ bit
-    signs = signs_all[sources]
-    for arr in (sources, targets, signs):
-        arr.setflags(write=False)
-    return _ModeAction(sources=sources, targets=targets, signs=signs)
-
-
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """A (possibly unnormalized) pure state as a dense amplitude array."""
@@ -384,10 +347,16 @@ def apply(kind: str, mode: str, state: FockVector) -> FockVector:
     the zero vector for that component; otherwise the occupation bit flips
     and the amplitude picks up the Jordan-Wigner sign of the modes before it.
     """
-    act = _mode_action(state.system, kind, mode)
-    out = np.zeros_like(state.amplitudes)
-    out[act.targets] = act.signs * state.amplitudes[act.sources]
-    return FockVector(state.system, out)
+    if kind not in (CREATION, ANNIHILATION):
+        raise ValueError(f"kind must be {CREATION!r} or {ANNIHILATION!r}, got {kind!r}")
+    k = state.system.position(mode)
+    # mode k is the middle axis; the leading index holds the modes before it
+    amps = state.amplitudes.reshape(1 << k, 2, -1)
+    source = 0 if kind == CREATION else 1
+    signs = 1 - 2 * _parity_vector(k)
+    out = np.zeros_like(amps)
+    out[:, 1 - source] = signs[:, None] * amps[:, source]
+    return FockVector(state.system, out.reshape(-1))
 
 
 def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -22,10 +22,18 @@ from .fock import (
     FockState,
     FockVector,
     ModeSystem,
-    _SIGN_CACHE_SIZE,
     _check_label,
     _sign_conjugate,
 )
+
+
+#: Entries kept by ``ordering_sign_vector``, the package's one sign cache,
+#: which serves both reduction routes. An entry is one int8 sign per basis
+#: state, 2**14 B = 16 KiB at 14 modes, so a full cache holds at most
+#: 64 MiB. The ordering scan builds its ordering signs in batches outside
+#: the cache; the bound is for callers that walk many orderings one call at
+#: a time.
+_SIGN_CACHE_SIZE = 4096
 
 
 class InvalidOrderingError(ValueError):
@@ -90,7 +98,8 @@ def is_physical(ordering: ModeOrdering, system: ModeSystem) -> bool:
 
 
 def _inversion_signs(ranks: np.ndarray) -> np.ndarray:
-    """Per-basis-state signs for a stack of orderings, one row per ordering.
+    """Per-basis-state int8 signs for a stack of orderings, one row per
+    ordering.
 
     Row r of ``ranks`` gives, for each mode in canonical order, its position
     in ordering r. The sign of an occupation pattern is the parity of the
@@ -106,7 +115,7 @@ def _inversion_signs(ranks: np.ndarray) -> np.ndarray:
         for j in range(i + 1, n):
             mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
             odd ^= (ranks[:, i] > ranks[:, j])[:, None] & ((idx & mask) == mask)[None, :]
-    return 1 - 2 * odd.astype(np.int64)
+    return 1 - 2 * odd.astype(np.int8)
 
 
 @lru_cache(maxsize=_SIGN_CACHE_SIZE)

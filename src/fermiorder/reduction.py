@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from itertools import permutations
 from typing import Union
 
@@ -48,8 +48,9 @@ from .ordering import (
 )
 
 #: Orderings are enumerated exhaustively. At the cap, a scan holds an
-#: 8! x 8 rank matrix and builds 40320 ``ModeOrdering`` objects, which now
-#: take most of a (4,4) scan's time.
+#: 8! x 8 int8 rank matrix and 40320 label tuples; it builds a
+#: ``ModeOrdering`` only for each class representative, and
+#: ``OrderingClass.orderings`` builds its members when read.
 MAX_SCAN_MODES = 8
 
 #: Bytes the ordering scan may give one stacked array, which holds a state
@@ -217,18 +218,25 @@ def theorem_check(
 
 @dataclass(frozen=True, eq=False)
 class OrderingClass:
-    """All orderings whose qubit-route reduced state is one and the same."""
+    """All orderings whose qubit-route reduced state is one and the same.
+
+    The members are held as label tuples; ``orderings`` builds them as
+    ``ModeOrdering`` objects each time it is read."""
 
     representative: ModeOrdering
-    orderings: tuple[ModeOrdering, ...]
+    _member_labels: tuple[tuple[str, ...], ...]
     reduced: DensityOperator
     contains_physical: bool
     matches_fermionic: bool
     max_entry_diff: float
 
     @property
+    def orderings(self) -> tuple[ModeOrdering, ...]:
+        return tuple(ModeOrdering(labels) for labels in self._member_labels)
+
+    @property
     def size(self) -> int:
-        return len(self.orderings)
+        return len(self._member_labels)
 
     def to_json(self) -> dict:
         return {
@@ -294,7 +302,7 @@ def ordering_scan(
         picks = rng.choice(others, size=min(SCAN_VERIFY_SAMPLES, others), replace=False) if others else []
         samples.append([m[0]] + [m[1 + int(pick)] for pick in picks])
 
-    orderings = [ModeOrdering(perm) for perm in permutations(system.modes)]
+    orderings = list(permutations(system.modes))
     kept_system = ModeSystem.from_blocks(kept)
     group_bytes = data.itemsize * max(data.size, kept_system.dim**2) * (1 + SCAN_VERIFY_SAMPLES)
     per_chunk = max(1, _SCAN_CHUNK_BYTES // group_bytes)
@@ -329,8 +337,8 @@ def ordering_scan(
         diff = float(np.abs(reduced_op.matrix - fermionic.matrix).max())
         result.append(
             OrderingClass(
-                representative=members_of[0],
-                orderings=members_of,
+                representative=ModeOrdering(members_of[0]),
+                _member_labels=members_of,
                 reduced=reduced_op,
                 contains_physical=bool(physical[merged].any()),
                 matches_fermionic=diff < tol,
@@ -357,15 +365,7 @@ class SweepRow:
     ssr: bool
 
     def as_record(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "m": self.m,
-            "ordering": self.ordering,
-            "maxEntryDiff": self.max_entry_diff,
-            "traceDistance": self.trace_distance,
-            "ssr": self.ssr,
-        }
+        return dict(zip(SWEEP_COLUMNS, astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -391,10 +391,8 @@ class SweepResult:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
-        for r in self.rows:
-            writer.writerow(
-                [r.seed, r.n, r.m, r.ordering, repr(r.max_entry_diff), repr(r.trace_distance), r.ssr]
-            )
+        # csv writes floats as their repr, the shortest round-tripping form
+        writer.writerows(astuple(r) for r in self.rows)
         return buf.getvalue()
 
 

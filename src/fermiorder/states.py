@@ -142,11 +142,9 @@ def parse_state_spec(text: str) -> list[tuple[complex, OperatorString]]:
     return terms
 
 
-def state_from_spec(
-    text: str, system: ModeSystem, normalize: bool = True
-) -> FockVector:
-    """Build a state over a given system from the inline grammar."""
-    return state_from_terms(system, parse_state_spec(text), normalize=normalize)
+def state_from_spec(text: str, system: ModeSystem) -> FockVector:
+    """Build a normalized state over a given system from the inline grammar."""
+    return state_from_terms(system, parse_state_spec(text))
 
 
 def maximally_mixed_matrix(dim: int) -> np.ndarray:

@@ -48,6 +48,9 @@ def test_unknown_mode_rejected():
     system = ModeSystem.from_blocks(("a",), ("c",))
     with pytest.raises(UnknownModeError):
         apply(CREATION, "zz", FockVector.vacuum(system))
+    # the kind is checked before the label
+    with pytest.raises(ValueError):
+        apply("x", "zz", FockVector.vacuum(system))
 
 
 def test_bitstring_round_trip():

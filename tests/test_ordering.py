@@ -75,6 +75,23 @@ def test_batched_sign_rows_match_sign_vector():
         assert np.array_equal(kept_row, ordering_sign_vector(kept_system, o.restricted_to(kept)))
 
 
+def test_fourteen_mode_sign_vector_is_read_only_int8():
+    """The cached sign vector holds one read-only byte per basis state, so a
+    14-mode entry is 2**14 B, and its values match a loop-counted parity."""
+    system = ModeSystem(tuple(f"m{k}" for k in range(14)), a_count=7)
+    rng = np.random.default_rng(14)
+    ordering = ModeOrdering(tuple(str(m) for m in rng.permutation(system.modes)))
+    signs = ordering_sign_vector(system, ordering)
+    assert signs.dtype == np.int8 and signs.shape == (1 << 14,) and signs.nbytes == 1 << 14
+    assert not signs.flags.writeable
+    for idx in rng.integers(0, system.dim, size=64):
+        bits = system.bits_of_index(int(idx))
+        occupied_in_order = [
+            system.position(label) for label in ordering.labels if bits[system.position(label)] == "1"
+        ]
+        assert signs[idx] == permutation_parity(occupied_in_order)
+
+
 @settings(deadline=None, max_examples=50)
 @given(seed=st.integers(min_value=0, max_value=10_000), perm_seed=st.integers(min_value=0, max_value=10_000))
 def test_ordering_sign_matches_parity_5_modes(seed, perm_seed):

@@ -419,6 +419,45 @@ def test_scan_size_guard():
         ordering_scan(FockVector.vacuum(system).to_density())
 
 
+def test_scan_builds_orderings_only_for_representatives(monkeypatch):
+    """A (3,3) scan constructs one ``ModeOrdering`` per class representative
+    and one for its fermionic trace, not one per permutation. Read back,
+    ``orderings`` lists all 6! permutations once: within a class, by
+    precedence group in order of first appearance, then in permutation
+    order, with the representative first."""
+    system = sweep_system(3, 3)
+    kept = ("a2", "c1", "c3")
+    traced = tuple(m for m in system.modes if m not in kept)
+    state = random_state(system, sector="even", seed=33)
+    built = []
+    post_init = ModeOrdering.__post_init__
+
+    def counting(self):
+        built.append(self.labels)
+        post_init(self)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ModeOrdering, "__post_init__", counting)
+        classes = ordering_scan(state, BipartitionSpec(kept=kept, traced=traced))
+    assert len(built) <= len(classes) + 1
+
+    perms = list(permutations(system.modes))
+
+    def precedence(p):
+        return tuple(p.index(c) < p.index(a) for a in kept for c in traced)
+
+    first_seen = {}
+    for i, p in enumerate(perms):
+        first_seen.setdefault(precedence(p), i)
+    members = [[o.labels for o in c.orderings] for c in classes]
+    assert sorted(p for labels in members for p in labels) == perms
+    assert any(len({precedence(p) for p in labels}) > 1 for labels in members)
+    for c, labels in zip(classes, members):
+        assert c.size == len(labels)
+        assert c.representative.labels == labels[0]
+        assert labels == sorted(labels, key=lambda p: (first_seen[precedence(p)], perms.index(p)))
+
+
 def _split_not_first(rng, system):
     """A random kept set that does not sit first in canonical order."""
     while True:

@@ -1,0 +1,59 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import fermiorder
+
+PACKAGE_DIR = Path(fermiorder.__file__).parent
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with their line numbers."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those inside quoted annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_modules_use_every_import():
+    """Each module other than the re-exporting ``__init__`` reads every name
+    it imports."""
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in used
+        ]
+    assert not unused, f"unused imports: {unused}"
