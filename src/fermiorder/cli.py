@@ -109,116 +109,70 @@ def _json_report(obj: object) -> str:
 # --- examples ----------------------------------------------------------------
 
 
-def _check(name: str, check: str, expected: object, actual: object, ok: bool) -> dict:
-    return {"name": name, "check": check, "expected": expected, "actual": actual, "passed": bool(ok)}
+def _check(name: str, check: str, expected: object, actual: object, tol: float = 0.0) -> dict:
+    """One examples check: a bool passes when it equals ``expected``, a
+    number when it lies within ``tol`` of it."""
+    if isinstance(expected, bool):
+        passed = actual == expected
+    else:
+        passed = abs(actual - expected) <= tol
+    return {"name": name, "check": check, "expected": expected, "actual": actual, "passed": bool(passed)}
 
 
-def _close(actual: float, expected: float, tol: float) -> bool:
-    return abs(actual - expected) <= tol
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max())
 
 
 def _examples_checks(tol: float) -> list[dict]:
-    checks: list[dict] = []
-
     pair = two_delocalized_fermions()
-    system = pair.system
-    block_ordering = ModeOrdering.canonical(system)
-    mixed_ordering = entangling_ordering()
-    checks.append(_check("two-delocalized-fermions", "ssr", True, ssr_compliant(pair), ssr_compliant(pair)))
-    n_block = negativity(pair, ordering=block_ordering).value
-    checks.append(
-        _check("two-delocalized-fermions", "negativity[a,b,c,d]", 0.0, n_block, _close(n_block, 0.0, tol))
-    )
-    n_mixed = negativity(pair, ordering=mixed_ordering).value
-    checks.append(
-        _check(
-            "two-delocalized-fermions",
-            "negativity[a,d,b,c]",
-            0.5,
-            n_mixed,
-            _close(n_mixed, 0.5, DERIVED_VALUE_TOL),
-        )
-    )
-    classes = ordering_scan(pair, tol=tol)
-    physical_ok = all(c.matches_fermionic for c in classes if c.contains_physical)
-    checks.append(
-        _check("two-delocalized-fermions", "physical-class-matches-fermionic", True, physical_ok, physical_ok)
-    )
+    n_block = negativity(pair, ordering=ModeOrdering.canonical(pair.system)).value
+    n_mixed = negativity(pair, ordering=entangling_ordering()).value
+    physical_ok = all(c.matches_fermionic for c in ordering_scan(pair, tol=tol) if c.contains_physical)
 
     witness = parity_violating_state()
-    checks.append(
-        _check("parity-violating-state", "ssr", False, ssr_compliant(witness), not ssr_compliant(witness))
-    )
     kept_first = qubit_route_reduction(witness, ModeOrdering(("a", "b")))
     traced_first = qubit_route_reduction(witness, ModeOrdering(("b", "a")))
     gap = trace_distance(kept_first.matrix, traced_first.matrix)
-    checks.append(
-        _check(
-            "parity-violating-state",
-            "route-gap[a,b vs b,a]",
-            0.5,
-            gap,
-            _close(gap, 0.5, DERIVED_VALUE_TOL),
-        )
-    )
-    witness_classes = ordering_scan(witness, tol=tol)
-    checks.append(
-        _check(
-            "parity-violating-state",
-            "ordering-classes>=2",
-            True,
-            len(witness_classes) >= 2,
-            len(witness_classes) >= 2,
-        )
-    )
+    several_classes = len(ordering_scan(witness, tol=tol)) >= 2
 
     bell = occupation_bell_state()
-    reduced = fermionic_partial_trace(bell)
-    mixed_diff = float(np.abs(reduced.matrix - maximally_mixed_matrix(2)).max())
-    checks.append(
-        _check("occupation-bell", "marginal-maximally-mixed", 0.0, mixed_diff, mixed_diff <= tol)
-    )
+    bell_diff = _max_abs_diff(fermionic_partial_trace(bell).matrix, maximally_mixed_matrix(2))
     n_bell = negativity(bell, ordering=ModeOrdering.canonical(bell.system)).value
-    checks.append(
-        _check("occupation-bell", "negativity[A,R]", 0.5, n_bell, _close(n_bell, 0.5, DERIVED_VALUE_TOL))
-    )
 
     singlet = spin_singlet_state()
-    checks.append(_check("spin-singlet", "ssr", True, ssr_compliant(singlet), ssr_compliant(singlet)))
-    kept_marginal = fermionic_partial_trace(singlet)
     kept_target = one_particle_mixed_matrix(ModeSystem.from_blocks(("uA", "dA")))
-    kept_diff = float(np.abs(kept_marginal.matrix - kept_target).max())
-    checks.append(
-        _check("spin-singlet", "kept-marginal-one-particle-mixed", 0.0, kept_diff, kept_diff <= tol)
-    )
+    kept_diff = _max_abs_diff(fermionic_partial_trace(singlet).matrix, kept_target)
     flipped = BipartitionSpec(kept=("uR", "dR"), traced=("uA", "dA"))
-    traced_marginal = fermionic_partial_trace(singlet, flipped)
     traced_target = one_particle_mixed_matrix(ModeSystem.from_blocks(("uR", "dR")))
-    traced_diff = float(np.abs(traced_marginal.matrix - traced_target).max())
-    checks.append(
-        _check("spin-singlet", "traced-marginal-one-particle-mixed", 0.0, traced_diff, traced_diff <= tol)
-    )
+    traced_diff = _max_abs_diff(fermionic_partial_trace(singlet, flipped).matrix, traced_target)
     n_singlet = negativity(singlet, ordering=ModeOrdering.canonical(singlet.system)).value
-    checks.append(
-        _check("spin-singlet", "negativity[uA,dA,uR,dR]", 0.5, n_singlet, _close(n_singlet, 0.5, DERIVED_VALUE_TOL))
-    )
 
     sign_system = ModeSystem.from_blocks(("a",), ("c",))
     forward = from_operator_string(OperatorString.parse("a+ c+"), sign_system).amplitude("11")
     reversed_ = from_operator_string(OperatorString.parse("c+ a+"), sign_system).amplitude("11")
-    checks.append(
-        _check(
-            "operator-sign",
-            "reversed-product-flips-sign",
-            -1.0,
-            float(reversed_.real),
-            forward == 1.0 and reversed_ == -1.0,
-        )
-    )
-    return checks
+    # both amplitudes are at most 1 in size, so half their difference is -1
+    # exactly when a+ c+ gives +1 and c+ a+ gives -1
+    flip = float(((reversed_ - forward) / 2).real)
+
+    return [
+        _check("two-delocalized-fermions", "ssr", True, ssr_compliant(pair)),
+        _check("two-delocalized-fermions", "negativity[a,b,c,d]", 0.0, n_block, tol),
+        _check("two-delocalized-fermions", "negativity[a,d,b,c]", 0.5, n_mixed, DERIVED_VALUE_TOL),
+        _check("two-delocalized-fermions", "physical-class-matches-fermionic", True, physical_ok),
+        _check("parity-violating-state", "ssr", False, ssr_compliant(witness)),
+        _check("parity-violating-state", "route-gap[a,b vs b,a]", 0.5, gap, DERIVED_VALUE_TOL),
+        _check("parity-violating-state", "ordering-classes>=2", True, several_classes),
+        _check("occupation-bell", "marginal-maximally-mixed", 0.0, bell_diff, tol),
+        _check("occupation-bell", "negativity[A,R]", 0.5, n_bell, DERIVED_VALUE_TOL),
+        _check("spin-singlet", "ssr", True, ssr_compliant(singlet)),
+        _check("spin-singlet", "kept-marginal-one-particle-mixed", 0.0, kept_diff, tol),
+        _check("spin-singlet", "traced-marginal-one-particle-mixed", 0.0, traced_diff, tol),
+        _check("spin-singlet", "negativity[uA,dA,uR,dR]", 0.5, n_singlet, DERIVED_VALUE_TOL),
+        _check("operator-sign", "reversed-product-flips-sign", -1.0, flip),
+    ]
 
 
-def cmd_examples(args: argparse.Namespace, tol: float) -> int:
+def cmd_examples(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
     checks = _examples_checks(tol)
     passed = all(c["passed"] for c in checks)
     if args.fmt == "json":
@@ -240,7 +194,7 @@ def cmd_examples(args: argparse.Namespace, tol: float) -> int:
 # --- theorem sweep -----------------------------------------------------------
 
 
-def cmd_theorem_sweep(args: argparse.Namespace, tol: float) -> int:
+def cmd_theorem_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
     n, m = args.modes
     result = theorem_sweep(n, m, trials=args.trials, seed=args.seed, tol=tol)
     if args.fmt == "csv":
@@ -272,6 +226,8 @@ def cmd_theorem_sweep(args: argparse.Namespace, tol: float) -> int:
 
 
 def _resolve_system(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ModeSystem:
+    if args.modes is not None and (args.kept or args.traced):
+        parser.error("give either --kept/--traced or --modes n,m, not both")
     if args.kept or args.traced:
         if not (args.kept and args.traced):
             parser.error("--kept and --traced must be given together")
@@ -282,9 +238,9 @@ def _resolve_system(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _resolve_state(args: argparse.Namespace, parser: argparse.ArgumentParser, system: ModeSystem):
-    if getattr(args, "state", None):
+    if args.state:
         return state_from_spec(args.state, system)
-    if getattr(args, "state_json", None):
+    if args.state_json:
         with open(args.state_json, "r", encoding="utf-8") as fh:
             state = state_from_json_str(fh.read(), a_count=system.a_count)
         if state.system.modes != system.modes:
@@ -323,12 +279,11 @@ def cmd_ordering_scan(args: argparse.Namespace, parser: argparse.ArgumentParser,
             }
         )
     elif args.fmt == "csv":
-        lines = ["representative,size,containsPhysical,matchesFermionic,maxEntryDiff"]
-        for c in classes:
-            rep = " ".join(c.representative.labels)
-            lines.append(
-                f"{rep},{c.size},{c.contains_physical},{c.matches_fermionic},{c.max_entry_diff!r}"
-            )
+        rows = [c.to_json() for c in classes]
+        lines = [",".join(rows[0])]
+        for row in rows:
+            row["representative"] = " ".join(row["representative"])
+            lines.append(",".join(str(value) for value in row.values()))
         report = "\n".join(lines)
     else:
         lines = [
@@ -381,6 +336,20 @@ def cmd_negativity(args: argparse.Namespace, parser: argparse.ArgumentParser, to
 # --- entry point -------------------------------------------------------------
 
 
+def _add_report_options(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    p.add_argument("--format", dest="fmt", choices=formats, default="text")
+    p.add_argument("--output", help="write the report to a file instead of stdout")
+
+
+def _add_state_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--modes", type=_modes_arg, metavar="N,M")
+    p.add_argument("--kept", type=_labels_arg, metavar="LABELS")
+    p.add_argument("--traced", type=_labels_arg, metavar="LABELS")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--state", help="inline state, e.g. '0.5: a+ c+; 0.5: b+ c+'")
+    given.add_argument("--state-json", help="path to a JSON state file")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermiorder",
@@ -389,36 +358,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("examples", help="run the named example states against their expected values")
-    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    p.add_argument("--output", help="write the report to a file instead of stdout")
+    p.set_defaults(run=cmd_examples)
+    _add_report_options(p, ("text", "json"))
 
     p = sub.add_parser("theorem-sweep", help="compare the two reduction routes on random superselected states")
+    p.set_defaults(run=cmd_theorem_sweep)
     p.add_argument("--modes", type=_modes_arg, required=True, metavar="N,M")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output")
+    _add_report_options(p, ("text", "json", "csv"))
 
     p = sub.add_parser("ordering-scan", help="group all mode orderings by the reduced state they produce")
-    p.add_argument("--modes", type=_modes_arg, metavar="N,M")
-    p.add_argument("--kept", type=_labels_arg, metavar="LABELS")
-    p.add_argument("--traced", type=_labels_arg, metavar="LABELS")
-    p.add_argument("--state", help="inline state, e.g. '0.5: a+ c+; 0.5: b+ c+'")
-    p.add_argument("--state-json", help="path to a JSON state file")
+    p.set_defaults(run=cmd_ordering_scan)
+    _add_state_options(p)
     p.add_argument("--sector", choices=("even", "odd", "any"), default="even")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output")
+    _add_report_options(p, ("text", "json", "csv"))
 
     p = sub.add_parser("negativity", help="negativity of a state under an explicit mode ordering")
-    p.add_argument("--state")
-    p.add_argument("--state-json")
-    p.add_argument("--kept", type=_labels_arg, metavar="LABELS")
-    p.add_argument("--traced", type=_labels_arg, metavar="LABELS")
-    p.add_argument("--modes", type=_modes_arg, metavar="N,M")
+    p.set_defaults(run=cmd_negativity)
+    _add_state_options(p)
     p.add_argument("--ordering", type=_labels_arg, required=True, metavar="LABELS")
-    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    p.add_argument("--output")
+    _add_report_options(p, ("text", "json"))
     return parser
 
 
@@ -426,23 +387,10 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = _tolerance()
-    except ValueError as exc:
-        print(f"fermiorder: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "examples":
-            return cmd_examples(args, tol)
-        if args.command == "theorem-sweep":
-            return cmd_theorem_sweep(args, tol)
-        if args.command == "ordering-scan":
-            return cmd_ordering_scan(args, parser, tol)
-        if args.command == "negativity":
-            return cmd_negativity(args, parser, tol)
+        return args.run(args, parser, _tolerance())
     except (ValueError, OSError) as exc:
         print(f"fermiorder: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entry() -> None:

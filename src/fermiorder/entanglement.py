@@ -29,6 +29,7 @@ from .fock import (
 )
 from .numerics import DEFAULT_TOL, _check_eig_dim, hermitian_eigenvalues, trace_norm
 from .ordering import ModeOrdering, QubitState, qubit_image
+from .reduction import _resolve_bipartition
 
 #: Eigenvalues above this count toward a marginal's support dimension, and
 #: partial-transpose eigenvalues below its negation witness entanglement.
@@ -110,8 +111,7 @@ def partial_transpose(
     matrix: np.ndarray, system: ModeSystem, bp: Union[BipartitionSpec, None] = None
 ) -> np.ndarray:
     """Transpose the traced block's bit indices of a mode-indexed matrix."""
-    bp = system.bipartition() if bp is None else bp
-    bp.validate_for(system)
+    bp = _resolve_bipartition(system, bp)
     n = system.n_modes
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (system.dim, system.dim):
@@ -136,7 +136,7 @@ def negativity(
     is below the noise floor.
     """
     matrix, system, used_ordering = _as_qubit_matrix(state, ordering)
-    bp = system.bipartition() if bp is None else bp
+    bp = _resolve_bipartition(system, bp)
     pt = partial_transpose(matrix, system, bp)
     value = (trace_norm(pt, tol=tol) - 1.0) / 2.0
     if value < NEGATIVITY_CLAMP:
@@ -165,8 +165,7 @@ def ppt_separable(
     returning a one-sided answer.
     """
     matrix, system, _ = _as_qubit_matrix(state, ordering)
-    bp = system.bipartition() if bp is None else bp
-    bp.validate_for(system)
+    bp = _resolve_bipartition(system, bp)
     rank_kept = _support_rank(_block_partial_trace(matrix, system, bp.kept))
     rank_traced = _support_rank(_block_partial_trace(matrix, system, bp.traced))
     low, high = sorted((rank_kept, rank_traced))

@@ -340,6 +340,17 @@ class OperatorString:
         return tuple(label for label, _ in self.factors)
 
 
+def _apply_to_amplitudes(kind: str, k: int, amplitudes: np.ndarray) -> np.ndarray:
+    """The amplitudes after one operator acts on the mode at position ``k``."""
+    # mode k is the middle axis; the leading index holds the modes before it
+    amps = amplitudes.reshape(1 << k, 2, -1)
+    source = 0 if kind == CREATION else 1
+    signs = 1 - 2 * _parity_vector(k)
+    out = np.zeros_like(amps)
+    out[:, 1 - source] = signs[:, None] * amps[:, source]
+    return out.reshape(-1)
+
+
 def apply(kind: str, mode: str, state: FockVector) -> FockVector:
     """Apply one creation or annihilation operator; the result is unnormalized.
 
@@ -350,25 +361,21 @@ def apply(kind: str, mode: str, state: FockVector) -> FockVector:
     if kind not in (CREATION, ANNIHILATION):
         raise ValueError(f"kind must be {CREATION!r} or {ANNIHILATION!r}, got {kind!r}")
     k = state.system.position(mode)
-    # mode k is the middle axis; the leading index holds the modes before it
-    amps = state.amplitudes.reshape(1 << k, 2, -1)
-    source = 0 if kind == CREATION else 1
-    signs = 1 - 2 * _parity_vector(k)
-    out = np.zeros_like(amps)
-    out[:, 1 - source] = signs[:, None] * amps[:, source]
-    return FockVector(state.system, out.reshape(-1))
+    return FockVector(state.system, _apply_to_amplitudes(kind, k, state.amplitudes))
 
 
 def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
     """Apply an operator string to the vacuum, rightmost factor first.
 
     The result is a canonical basis vector up to an exact integer sign, or
-    the zero vector when an occupation constraint is violated.
+    the zero vector when an occupation constraint is violated. The factors
+    act on one raw amplitude array, wrapped in a ``FockVector`` once, so no
+    intermediate vector is copied and checked.
     """
-    state = FockVector.vacuum(system)
+    amplitudes = FockVector.vacuum(system).amplitudes
     for label, kind in reversed(ops.factors):
-        state = apply(kind, label, state)
-    return state
+        amplitudes = _apply_to_amplitudes(kind, system.position(label), amplitudes)
+    return FockVector(system, amplitudes)
 
 
 def ssr_compliant(state: FockState, tol: float = DEFAULT_TOL) -> bool:

@@ -9,10 +9,16 @@ pair-inversion rule of ``_inversion_signs``. The qubit route maps the
 state onto qubits under a chosen mode ordering, performs the ordinary
 tensor-product partial trace, and pulls the result back to the kept
 fermionic block. Both routes reduce a pure state from its amplitudes,
-never forming its density. For parity-superselected states and any
-ordering that puts every kept mode before every traced mode, the routes
-agree exactly; the checker and scanner here measure that, and measure how
-badly it fails everywhere else.
+never forming its density. For parity-superselected states the routes
+agree exactly under every ordering that lists the kept modes as one
+contiguous run, whatever traced modes stand before or after it. Moving an
+occupied traced mode across the run flips an entry's sign once per
+occupied kept mode on each side, and superselection gives both sides the
+same kept parity wherever their traced occupations match. The physical
+orderings, every kept mode before every traced mode, are the runs with no
+traced mode in front; ``is_physical`` tests that narrower rule. The
+checker and scanner here measure the agreement, and how badly it fails
+everywhere else.
 """
 
 from __future__ import annotations
@@ -269,7 +275,10 @@ def ordering_scan(
     unless one group alone is larger. Groups are then merged whenever they
     land on the identical reduced matrix, and each final class is compared
     against the fermionic trace. Classes are returned largest first, ties
-    broken by representative labels.
+    broken by representative labels. For a superselected state, every
+    ordering that keeps the kept modes contiguous lands in the one class
+    that matches the fermionic trace exactly; ``contains_physical`` still
+    flags only kept-before-traced orderings.
     """
     system = rho.system
     _check_scan_size(system)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from fermiorder.cli import main
+from fermiorder.cli import _build_parser, main
 from fermiorder.fock import FockVector, state_to_json_str
 from fermiorder.states import spin_singlet_state
 
@@ -210,3 +211,81 @@ def test_state_spec_parse_error_exit_code():
     )
     assert proc.returncode == 2
     assert "coeff" in proc.stderr or "missing" in proc.stderr
+
+
+# dest: (option strings, type name, default, choices, required)
+OPTION_TABLE = {
+    "examples": {
+        "fmt": (("--format",), None, "text", ("text", "json"), False),
+        "output": (("--output",), None, None, None, False),
+    },
+    "theorem-sweep": {
+        "fmt": (("--format",), None, "text", ("text", "json", "csv"), False),
+        "modes": (("--modes",), "_modes_arg", None, None, True),
+        "output": (("--output",), None, None, None, False),
+        "seed": (("--seed",), "int", 0, None, False),
+        "trials": (("--trials",), "_positive_int", 100, None, False),
+    },
+    "ordering-scan": {
+        "fmt": (("--format",), None, "text", ("text", "json", "csv"), False),
+        "kept": (("--kept",), "_labels_arg", None, None, False),
+        "modes": (("--modes",), "_modes_arg", None, None, False),
+        "output": (("--output",), None, None, None, False),
+        "sector": (("--sector",), None, "even", ("even", "odd", "any"), False),
+        "seed": (("--seed",), "int", 0, None, False),
+        "state": (("--state",), None, None, None, False),
+        "state_json": (("--state-json",), None, None, None, False),
+        "traced": (("--traced",), "_labels_arg", None, None, False),
+    },
+    "negativity": {
+        "fmt": (("--format",), None, "text", ("text", "json"), False),
+        "kept": (("--kept",), "_labels_arg", None, None, False),
+        "modes": (("--modes",), "_modes_arg", None, None, False),
+        "ordering": (("--ordering",), "_labels_arg", None, None, True),
+        "output": (("--output",), None, None, None, False),
+        "state": (("--state",), None, None, None, False),
+        "state_json": (("--state-json",), None, None, None, False),
+        "traced": (("--traced",), "_labels_arg", None, None, False),
+    },
+}
+
+
+def test_option_tables_are_pinned():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for command, subparser in sub.choices.items():
+        tables[command] = {
+            a.dest: (
+                tuple(a.option_strings),
+                getattr(a.type, "__name__", None),
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+            )
+            for a in subparser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+    assert tables == OPTION_TABLE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["negativity", "--state", ST1_SPEC, "--state-json", "unused.json",
+             "--kept", "a,b", "--traced", "c,d", "--ordering", "a,b,c,d"],
+            "not allowed with argument",
+        ),
+        (
+            ["ordering-scan", "--modes", "1,1", "--kept", "a,b", "--traced", "c,d"],
+            "not both",
+        ),
+    ],
+    ids=["state-and-state-json", "modes-and-kept"],
+)
+def test_conflicting_inputs_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -15,7 +15,7 @@ from fermiorder.entanglement import (
 )
 from fermiorder.fock import BipartitionSpec, ModeSystem, OperatorString, random_state
 from fermiorder.ordering import ModeOrdering, QubitState, qubit_image
-from fermiorder.reduction import sweep_system
+from fermiorder.reduction import InvalidBipartitionError, sweep_system
 from fermiorder.states import (
     entangling_ordering,
     occupation_bell_state,
@@ -38,6 +38,20 @@ def bell_matrix():
 
 
 # --- partial transpose ----------------------------------------------------------
+
+
+def test_uncovered_bipartition_is_invalid_bipartition_error():
+    state = occupation_bell_state()
+    ordering = ModeOrdering.canonical(state.system)
+    matrix = qubit_image(state.to_density(), ordering).data
+    uncovered = BipartitionSpec(kept=("A",), traced=("zz",))
+    for call in (
+        lambda: partial_transpose(matrix, state.system, uncovered),
+        lambda: negativity(state, uncovered, ordering=ordering),
+        lambda: ppt_separable(state, uncovered, ordering=ordering),
+    ):
+        with pytest.raises(InvalidBipartitionError, match="does not cover"):
+            call()
 
 
 def test_partial_transpose_is_involution():

@@ -176,6 +176,27 @@ def test_apply_matches_dense_oracle_exactly():
                     assert np.array_equal(ours, dense[:, idx])
 
 
+
+def test_operator_string_matches_per_factor_apply():
+    """Random strings, many of which annihilate the vacuum, give the same
+    amplitude bytes as applying their factors one at a time."""
+    rng = np.random.default_rng(11)
+    zeros = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        system = ModeSystem(tuple(f"m{k}" for k in range(n)), a_count=max(1, n // 2))
+        factors = tuple(
+            (system.modes[int(rng.integers(n))], str(rng.choice([CREATION, ANNIHILATION], p=[0.7, 0.3])))
+            for _ in range(int(rng.integers(0, 7)))
+        )
+        state = FockVector.vacuum(system)
+        for label, kind in reversed(factors):
+            state = apply(kind, label, state)
+        ours = from_operator_string(OperatorString(factors), system).amplitudes
+        assert ours.tobytes() == state.amplitudes.tobytes()
+        zeros += not ours.any()
+    assert 50 < zeros < 190
+
 # --- parity and superselection -----------------------------------------------
 
 

@@ -238,6 +238,41 @@ def test_theorem_holds_for_any_physical_ordering():
             assert report.max_entry_diff < tol
 
 
+def _contiguous_kept_ordering(rng, bp):
+    """Kept modes in one contiguous run, in random order, with a random
+    share of the traced modes before it and the rest after."""
+    kept = [str(m) for m in rng.permutation(bp.kept)]
+    traced = [str(m) for m in rng.permutation(bp.traced)]
+    cut = int(rng.integers(len(traced) + 1))
+    return ModeOrdering(tuple(traced[:cut] + kept + traced[cut:]))
+
+
+def test_contiguous_kept_block_gives_fermionic_trace():
+    """For superselected states the qubit route equals the fermionic trace
+    to the last bit under every ordering that keeps the kept modes
+    contiguous, also with traced modes on both sides of them."""
+    rng = np.random.default_rng(2024)
+    not_physical = 0
+    for n_modes in range(2, 8):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for trial in range(16):
+            bp = _random_split(rng, system) if trial % 4 == 0 else _split_not_first(rng, system)
+            sector = ("even", "odd")[trial % 2]
+            pure = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+            if trial % 4 < 2:
+                state = pure
+            else:
+                other = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+                mixed = 0.4 * pure.to_density().matrix + 0.6 * other.to_density().matrix
+                state = DensityOperator(system, mixed)
+            fermionic = fermionic_partial_trace(state, bp).matrix
+            for _ in range(4):
+                ordering = _contiguous_kept_ordering(rng, bp)
+                not_physical += not is_physical(ordering, ModeSystem.from_blocks(bp.kept, bp.traced))
+                route = qubit_route_reduction(state, ordering, bp)
+                assert np.array_equal(route.matrix, fermionic)
+    assert not_physical > 100
+
 def test_basis_state_reduces_exactly():
     system = sweep_system(1, 1)
     rho = basis_state(system, "11").to_density()

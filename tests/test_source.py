@@ -57,3 +57,16 @@ def test_modules_use_every_import():
             if name not in used
         ]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_all_lists_every_reexport():
+    """``__all__`` names exactly what ``__init__`` imports from the modules."""
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(imported) == len(set(imported))
+    assert sorted(fermiorder.__all__) == sorted(imported)
