@@ -313,7 +313,7 @@ def cmd_negativity(args: argparse.Namespace, parser: argparse.ArgumentParser, to
     if state is None:
         parser.error("negativity needs --state or --state-json")
     ordering = ModeOrdering(args.ordering)
-    result = negativity(state, ordering=ordering, tol=tol)
+    result = negativity(state, ordering=ordering)
     ssr = ssr_compliant(state)
     if args.fmt == "json":
         payload = result.to_json()
@@ -358,25 +358,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("examples", help="run the named example states against their expected values")
-    p.set_defaults(run=cmd_examples)
+    p.set_defaults(run=cmd_examples, parser=p)
     _add_report_options(p, ("text", "json"))
 
     p = sub.add_parser("theorem-sweep", help="compare the two reduction routes on random superselected states")
-    p.set_defaults(run=cmd_theorem_sweep)
+    p.set_defaults(run=cmd_theorem_sweep, parser=p)
     p.add_argument("--modes", type=_modes_arg, required=True, metavar="N,M")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_report_options(p, ("text", "json", "csv"))
 
     p = sub.add_parser("ordering-scan", help="group all mode orderings by the reduced state they produce")
-    p.set_defaults(run=cmd_ordering_scan)
+    p.set_defaults(run=cmd_ordering_scan, parser=p)
     _add_state_options(p)
     p.add_argument("--sector", choices=("even", "odd", "any"), default="even")
     p.add_argument("--seed", type=int, default=0)
     _add_report_options(p, ("text", "json", "csv"))
 
     p = sub.add_parser("negativity", help="negativity of a state under an explicit mode ordering")
-    p.set_defaults(run=cmd_negativity)
+    p.set_defaults(run=cmd_negativity, parser=p)
     _add_state_options(p)
     p.add_argument("--ordering", type=_labels_arg, required=True, metavar="LABELS")
     _add_report_options(p, ("text", "json"))
@@ -387,7 +387,8 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser, _tolerance())
+        # usage errors found after parsing print the subcommand's usage line
+        return args.run(args, args.parser, _tolerance())
     except (ValueError, OSError) as exc:
         print(f"fermiorder: {exc}", file=sys.stderr)
         return 2

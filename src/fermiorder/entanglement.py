@@ -27,7 +27,7 @@ from .fock import (
     _block_partial_trace,
     from_operator_string,
 )
-from .numerics import DEFAULT_TOL, _check_eig_dim, hermitian_eigenvalues, trace_norm
+from .numerics import DEFAULT_TOL, STATE_TOL, _check_eig_dim, hermitian_eigenvalues, trace_norm
 from .ordering import ModeOrdering, QubitState, qubit_image
 from .reduction import _resolve_bipartition
 
@@ -81,8 +81,8 @@ def _as_qubit_matrix(
 ) -> tuple[np.ndarray, ModeSystem, Union[ModeOrdering, None]]:
     """Dense qubit-register matrix for any supported state input, refused
     before it is formed if the eigensolver would refuse its dimension. A
-    qubit state must have unit trace (unit norm if pure), as a density
-    formed from a ``FockVector`` must."""
+    fermionic input is carried there under ``ordering``, a ``FockVector`` as
+    its density; every register must have unit trace (unit norm if pure)."""
     if not isinstance(state, (QubitState, FockVector, DensityOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     _check_eig_dim(state.system.dim)
@@ -91,20 +91,18 @@ def _as_qubit_matrix(
             raise ValueError(
                 "qubit state already carries an ordering; do not pass a different one"
             )
-        tr = np.vdot(state.data, state.data) if state.is_pure else state.data.trace()
-        if abs(tr - 1.0) >= 1e-9:
-            raise ValueError(f"qubit state trace is {tr}, expected 1")
-        data = np.outer(state.data, state.data.conj()) if state.is_pure else state.data
-        return data, state.system, state.ordering
-    if ordering is None:
+    elif ordering is None:
         raise ValueError(
             "fermionic states require an explicit mode ordering; "
             "the measured value depends on it"
         )
-    if isinstance(state, FockVector):
-        state = state.to_density()
-    image = qubit_image(state, ordering)
-    return image.data, state.system, ordering
+    else:
+        state = qubit_image(state.to_density() if isinstance(state, FockVector) else state, ordering)
+    tr = np.vdot(state.data, state.data) if state.is_pure else state.data.trace()
+    if abs(tr - 1.0) >= STATE_TOL:
+        raise ValueError(f"qubit state trace is {tr}, expected 1")
+    matrix = np.outer(state.data, state.data.conj()) if state.is_pure else state.data
+    return matrix, state.system, state.ordering
 
 
 def partial_transpose(
@@ -128,7 +126,6 @@ def negativity(
     state: AnyState,
     bp: Union[BipartitionSpec, None] = None,
     ordering: Union[ModeOrdering, None] = None,
-    tol: float = DEFAULT_TOL,
 ) -> MeasureResult:
     """Negativity of a state across a mode bipartition.
 
@@ -138,14 +135,14 @@ def negativity(
     matrix, system, used_ordering = _as_qubit_matrix(state, ordering)
     bp = _resolve_bipartition(system, bp)
     pt = partial_transpose(matrix, system, bp)
-    value = (trace_norm(pt, tol=tol) - 1.0) / 2.0
+    value = (trace_norm(pt) - 1.0) / 2.0
     if value < NEGATIVITY_CLAMP:
         value = 0.0
     return MeasureResult(value=value, measure="negativity", bipartition=bp, ordering=used_ordering)
 
 
 def _support_rank(marginal: np.ndarray) -> int:
-    eig = hermitian_eigenvalues(marginal, tol=1e-9)
+    eig = hermitian_eigenvalues(marginal, tol=STATE_TOL)
     return int(np.sum(eig.eigenvalues > SUPPORT_TOL))
 
 
@@ -175,7 +172,7 @@ def ppt_separable(
             "the partial transpose is only necessary here, not sufficient"
         )
     pt = partial_transpose(matrix, system, bp)
-    eig = hermitian_eigenvalues(pt, tol=1e-9)
+    eig = hermitian_eigenvalues(pt, tol=STATE_TOL)
     return bool(eig.eigenvalues[-1] >= -SUPPORT_TOL)
 
 
@@ -270,15 +267,15 @@ def concurrence_and_eof(
         bp = BipartitionSpec(kept=(system.modes[0],), traced=(system.modes[1],))
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {matrix.shape}")
-    if np.abs(matrix - matrix.conj().T).max() >= 1e-9 or abs(matrix.trace() - 1.0) >= 1e-9:
-        raise ValueError("input is not a density matrix (Hermitian, unit trace)")
-
-    eig = hermitian_eigenvalues(matrix, tol=1e-9)
+    if abs(matrix.trace() - 1.0) >= STATE_TOL:
+        raise ValueError(f"density matrix trace is {matrix.trace()}, expected 1")
+    # the eigensolver rejects a matrix further than STATE_TOL from Hermitian
+    eig = hermitian_eigenvalues(matrix, tol=STATE_TOL)
     vals = np.clip(eig.eigenvalues, 0.0, None)
     sqrt_rho = (eig.vectors * np.sqrt(vals)) @ eig.vectors.conj().T
     flipped = _SPIN_FLIP @ matrix.conj() @ _SPIN_FLIP
     m = sqrt_rho @ flipped @ sqrt_rho
-    lam = np.sqrt(np.clip(hermitian_eigenvalues(m, tol=1e-9).eigenvalues, 0.0, None))
+    lam = np.sqrt(np.clip(hermitian_eigenvalues(m, tol=STATE_TOL).eigenvalues, 0.0, None))
     concurrence = float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
     eof = _binary_entropy((1.0 + math.sqrt(1.0 - concurrence**2)) / 2.0)
     return (

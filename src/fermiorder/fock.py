@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, as_complex_matrix
+from .numerics import DEFAULT_TOL, STATE_TOL, _check_hermitian, as_complex_matrix
 
 #: Operator kinds, matching the operator-string grammar tokens.
 CREATION = "+"
@@ -46,8 +46,11 @@ ODD = "odd"
 ANY_SECTOR = "any"
 
 
-class UnknownModeError(KeyError):
+# a ValueError like every other rejected input, still a KeyError for lookups
+class UnknownModeError(KeyError, ValueError):
     """A mode label does not belong to the system it was used with."""
+
+    __str__ = ValueError.__str__  # the message, without KeyError's quotes
 
 
 def _check_label(label: str) -> str:
@@ -223,8 +226,8 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) < tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) < STATE_TOL
 
     def normalized(self) -> "FockVector":
         n = self.norm()
@@ -236,7 +239,7 @@ class FockVector:
         return complex(self.amplitudes[self.system.index_of_bits(bits)])
 
     def to_density(self) -> "DensityOperator":
-        if not self.is_normalized(tol=1e-9):
+        if not self.is_normalized():
             raise ValueError("state must be normalized before forming a density operator")
         m = np.outer(self.amplitudes, self.amplitudes.conj())
         # fused multiply-add lanes can leave the outer product a few ulp off
@@ -293,11 +296,9 @@ class DensityOperator:
         m = as_complex_matrix(self.matrix)
         if m.shape != (self.system.dim, self.system.dim):
             raise ValueError(f"expected a {self.system.dim}x{self.system.dim} matrix")
-        dev = np.abs(m - m.conj().T).max()
-        if dev >= DEFAULT_TOL:
-            raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+        _check_hermitian(m, DEFAULT_TOL)
         tr = m.trace()
-        if abs(tr - 1.0) >= 1e-9:
+        if abs(tr - 1.0) >= STATE_TOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
         m = m.copy()
         m.setflags(write=False)
@@ -334,10 +335,6 @@ class OperatorString:
 
     def __str__(self) -> str:
         return " ".join(f"{label}{kind}" for label, kind in self.factors)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.factors)
 
 
 def _apply_to_amplitudes(kind: str, k: int, amplitudes: np.ndarray) -> np.ndarray:
@@ -378,20 +375,20 @@ def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
     return FockVector(system, amplitudes)
 
 
-def ssr_compliant(state: FockState, tol: float = DEFAULT_TOL) -> bool:
+def ssr_compliant(state: FockState) -> bool:
     """Parity superselection check.
 
-    A pure state complies when every nonzero amplitude sits in one parity
-    sector; a density operator complies when no entry above ``tol`` connects
-    bitstrings of different total parity.
+    A pure state complies when every amplitude above ``DEFAULT_TOL`` sits in
+    one parity sector; a density operator complies when no entry above it
+    connects bitstrings of different total parity.
     """
     par = _parity_vector(state.system.n_modes)
     if isinstance(state, FockVector):
-        support = np.abs(state.amplitudes) > tol
+        support = np.abs(state.amplitudes) > DEFAULT_TOL
         parities = np.unique(par[support])
         return len(parities) <= 1
     cross = par[:, None] != par[None, :]
-    return bool(np.abs(state.matrix[cross]).max(initial=0.0) <= tol)
+    return bool(np.abs(state.matrix[cross]).max(initial=0.0) <= DEFAULT_TOL)
 
 
 def sector_indices(system: ModeSystem, sector: str) -> np.ndarray:
@@ -434,4 +431,8 @@ def state_to_json_str(state: FockVector) -> str:
 
 
 def state_from_json_str(text: str, a_count: Union[int, None] = None) -> FockVector:
-    return FockVector.from_json(json.loads(text), a_count=a_count)
+    try:
+        # integers are read as floats, so a huge one is infinite, not an OverflowError
+        return FockVector.from_json(json.loads(text, parse_int=float), a_count=a_count)
+    except RecursionError:
+        raise ValueError("state JSON is nested too deeply") from None

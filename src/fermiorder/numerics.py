@@ -17,6 +17,10 @@ import numpy as np
 #: Absolute tolerance on matrix entries for Hermiticity and equality checks.
 DEFAULT_TOL = 1e-12
 
+#: How far a state handed in may sit from unit trace (unit norm if pure), and
+#: how far a matrix the measures derive from it may sit from Hermitian.
+STATE_TOL = 1e-9
+
 #: Largest dimension the eigensolver accepts.
 MAX_EIG_DIM = 4096
 
@@ -97,13 +101,13 @@ def trace_norm(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return float(np.abs(hermitian_eigenvalues(m, tol=tol).eigenvalues).sum())
 
 
-def trace_distance(x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def trace_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Half the trace norm of ``x - y`` for Hermitian operands of equal dimension."""
     x = as_complex_matrix(x)
     y = as_complex_matrix(y)
     if x.shape != y.shape:
         raise DimensionMismatchError(f"shape mismatch: {x.shape} vs {y.shape}")
-    _check_hermitian(x, tol)
-    _check_hermitian(y, tol)
+    _check_hermitian(x, DEFAULT_TOL)
+    _check_hermitian(y, DEFAULT_TOL)
     # deviations of x and y from Hermiticity can add up in the difference
-    return 0.5 * trace_norm(x - y, tol=2.0 * tol)
+    return 0.5 * trace_norm(x - y, tol=2.0 * DEFAULT_TOL)

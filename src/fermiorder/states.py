@@ -136,6 +136,8 @@ def parse_state_spec(text: str) -> list[tuple[complex, OperatorString]]:
             coeff = complex(coeff_text.strip())
         except ValueError:
             raise ValueError(f"cannot parse coefficient {coeff_text.strip()!r}") from None
+        if not np.isfinite(coeff):
+            raise ValueError(f"coefficient {coeff_text.strip()!r} is not finite")
         terms.append((coeff, OperatorString.parse(ops_text)))
     if not terms:
         raise ValueError("state specification is empty")

@@ -120,3 +120,63 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def walsh_hadamard_table(data: np.ndarray, n: int, traced_positions: list[int]) -> np.ndarray:
+    """F[x, y, w] = sum over traced bits z of (-1)^(w.z) M[x, y, z].
+
+    M[x, y, z] is psi(x, z) psi*(y, z) for an amplitude vector, or
+    rho((x, z), (y, z)) for a matrix, with x, y the kept bits and z the
+    traced bits, each read in canonical position order. One table holds the
+    qubit-route reduction of every ordering (see ``walsh_hadamard_reduction``).
+    """
+    traced = sorted(traced_positions)
+    kept = [p for p in range(n) if p not in traced]
+    dk, dt = 1 << len(kept), 1 << len(traced)
+    full = np.zeros((dk, dt), dtype=np.int64)
+    for x in range(dk):
+        for z in range(dt):
+            for i, p in enumerate(kept):
+                full[x, z] |= ((x >> (len(kept) - 1 - i)) & 1) << (n - 1 - p)
+            for i, p in enumerate(traced):
+                full[x, z] |= ((z >> (len(traced) - 1 - i)) & 1) << (n - 1 - p)
+    if data.ndim == 1:
+        products = data[full][:, None, :] * data[full].conj()[None, :, :]
+    else:
+        products = data[full[:, None, :], full[None, :, :]]
+    hadamard = np.array(
+        [[-1.0 if bin(w & z).count("1") % 2 else 1.0 for z in range(dt)] for w in range(dt)]
+    )
+    return products @ hadamard  # the Walsh-Hadamard matrix is symmetric
+
+
+def walsh_hadamard_reduction(
+    table: np.ndarray, n: int, traced_positions: list[int], ranks: list[int]
+) -> np.ndarray:
+    """The qubit-route reduction under one ordering, read off the table.
+
+    ``ranks[p]`` is the place of canonical mode p in the ordering. P(a) is
+    the set of traced modes whose order relative to kept mode a differs
+    between the ordering and canonical order; entry (x, y) is F[x, y, w]
+    with w the XOR of P(a) over the kept modes a where x and y differ.
+    Inversions inside either block cancel in the map and its inverse.
+    """
+    traced = sorted(traced_positions)
+    kept = [p for p in range(n) if p not in traced]
+    masks = []
+    for a in kept:
+        mask = 0
+        for i, t in enumerate(traced):
+            if (t < a) != (ranks[t] < ranks[a]):
+                mask |= 1 << (len(traced) - 1 - i)
+        masks.append(mask)
+    dk = 1 << len(kept)
+    out = np.zeros((dk, dk), dtype=np.complex128)
+    for x in range(dk):
+        for y in range(dk):
+            w = 0
+            for i, mask in enumerate(masks):
+                if ((x ^ y) >> (len(kept) - 1 - i)) & 1:
+                    w ^= mask
+            out[x, y] = table[x, y, w]
+    return out

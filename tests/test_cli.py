@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermiorder.cli import _build_parser, main
 from fermiorder.fock import FockVector, state_to_json_str
@@ -161,8 +166,9 @@ def test_negativity_from_json_file(tmp_path):
         ("[1, 2]", '"modes" list'),
         ('{"modes": ["a", "c"], "amplitudes": {"10": ["x", 0]}}', "[re, im] pair"),
         ('{"modes": "ac", "amplitudes": {"10": [1, 0]}}', '"modes" list'),
+        ('{"modes": ["a", "c"], "amplitudes": {"10": [1%s, 0]}}' % ("0" * 400), "must be finite"),
     ],
-    ids=["no-modes", "top-level-list", "non-numeric-amplitude", "modes-string"],
+    ids=["no-modes", "top-level-list", "non-numeric-amplitude", "modes-string", "huge-amplitude"],
 )
 def test_malformed_state_json_is_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "state.json"
@@ -170,6 +176,104 @@ def test_malformed_state_json_is_usage_error(tmp_path, capsys, text, message):
     argv = ["negativity", "--state-json", str(path), "--kept", "a", "--traced", "c", "--ordering", "a,c"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ordering-scan", "--kept", "a", "--traced", "b", "--state", "1: c+"],
+        ["negativity", "--kept", "a", "--traced", "b", "--state", "1: c+", "--ordering", "a,b"],
+    ],
+    ids=["ordering-scan", "negativity"],
+)
+def test_unknown_mode_label_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "fermiorder: mode 'c' not in system ('a', 'b')\n"
+
+
+def test_deeply_nested_state_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    argv = ["negativity", "--state-json", str(path), "--kept", "a", "--traced", "c", "--ordering", "a,c"]
+    assert main(argv) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ordering-scan", "--kept", "a"],
+        ["negativity", "--kept", "a", "--traced", "b", "--ordering", "a,b"],
+    ],
+    ids=["ordering-scan", "negativity"],
+)
+def test_late_usage_errors_print_the_subcommand_usage(capsys, argv):
+    """Usage errors found after parsing show the subcommand's usage line,
+    as argparse's own errors do."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: fermiorder {argv[0]} ")
+
+
+_COEFFICIENTS = st.sampled_from(["1", "-0.5", "0.3j", "1+2j", "0", "1e400", "nan", "x", ""])
+_OPERATORS = st.sampled_from(["a+", "b+", "a-", "b-", "c+", "c-", "+", "-", ":", "a", "1"])
+_INLINE_STATES = st.lists(
+    st.builds(
+        lambda coeff, colon, ops: coeff + colon + " ".join(ops),
+        _COEFFICIENTS,
+        st.sampled_from([":", ": ", ""]),
+        st.lists(_OPERATORS, max_size=4),
+    ),
+    max_size=4,
+).map("; ".join)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBERS = st.integers() | st.just(10**400) | st.floats()
+_JSON_STATES = st.fixed_dictionaries(
+    {
+        "modes": st.sampled_from([["a", "b"], ["b", "a"], ["a"], ["a", "c"], ["a", "a"], [], ["a", 1]]),
+        "amplitudes": st.dictionaries(
+            st.sampled_from(["00", "01", "10", "11", "1", "0x"]),
+            st.tuples(_NUMBERS, _NUMBERS).map(list) | st.lists(_NUMBERS | st.text(max_size=1), max_size=3),
+            max_size=3,
+        ),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["ordering-scan", "negativity"]),
+    spec=_INLINE_STATES,
+    doc=st.one_of(_JSON_STATES, _JSON_VALUES),
+    from_json=st.booleans(),
+)
+@example(command="ordering-scan", spec="1: c+", doc=None, from_json=False)
+@example(command="negativity", spec="0.5: a+; 0.5: c+", doc=None, from_json=False)
+def test_cli_input_never_ends_in_a_traceback(command, spec, doc, from_json):
+    """Random inline states and random JSON documents on a two-mode system
+    either give a report or a usage error, never an uncaught exception."""
+    argv = [command, "--kept", "a", "--traced", "b"]
+    if command == "negativity":
+        argv += ["--ordering", "a,b"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if from_json:
+            path = os.path.join(tmp, "state.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            argv += ["--state-json", path]
+        else:
+            argv += ["--state", spec]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2)
 
 
 def test_tolerance_env_var_validation():

@@ -48,6 +48,9 @@ def test_unknown_mode_rejected():
     system = ModeSystem.from_blocks(("a",), ("c",))
     with pytest.raises(UnknownModeError):
         apply(CREATION, "zz", FockVector.vacuum(system))
+    # rejected like any other bad input, with its message unquoted
+    with pytest.raises(ValueError, match=r"^mode 'zz' not in system \('a', 'c'\)$"):
+        system.position("zz")
     # the kind is checked before the label
     with pytest.raises(ValueError):
         apply("x", "zz", FockVector.vacuum(system))

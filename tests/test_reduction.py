@@ -24,7 +24,6 @@ from fermiorder.reduction import (
     NonPhysicalOrderingError,
     SystemTooLargeError,
     fermionic_partial_trace,
-    ordering_scan,
     qubit_partial_trace,
     qubit_route_reduction,
     sweep_system,
@@ -37,9 +36,36 @@ from fermiorder.states import (
     spin_singlet_state,
     two_delocalized_fermions,
 )
-from _oracles import fermionic_trace, qubit_ptrace, random_density
+from _oracles import (
+    fermionic_trace,
+    qubit_ptrace,
+    random_density,
+    walsh_hadamard_reduction,
+    walsh_hadamard_table,
+)
 
 tol = 1e-12
+
+
+def _walsh_hadamard_table(state, bp):
+    """The oracle's table for a state, and the traced positions it is over."""
+    system = state.system
+    traced = [system.position(m) for m in bp.traced]
+    data = state.amplitudes if isinstance(state, FockVector) else state.matrix
+    return walsh_hadamard_table(data, system.n_modes, traced), traced
+
+
+def ordering_scan(state, bp=None):
+    """``reduction.ordering_scan``, with every class's reduced state checked
+    against the Walsh-Hadamard oracle at its representative ordering."""
+    classes = reduction.ordering_scan(state, bp)
+    system = state.system
+    table, traced = _walsh_hadamard_table(state, bp or system.bipartition())
+    for c in classes:
+        ranks = [c.representative.labels.index(m) for m in system.modes]
+        oracle = walsh_hadamard_reduction(table, system.n_modes, traced, ranks)
+        assert np.abs(c.reduced.matrix - oracle).max() < tol
+    return classes
 
 
 def mixed_ssr_density(system, seed):
@@ -540,6 +566,27 @@ def test_scan_classes_match_qubit_route(monkeypatch):
                 for o in [c.representative] + [c.orderings[int(k)] for k in picks]:
                     route = qubit_route_reduction(given, o, bp)
                     assert np.array_equal(c.reduced.matrix, route.matrix)
+
+
+def test_walsh_hadamard_oracle_matches_qubit_route():
+    """The Walsh-Hadamard table gives the qubit-route reduction of random
+    orderings at 2-7 modes, for pure, rank-1 density and rank-3 inputs on
+    kept sets that are not first."""
+    rng = np.random.default_rng(2022)
+    for n_modes in range(2, 8):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for sector in ("even", "odd", "any"):
+            bp = _split_not_first(rng, system)
+            state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+            mixed = DensityOperator(system, random_density(system.dim, 3, rng))
+            for given in (state, state.to_density(), mixed):
+                table, traced = _walsh_hadamard_table(given, bp)
+                for _ in range(4):
+                    labels = tuple(str(m) for m in rng.permutation(system.modes))
+                    ranks = [labels.index(m) for m in system.modes]
+                    route = qubit_route_reduction(given, ModeOrdering(labels), bp)
+                    oracle = walsh_hadamard_reduction(table, n_modes, traced, ranks)
+                    assert np.abs(route.matrix - oracle).max() < tol
 
 
 def test_scan_chunk_size_does_not_change_results(monkeypatch):

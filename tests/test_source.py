@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import fermiorder
@@ -70,3 +71,26 @@ def test_all_lists_every_reexport():
     ]
     assert len(imported) == len(set(imported))
     assert sorted(fermiorder.__all__) == sorted(imported)
+
+
+def test_traced_benchmark_targets_resolve():
+    """Every function the benchmark's tracer wraps still exists on the
+    package, so a simplification cannot silently drop a traced layer."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS"
+    )
+    targets = [ast.literal_eval(key) for key in table.keys]
+    assert targets
+    missing = []
+    for target in targets:
+        module, *attrs = target.split(".")
+        obj = importlib.import_module(f"fermiorder.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(target)
+    assert not missing, f"traced targets no longer on the package: {missing}"
