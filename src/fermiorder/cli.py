@@ -172,7 +172,7 @@ def _examples_checks(tol: float) -> list[dict]:
     ]
 
 
-def cmd_examples(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
+def cmd_examples(args: argparse.Namespace, tol: float) -> int:
     checks = _examples_checks(tol)
     passed = all(c["passed"] for c in checks)
     if args.fmt == "json":
@@ -194,7 +194,7 @@ def cmd_examples(args: argparse.Namespace, parser: argparse.ArgumentParser, tol:
 # --- theorem sweep -----------------------------------------------------------
 
 
-def cmd_theorem_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
+def cmd_theorem_sweep(args: argparse.Namespace, tol: float) -> int:
     n, m = args.modes
     result = theorem_sweep(n, m, trials=args.trials, seed=args.seed, tol=tol)
     if args.fmt == "csv":
@@ -225,35 +225,35 @@ def cmd_theorem_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser,
 # --- ordering scan -----------------------------------------------------------
 
 
-def _resolve_system(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ModeSystem:
+def _resolve_system(args: argparse.Namespace) -> ModeSystem:
     if args.modes is not None and (args.kept or args.traced):
-        parser.error("give either --kept/--traced or --modes n,m, not both")
+        args.parser.error("give either --kept/--traced or --modes n,m, not both")
     if args.kept or args.traced:
         if not (args.kept and args.traced):
-            parser.error("--kept and --traced must be given together")
+            args.parser.error("--kept and --traced must be given together")
         return ModeSystem.from_blocks(args.kept, args.traced)
     if args.modes is None:
-        parser.error("give either --kept/--traced or --modes n,m")
+        args.parser.error("give either --kept/--traced or --modes n,m")
     return sweep_system(*args.modes)
 
 
-def _resolve_state(args: argparse.Namespace, parser: argparse.ArgumentParser, system: ModeSystem):
+def _resolve_state(args: argparse.Namespace, system: ModeSystem):
     if args.state:
         return state_from_spec(args.state, system)
     if args.state_json:
         with open(args.state_json, "r", encoding="utf-8") as fh:
             state = state_from_json_str(fh.read(), a_count=system.a_count)
         if state.system.modes != system.modes:
-            parser.error(
+            args.parser.error(
                 f"state file modes {state.system.modes} do not match --kept/--traced {system.modes}"
             )
         return state
     return None
 
 
-def cmd_ordering_scan(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
-    system = _resolve_system(args, parser)
-    state = _resolve_state(args, parser, system)
+def cmd_ordering_scan(args: argparse.Namespace, tol: float) -> int:
+    system = _resolve_system(args)
+    state = _resolve_state(args, system)
     if state is None:
         state = random_state(system, sector=args.sector, seed=args.seed)
         source = f"random sector={args.sector} seed={args.seed}"
@@ -307,11 +307,11 @@ def cmd_ordering_scan(args: argparse.Namespace, parser: argparse.ArgumentParser,
 # --- negativity --------------------------------------------------------------
 
 
-def cmd_negativity(args: argparse.Namespace, parser: argparse.ArgumentParser, tol: float) -> int:
-    system = _resolve_system(args, parser)
-    state = _resolve_state(args, parser, system)
+def cmd_negativity(args: argparse.Namespace, tol: float) -> int:
+    system = _resolve_system(args)
+    state = _resolve_state(args, system)
     if state is None:
-        parser.error("negativity needs --state or --state-json")
+        args.parser.error("negativity needs --state or --state-json")
     ordering = ModeOrdering(args.ordering)
     result = negativity(state, ordering=ordering)
     ssr = ssr_compliant(state)
@@ -358,16 +358,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("examples", help="run the named example states against their expected values")
-    p.set_defaults(run=cmd_examples, parser=p)
+    p.set_defaults(run=cmd_examples)
     _add_report_options(p, ("text", "json"))
 
     p = sub.add_parser("theorem-sweep", help="compare the two reduction routes on random superselected states")
-    p.set_defaults(run=cmd_theorem_sweep, parser=p)
+    p.set_defaults(run=cmd_theorem_sweep)
     p.add_argument("--modes", type=_modes_arg, required=True, metavar="N,M")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_report_options(p, ("text", "json", "csv"))
 
+    # the two state commands check their options after parsing and keep
+    # their own parser, so those usage errors print the subcommand's usage
     p = sub.add_parser("ordering-scan", help="group all mode orderings by the reduced state they produce")
     p.set_defaults(run=cmd_ordering_scan, parser=p)
     _add_state_options(p)
@@ -387,8 +389,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # usage errors found after parsing print the subcommand's usage line
-        return args.run(args, args.parser, _tolerance())
+        return args.run(args, _tolerance())
     except (ValueError, OSError) as exc:
         print(f"fermiorder: {exc}", file=sys.stderr)
         return 2

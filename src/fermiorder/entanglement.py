@@ -88,9 +88,7 @@ def _as_qubit_matrix(
     _check_eig_dim(state.system.dim)
     if isinstance(state, QubitState):
         if ordering is not None and ordering != state.ordering:
-            raise ValueError(
-                "qubit state already carries an ordering; do not pass a different one"
-            )
+            raise ValueError("qubit state already carries an ordering; do not pass a different one")
     elif ordering is None:
         raise ValueError(
             "fermionic states require an explicit mode ordering; "
@@ -135,7 +133,7 @@ def negativity(
     matrix, system, used_ordering = _as_qubit_matrix(state, ordering)
     bp = _resolve_bipartition(system, bp)
     pt = partial_transpose(matrix, system, bp)
-    value = (trace_norm(pt) - 1.0) / 2.0
+    value = (trace_norm(pt, tol=STATE_TOL) - 1.0) / 2.0
     if value < NEGATIVITY_CLAMP:
         value = 0.0
     return MeasureResult(value=value, measure="negativity", bipartition=bp, ordering=used_ordering)

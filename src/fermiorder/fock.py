@@ -274,7 +274,10 @@ class FockVector:
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
             ):
                 raise ValueError(f"amplitude of {bits!r} must be a [re, im] pair of numbers, got {pair!r}")
-            amps[system.index_of_bits(bits)] = complex(*pair)
+            try:
+                amps[system.index_of_bits(bits)] = complex(*pair)
+            except OverflowError:
+                raise ValueError(f"amplitude of {bits!r} must be finite, got {pair!r}") from None
         return cls(system, amps)
 
 
@@ -432,7 +435,6 @@ def state_to_json_str(state: FockVector) -> str:
 
 def state_from_json_str(text: str, a_count: Union[int, None] = None) -> FockVector:
     try:
-        # integers are read as floats, so a huge one is infinite, not an OverflowError
-        return FockVector.from_json(json.loads(text, parse_int=float), a_count=a_count)
+        return FockVector.from_json(json.loads(text), a_count=a_count)
     except RecursionError:
         raise ValueError("state JSON is nested too deeply") from None

@@ -14,6 +14,7 @@ from fermiorder.entanglement import (
     ppt_separable,
 )
 from fermiorder.fock import BipartitionSpec, ModeSystem, OperatorString, random_state
+from fermiorder.numerics import NotHermitianError
 from fermiorder.ordering import ModeOrdering, QubitState, qubit_image
 from fermiorder.reduction import InvalidBipartitionError, sweep_system
 from fermiorder.states import (
@@ -167,6 +168,23 @@ def test_unnormalized_qubit_state_rejected():
     near = QubitState(system, ordering, (1.0 + 5e-10) * bell_matrix())
     assert abs(negativity(near).value - 0.5) < 1e-9
     assert not ppt_separable(near)
+
+
+def test_measures_share_one_hermiticity_bound():
+    """A mixed qubit state off Hermitian by 1e-11 is accepted by every
+    measure, and one off by 1e-6 is rejected by every measure."""
+    system = qubit_pair_system()
+    ordering = ModeOrdering.canonical(system)
+    for skew, accepted in ((1e-11, True), (1e-6, False)):
+        matrix = bell_matrix()
+        matrix[0, 1] += skew
+        q = QubitState(system, ordering, matrix)
+        for measure in (negativity, ppt_separable, concurrence_and_eof):
+            if accepted:
+                measure(q)
+            else:
+                with pytest.raises(NotHermitianError):
+                    measure(q)
 
 
 # --- separability ------------------------------------------------------------------

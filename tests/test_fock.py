@@ -51,8 +51,9 @@ def test_unknown_mode_rejected():
     # rejected like any other bad input, with its message unquoted
     with pytest.raises(ValueError, match=r"^mode 'zz' not in system \('a', 'c'\)$"):
         system.position("zz")
-    # the kind is checked before the label
-    with pytest.raises(ValueError):
+    # the kind is checked before the label; both errors are ValueErrors, so
+    # the message tells them apart
+    with pytest.raises(ValueError, match=r"^kind must be "):
         apply("x", "zz", FockVector.vacuum(system))
 
 
@@ -265,3 +266,9 @@ def test_json_round_trip():
     payload = json.loads(text)
     assert set(payload) == {"modes", "amplitudes"}
     assert all(len(v) == 2 for v in payload["amplitudes"].values())
+
+
+def test_from_json_rejects_amplitude_beyond_float_range():
+    obj = {"modes": ["a"], "amplitudes": {"1": [10**400, 0]}}
+    with pytest.raises(ValueError, match=r"^amplitude of '1' must be finite"):
+        FockVector.from_json(obj)
