@@ -2,13 +2,17 @@
 
 Every report is deterministic for a given seed and flag set, and every
 entanglement number is printed next to the ordering and bipartition that
-produced it. Exit codes: 0 on success, 1 when a checked property fails,
-2 on usage or size-limit errors.
+produced it. Each command builds its report as a JSON record and as text
+lines, and ``_report`` writes the one ``--format`` asks for, ending in a
+newline, to the ``--output`` file or else to stdout. Exit codes: 0 on
+success, 1 when a checked property fails, 2 on usage or size-limit errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -92,18 +96,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, output: Union[str, None]) -> None:
+def _report(args: argparse.Namespace, record: dict, lines: list[str], csv_text: str = "") -> None:
+    """Write the report in the format ``--format`` names: the JSON record,
+    the CSV text or the text lines, to the ``--output`` file or to stdout."""
+    if args.fmt == "json":
+        text = json.dumps(record, sort_keys=True)
+    elif args.fmt == "csv":
+        text = csv_text
+    else:
+        text = "\n".join(lines)
     if not text.endswith("\n"):
         text += "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_report(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True)
 
 
 # --- examples ----------------------------------------------------------------
@@ -175,19 +183,13 @@ def _examples_checks(tol: float) -> list[dict]:
 def cmd_examples(args: argparse.Namespace, tol: float) -> int:
     checks = _examples_checks(tol)
     passed = all(c["passed"] for c in checks)
-    if args.fmt == "json":
-        report = _json_report({"checks": checks, "passed": passed})
-    else:
-        lines = []
-        for c in checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            lines.append(
-                f"{status} {c['name']} {c['check']} expected={c['expected']!r} actual={c['actual']!r}"
-            )
-        done = sum(1 for c in checks if c["passed"])
-        lines.append(f"examples: {done}/{len(checks)} checks passed")
-        report = "\n".join(lines)
-    _emit(report, args.output)
+    lines = [
+        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} {c['check']} "
+        f"expected={c['expected']!r} actual={c['actual']!r}"
+        for c in checks
+    ]
+    lines.append(f"examples: {sum(c['passed'] for c in checks)}/{len(checks)} checks passed")
+    _report(args, {"checks": checks, "passed": passed}, lines)
     return 0 if passed else 1
 
 
@@ -197,28 +199,20 @@ def cmd_examples(args: argparse.Namespace, tol: float) -> int:
 def cmd_theorem_sweep(args: argparse.Namespace, tol: float) -> int:
     n, m = args.modes
     result = theorem_sweep(n, m, trials=args.trials, seed=args.seed, tol=tol)
-    if args.fmt == "csv":
-        report = result.to_csv()
-    elif args.fmt == "json":
-        report = _json_report(
-            {
-                "rows": [r.as_record() for r in result.rows],
-                "maxEntryDiff": result.max_entry_diff,
-                "tol": result.tol,
-                "passed": result.passed,
-            }
-        )
-    else:
-        lines = [
-            f"theorem sweep: modes=({n},{m}) trials={args.trials} per sector seed={args.seed}",
-            f"max entry diff over {len(result.rows)} trials = {result.max_entry_diff!r}",
-        ]
-        if result.passed:
-            lines.append(f"PASS (tolerance {result.tol!r})")
-        else:
-            lines.append(f"FAIL (tolerance {result.tol!r}); worst seed = {result.worst_seed}")
-        report = "\n".join(lines)
-    _emit(report, args.output)
+    record = {
+        "rows": [r.as_record() for r in result.rows],
+        "maxEntryDiff": result.max_entry_diff,
+        "tol": result.tol,
+        "passed": result.passed,
+    }
+    lines = [
+        f"theorem sweep: modes=({n},{m}) trials={args.trials} per sector seed={args.seed}",
+        f"max entry diff over {len(result.rows)} trials = {result.max_entry_diff!r}",
+        f"PASS (tolerance {result.tol!r})"
+        if result.passed
+        else f"FAIL (tolerance {result.tol!r}); worst seed = {result.worst_seed}",
+    ]
+    _report(args, record, lines, result.to_csv())
     return 0 if result.passed else 1
 
 
@@ -266,41 +260,34 @@ def cmd_ordering_scan(args: argparse.Namespace, tol: float) -> int:
     classes = ordering_scan(rho, tol=tol)
     ssr = ssr_compliant(rho)
     violation = ssr and any(c.contains_physical and not c.matches_fermionic for c in classes)
-
-    if args.fmt == "json":
-        report = _json_report(
-            {
-                "modes": list(system.modes),
-                "kept": list(system.a_labels),
-                "state": source,
-                "ssr": ssr,
-                "classes": [c.to_json() for c in classes],
-                "violation": violation,
-            }
+    rows = [c.to_json() for c in classes]
+    record = {
+        "modes": list(system.modes),
+        "kept": list(system.a_labels),
+        "state": source,
+        "ssr": ssr,
+        "classes": rows,
+        "violation": violation,
+    }
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows({**r, "representative": " ".join(r["representative"])}.values() for r in rows)
+    lines = [
+        f"ordering scan: modes={','.join(system.modes)} "
+        f"kept={','.join(system.a_labels)} ({source})",
+        f"ssr compliant: {ssr}",
+        f"ordering classes: {len(classes)}",
+    ]
+    for i, c in enumerate(classes):
+        lines.append(
+            f"class {i}: representative=({','.join(c.representative.labels)}) size={c.size} "
+            f"physical={c.contains_physical} matchesFermionic={c.matches_fermionic} "
+            f"maxEntryDiff={c.max_entry_diff!r}"
         )
-    elif args.fmt == "csv":
-        rows = [c.to_json() for c in classes]
-        lines = [",".join(rows[0])]
-        for row in rows:
-            row["representative"] = " ".join(row["representative"])
-            lines.append(",".join(str(value) for value in row.values()))
-        report = "\n".join(lines)
-    else:
-        lines = [
-            f"ordering scan: modes={','.join(system.modes)} kept={','.join(system.a_labels)} ({source})",
-            f"ssr compliant: {ssr}",
-            f"ordering classes: {len(classes)}",
-        ]
-        for i, c in enumerate(classes):
-            lines.append(
-                f"class {i}: representative=({','.join(c.representative.labels)}) size={c.size} "
-                f"physical={c.contains_physical} matchesFermionic={c.matches_fermionic} "
-                f"maxEntryDiff={c.max_entry_diff!r}"
-            )
-        if violation:
-            lines.append("FAIL: a physical ordering disagrees with the fermionic trace on an SSR state")
-        report = "\n".join(lines)
-    _emit(report, args.output)
+    if violation:
+        lines.append("FAIL: a physical ordering disagrees with the fermionic trace on an SSR state")
+    _report(args, record, lines, buf.getvalue())
     return 1 if violation else 0
 
 
@@ -315,21 +302,14 @@ def cmd_negativity(args: argparse.Namespace, tol: float) -> int:
     ordering = ModeOrdering(args.ordering)
     result = negativity(state, ordering=ordering)
     ssr = ssr_compliant(state)
-    if args.fmt == "json":
-        payload = result.to_json()
-        payload["ssr"] = ssr
-        report = _json_report(payload)
-    else:
-        bp = result.bipartition
-        report = "\n".join(
-            [
-                f"negativity = {result.value!r}",
-                f"ordering = {','.join(ordering.labels)}",
-                f"bipartition = kept {','.join(bp.kept)} | traced {','.join(bp.traced)}",
-                f"ssr = {ssr}",
-            ]
-        )
-    _emit(report, args.output)
+    bp = result.bipartition
+    lines = [
+        f"negativity = {result.value!r}",
+        f"ordering = {','.join(ordering.labels)}",
+        f"bipartition = kept {','.join(bp.kept)} | traced {','.join(bp.traced)}",
+        f"ssr = {ssr}",
+    ]
+    _report(args, {**result.to_json(), "ssr": ssr}, lines)
     return 0
 
 

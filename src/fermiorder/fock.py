@@ -381,17 +381,18 @@ def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
 def ssr_compliant(state: FockState) -> bool:
     """Parity superselection check.
 
-    A pure state complies when every amplitude above ``DEFAULT_TOL`` sits in
-    one parity sector; a density operator complies when no entry above it
-    connects bitstrings of different total parity.
+    A state complies when no density entry above ``DEFAULT_TOL`` connects
+    bitstrings of different total parity. For a pure state the largest such
+    entry of psi psi^dagger is its largest even amplitude times its largest
+    odd one, so the density is never formed.
     """
     par = _parity_vector(state.system.n_modes)
     if isinstance(state, FockVector):
-        support = np.abs(state.amplitudes) > DEFAULT_TOL
-        parities = np.unique(par[support])
-        return len(parities) <= 1
-    cross = par[:, None] != par[None, :]
-    return bool(np.abs(state.matrix[cross]).max(initial=0.0) <= DEFAULT_TOL)
+        size = np.abs(state.amplitudes)
+        cross = size[par == 0].max(initial=0.0) * size[par == 1].max(initial=0.0)
+    else:
+        cross = np.abs(state.matrix[par[:, None] != par[None, :]]).max(initial=0.0)
+    return bool(cross <= DEFAULT_TOL)
 
 
 def sector_indices(system: ModeSystem, sector: str) -> np.ndarray:

@@ -192,8 +192,7 @@ def theorem_check(
 
     Orderings that interleave kept and traced modes are outside the
     equivalence statement and are rejected unless ``force`` is set, which
-    is how the disagreement examples are produced on purpose. A pure
-    input's ``ssr`` flag comes from ``ssr_compliant``'s amplitude rule.
+    is how the disagreement examples are produced on purpose.
     """
     system = rho.system
     bp = _resolve_bipartition(system, bp)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fermiorder import cli
 from fermiorder.cli import _build_parser, main
 from fermiorder.fock import FockVector, state_to_json_str
+from fermiorder.reduction import SweepResult, SweepRow
 from fermiorder.states import spin_singlet_state
 
 ST1_SPEC = "0.5: a+ c+; 0.5: a+ d+; 0.5: b+ c+; 0.5: b+ d+"
@@ -120,6 +123,98 @@ def test_sweep_at_fourteen_modes(monkeypatch, capsys):
     _forbid_density(monkeypatch)
     assert main(["theorem-sweep", "--modes", "7,7", "--trials", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+
+# No real input makes a checked property fail, so these tests swap each
+# command's result for a failing one. The expected bytes are the reports as
+# first recorded, so the FAIL lines and exit codes stay pinned.
+
+FAILURE_ARGV = {
+    "examples": ["examples"],
+    "theorem-sweep": ["theorem-sweep", "--modes", "1,1"],
+    "ordering-scan": ["ordering-scan", "--modes", "2,1", "--seed", "1"],
+}
+
+FAILURE_REPORTS = {
+    ("examples", "text"): (
+        "PASS pair ssr expected=True actual=True\n"
+        "FAIL pair negativity expected=0.5 actual=0.25\n"
+        "examples: 1/2 checks passed\n"
+    ),
+    ("examples", "json"): (
+        '{"checks": [{"actual": true, "check": "ssr", "expected": true, "name": "pair", '
+        '"passed": true}, {"actual": 0.25, "check": "negativity", "expected": 0.5, '
+        '"name": "pair", "passed": false}], "passed": false}\n'
+    ),
+    ("theorem-sweep", "text"): (
+        "theorem sweep: modes=(1,1) trials=100 per sector seed=0\n"
+        "max entry diff over 1 trials = 0.25\n"
+        "FAIL (tolerance 1e-12); worst seed = 5\n"
+    ),
+    ("theorem-sweep", "json"): (
+        '{"maxEntryDiff": 0.25, "passed": false, "rows": [{"m": 1, "maxEntryDiff": 0.25, '
+        '"n": 1, "ordering": "a1,c1", "seed": 5, "ssr": true, "traceDistance": 0.125}], '
+        '"tol": 1e-12}\n'
+    ),
+    ("theorem-sweep", "csv"): (
+        "seed,n,m,ordering,maxEntryDiff,traceDistance,ssr\n"
+        '5,1,1,"a1,c1",0.25,0.125,True\n'
+    ),
+    ("ordering-scan", "text"): (
+        "ordering scan: modes=a1,a2,c1 kept=a1,a2 (random sector=even seed=1)\n"
+        "ssr compliant: True\n"
+        "ordering classes: 2\n"
+        "class 0: representative=(a1,a2,c1) size=4 physical=True matchesFermionic=False "
+        "maxEntryDiff=0.0\n"
+        "class 1: representative=(a1,c1,a2) size=2 physical=False matchesFermionic=False "
+        "maxEntryDiff=0.27763215305635325\n"
+        "FAIL: a physical ordering disagrees with the fermionic trace on an SSR state\n"
+    ),
+    ("ordering-scan", "json"): (
+        '{"classes": [{"containsPhysical": true, "matchesFermionic": false, '
+        '"maxEntryDiff": 0.0, "representative": ["a1", "a2", "c1"], "size": 4}, '
+        '{"containsPhysical": false, "matchesFermionic": false, '
+        '"maxEntryDiff": 0.27763215305635325, "representative": ["a1", "c1", "a2"], '
+        '"size": 2}], "kept": ["a1", "a2"], "modes": ["a1", "a2", "c1"], "ssr": true, '
+        '"state": "random sector=even seed=1", "violation": true}\n'
+    ),
+    ("ordering-scan", "csv"): (
+        "representative,size,containsPhysical,matchesFermionic,maxEntryDiff\n"
+        "a1 a2 c1,4,True,False,0.0\n"
+        "a1 c1 a2,2,False,False,0.27763215305635325\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(FAILURE_REPORTS))
+def test_failure_reports_are_pinned(monkeypatch, capsys, command, fmt):
+    real_scan = cli.ordering_scan
+    monkeypatch.setattr(
+        cli,
+        "_examples_checks",
+        lambda tol: [
+            cli._check("pair", "ssr", True, True),
+            cli._check("pair", "negativity", 0.5, 0.25, 1e-10),
+        ],
+    )
+    monkeypatch.setattr(
+        cli,
+        "theorem_sweep",
+        lambda *args, **kwargs: SweepResult(
+            (SweepRow(5, 1, 1, "a1,c1", 0.25, 0.125, True),), 1e-12
+        ),
+    )
+    monkeypatch.setattr(
+        cli,
+        "ordering_scan",
+        lambda rho, tol: [
+            dataclasses.replace(c, matches_fermionic=False) for c in real_scan(rho, tol=tol)
+        ],
+    )
+    monkeypatch.delenv("FERMIORDER_TOL", raising=False)
+    assert main([*FAILURE_ARGV[command], "--format", fmt]) == 1
+    assert capsys.readouterr().out == FAILURE_REPORTS[command, fmt]
 
 
 def test_negativity_inline_state():

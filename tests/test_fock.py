@@ -17,6 +17,7 @@ from fermiorder.fock import (
     from_operator_string,
     parity_of,
     random_state,
+    sector_indices,
     ssr_compliant,
     state_from_json_str,
     state_to_json_str,
@@ -232,6 +233,38 @@ def test_ssr_on_density_blocks():
         even.amplitudes + odd.amplitudes, (even.amplitudes + odd.amplitudes).conj()
     )
     assert ssr_compliant(DensityOperator(system, coherent)) is False
+
+
+
+def test_ssr_faint_off_sector_amplitude():
+    """(|00> + 1.6e-12 |01> + |11>)/sqrt 2: the odd amplitude is above the
+    tolerance, but the largest cross-parity entry of the density is not, so
+    the pure state complies just as its density does."""
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    amps = np.array([1.0, 1.6e-12, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2)
+    state = FockVector(system, amps)
+    assert ssr_compliant(state) is True
+    assert ssr_compliant(state.to_density()) is True
+
+
+@pytest.mark.parametrize("scale", [0.3, 3.0])
+def test_ssr_pure_and_density_agree_near_threshold(scale):
+    """An off-sector amplitude that puts the largest cross-parity entry of
+    the density at ``scale`` times the tolerance gives the pure state and
+    its density one verdict."""
+    rng = np.random.default_rng(381)
+    for n_modes in range(2, 7):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=1)
+        for trial in range(40):
+            sector, other = ("even", "odd") if trial % 2 else ("odd", "even")
+            seed = int(rng.integers(1 << 30))
+            amps = random_state(system, sector=sector, seed=seed).amplitudes.copy()
+            faint = scale * tol / np.abs(amps).max()
+            phase = np.exp(2j * np.pi * rng.random())
+            amps[rng.choice(sector_indices(system, other))] = faint * phase
+            state = FockVector(system, amps / np.linalg.norm(amps))
+            assert ssr_compliant(state) is (scale < 1)
+            assert ssr_compliant(state.to_density()) is (scale < 1)
 
 
 # --- random states ------------------------------------------------------------

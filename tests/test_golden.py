@@ -1,9 +1,10 @@
 """CLI reports pinned byte for byte against recorded outputs.
 
 Each case runs ``cli.main`` in-process with ``FERMIORDER_TOL`` unset and
-compares stdout with ``tests/golden/<name>.txt``. The files hold reports
-from a known-good commit, so a rewrite of a reduction route or a measure
-that moves any printed digit fails here, not only one that breaks a check.
+compares stdout, and the file that ``--output`` writes, with
+``tests/golden/<name>.txt``. The files hold reports from a known-good
+commit, so a rewrite of a reduction route or a measure that moves any
+printed digit fails here, not only one that breaks a check.
 """
 
 from pathlib import Path
@@ -53,3 +54,13 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch):
     assert main(list(CASES[name])) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_file_matches_golden(name, capsys, monkeypatch, tmp_path):
+    """``--output`` writes exactly the bytes the report prints to stdout."""
+    monkeypatch.delenv("FERMIORDER_TOL", raising=False)
+    target = tmp_path / "report.txt"
+    assert main([*CASES[name], "--output", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == (GOLDEN_DIR / f"{name}.txt").read_bytes()

@@ -331,6 +331,18 @@ def test_route_gap_for_parity_violating_state():
     assert gap > 0.4
 
 
+
+def test_theorem_check_ssr_flag_same_for_pure_and_density():
+    """A faint off-sector amplitude whose density cross entries stay below
+    the tolerance gets one ssr flag whether the state is pure or dense."""
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    amps = np.array([1.0, 1.6e-12, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2)
+    state = FockVector(system, amps)
+    ordering = ModeOrdering.canonical(system)
+    assert theorem_check(state, ordering).ssr_compliant is True
+    assert theorem_check(state.to_density(), ordering).ssr_compliant is True
+
+
 def test_report_json_fields():
     system = sweep_system(1, 1)
     rho = random_state(system, sector="even", seed=0).to_density()
