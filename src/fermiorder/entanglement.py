@@ -125,11 +125,11 @@ def negativity(
     bp: Union[BipartitionSpec, None] = None,
     ordering: Union[ModeOrdering, None] = None,
 ) -> MeasureResult:
-    """Negativity of a state across a mode bipartition.
-
-    Returns (‖partial transpose‖₁ − 1) / 2, clamped to zero when the excess
-    is below the noise floor.
-    """
+    """Negativity of a state across a mode bipartition: (‖partial
+    transpose‖₁ − 1) / 2, clamped to zero below the noise floor. For a state
+    of one parity it is constant on each ``ordering_scan`` class and equal
+    for all orderings listing the kept modes contiguously; for a state mixing
+    parities those orderings can disagree."""
     matrix, system, used_ordering = _as_qubit_matrix(state, ordering)
     bp = _resolve_bipartition(system, bp)
     pt = partial_transpose(matrix, system, bp)

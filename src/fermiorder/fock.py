@@ -152,7 +152,7 @@ def parity_of(bits: str) -> str:
     return ODD if bits.count("1") % 2 else EVEN
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_MODES + 1)
 def _parity_vector(n_modes: int) -> np.ndarray:
     """Total occupation parity (0 or 1) for every index of an n-mode system."""
     idx = np.arange(1 << n_modes, dtype=np.uint64)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import astuple, dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Union
 
 import numpy as np
@@ -53,10 +53,12 @@ from .ordering import (
     qubit_image,
 )
 
-#: Orderings are enumerated exhaustively. At the cap, a scan holds an
-#: 8! x 8 int8 rank matrix and 40320 label tuples; it builds a
+#: Orderings are enumerated exhaustively. At the cap, a scan holds two
+#: 8! x 8 int8 matrices (permutations and their ranks, 315 KiB each) and a
+#: few int64 or float64 arrays of 8! entries (315 KiB each); it builds a
 #: ``ModeOrdering`` only for each class representative, and
-#: ``OrderingClass.orderings`` builds its members when read.
+#: ``OrderingClass.orderings`` builds its members from their int8 rows when
+#: read.
 MAX_SCAN_MODES = 8
 
 #: Bytes the ordering scan may give one stacked array, which holds a state
@@ -223,13 +225,12 @@ def theorem_check(
 
 @dataclass(frozen=True, eq=False)
 class OrderingClass:
-    """All orderings whose qubit-route reduced state is one and the same.
-
-    The members are held as label tuples; ``orderings`` builds them as
-    ``ModeOrdering`` objects each time it is read."""
+    """All orderings whose qubit-route reduced state is one and the same,
+    held as int8 rows of indices into ``_modes``, the system's labels."""
 
     representative: ModeOrdering
-    _member_labels: tuple[tuple[str, ...], ...]
+    _modes: np.ndarray
+    _members: np.ndarray
     reduced: DensityOperator
     contains_physical: bool
     matches_fermionic: bool
@@ -237,11 +238,11 @@ class OrderingClass:
 
     @property
     def orderings(self) -> tuple[ModeOrdering, ...]:
-        return tuple(ModeOrdering(labels) for labels in self._member_labels)
+        return tuple(ModeOrdering(tuple(row)) for row in self._modes[self._members].tolist())
 
     @property
     def size(self) -> int:
-        return len(self._member_labels)
+        return len(self._members)
 
     def to_json(self) -> dict:
         return {
@@ -268,16 +269,17 @@ def ordering_scan(
     enumerated (8-mode cap) as a row of mode ranks, and the orderings are
     grouped by their precedence bits in order of first appearance. The
     route is evaluated once per group on its first member, and on up to
-    ``SCAN_VERIFY_SAMPLES`` other members drawn at random, which must agree
-    to the bit. These evaluations run stacked, whole groups at a time, in
-    chunks whose largest stacked array stays within ``_SCAN_CHUNK_BYTES``
-    unless one group alone is larger. Groups are then merged whenever they
-    land on the identical reduced matrix, and each final class is compared
-    against the fermionic trace. Classes are returned largest first, ties
-    broken by representative labels. For a superselected state, every
-    ordering that keeps the kept modes contiguous lands in the one class
-    that matches the fermionic trace exactly; ``contains_physical`` still
-    flags only kept-before-traced orderings.
+    ``SCAN_VERIFY_SAMPLES`` other members picked by one draw of random
+    keys, which must agree to the bit. These evaluations run stacked, whole
+    groups at a time, in chunks whose largest stacked array stays within
+    ``_SCAN_CHUNK_BYTES`` unless one group alone is larger. Groups are then
+    merged whenever they land on the identical reduced matrix, and each
+    final class is compared against the fermionic trace. Classes are
+    returned largest first, ties broken by representative labels. For a
+    superselected state, every ordering that keeps the kept modes
+    contiguous lands in the one class that matches the fermionic trace
+    exactly; ``contains_physical`` still flags only kept-before-traced
+    orderings.
     """
     system = rho.system
     _check_scan_size(system)
@@ -288,67 +290,76 @@ def ordering_scan(
     fermionic = fermionic_partial_trace(rho, bp)
     data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
 
-    # ranks[p, i] is the position of canonical mode i in the p-th permutation
-    perms = np.array(list(permutations(range(system.n_modes))), dtype=np.int8)
-    ranks = np.empty_like(perms)
-    np.put_along_axis(ranks, perms, np.arange(system.n_modes), axis=1)
+    # perms[p] lists the mode indices of the p-th permutation in itertools
+    # order; ranks[p, i] is the position of canonical mode i in it
+    perms = np.fromiter(chain.from_iterable(permutations(range(system.n_modes))), np.int8)
+    perms = perms.reshape(-1, system.n_modes)
+    ranks = np.argsort(perms, axis=1).astype(np.int8)
     # bit (kept a, traced c) is set when c precedes a; the bits of one
     # permutation are packed into one integer code, at most 16 bits wide
     bits = (ranks[:, None, traced_cols] < ranks[:, kept_cols, None]).reshape(len(ranks), -1)
     codes = bits @ (1 << np.arange(bits.shape[1]))
-    groups: dict[int, list[int]] = {}
-    for p, code in enumerate(codes.tolist()):
-        groups.setdefault(code, []).append(p)
-    members = list(groups.values())
-    # physical orderings are exactly those where no traced mode precedes a kept one
-    physical = np.array([code == 0 for code in groups])
-
-    rng = np.random.default_rng(0)
-    samples = []
-    for m in members:
-        others = len(m) - 1
-        picks = rng.choice(others, size=min(SCAN_VERIFY_SAMPLES, others), replace=False) if others else []
-        samples.append([m[0]] + [m[1 + int(pick)] for pick in picks])
-
-    orderings = list(permutations(system.modes))
+    # group[p] numbers p's group in order of first appearance
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(first))[inverse]
+    # sorted by group and then by a random key that is lowest at the first
+    # member, each group's run is its first member, then the others at random
+    keys = np.random.default_rng(0).random(len(perms))
+    keys[first] = -1.0
+    by_key = np.lexsort((keys, group))
+    runs = group[by_key]
+    samples = by_key[np.arange(len(perms)) - np.searchsorted(runs, runs) <= SCAN_VERIFY_SAMPLES]
+    # group g's samples are samples[bounds[g] : bounds[g + 1]]
+    bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
+    names = np.array(system.modes)
     kept_system = ModeSystem.from_blocks(kept)
     group_bytes = data.itemsize * max(data.size, kept_system.dim**2) * (1 + SCAN_VERIFY_SAMPLES)
     per_chunk = max(1, _SCAN_CHUNK_BYTES // group_bytes)
-    classes: dict[bytes, tuple[DensityOperator, list[int]]] = {}
-    for g in range(0, len(samples), per_chunk):
-        chunk = samples[g : g + per_chunk]
-        lengths = [len(rows) for rows in chunk]
-        starts = np.cumsum([0] + lengths[:-1])
-        heads = np.repeat(starts, lengths)
-        rows = np.concatenate(chunk)
+    classes: dict[bytes, int] = {}
+    reduced_ops = []
+    group_class = np.empty(len(first), dtype=np.int64)
+    for g in range(0, len(first), per_chunk):
+        end = min(g + per_chunk, len(first))
+        lo, hi = bounds[g], bounds[end]
+        rows = samples[lo:hi]
         r = ranks[rows]
         signed = _sign_conjugate(_inversion_signs(r), data)
         reduced = _block_partial_trace(signed, system, kept, batch=True)
         reduced = _sign_conjugate(_inversion_signs(r[:, kept_cols]), reduced)
+        heads = bounds[group[rows]] - lo
         bad = np.flatnonzero((reduced != reduced[heads]).any(axis=(1, 2)))
         if bad.size:
+            head, other = names[perms[rows[[heads[bad[0]], bad[0]]]]].tolist()
             raise AssertionError(
-                f"precedence class of {orderings[rows[heads[bad[0]]]]} is not uniform: "
-                f"{orderings[rows[bad[0]]]} disagrees"
+                f"precedence class of {tuple(head)} is not uniform: {tuple(other)} disagrees"
             )
-        for h, head in enumerate(starts, start=g):
-            # adding 0.0 flushes negative zeros left behind by sign flips,
-            # which would otherwise split byte-identical classes
-            key = (reduced[head] + 0.0).tobytes()
-            if key not in classes:
-                classes[key] = (DensityOperator(kept_system, reduced[head]), [])
-            classes[key][1].append(h)
+        # adding 0.0 flushes negative zeros left behind by sign flips,
+        # which would otherwise split byte-identical classes
+        flushed = (reduced[bounds[g:end] - lo] + 0.0).reshape(end - g, -1)
+        for h, key in enumerate(flushed.view(f"V{flushed[0].nbytes}").ravel().tolist(), g):
+            # a key seen for the first time opens a class, which keeps the
+            # group's own matrix, negative zeros and all
+            group_class[h] = classes.setdefault(key, len(classes))
+            if group_class[h] == len(reduced_ops):
+                reduced_ops.append(DensityOperator(kept_system, reduced[bounds[h] - lo]))
 
+    # each class lists its groups in order of first appearance, each group
+    # in permutation order
+    perm_class = group_class[group]
+    ordered = perms[np.lexsort((group, perm_class))]
+    ordered.setflags(write=False)
     result = []
-    for reduced_op, merged in classes.values():
-        members_of = tuple(orderings[p] for h in merged for p in members[h])
-        diff = float(np.abs(reduced_op.matrix - fermionic.matrix).max())
+    for c, rows in enumerate(np.split(ordered, np.cumsum(np.bincount(perm_class))[:-1])):
+        diff = float(np.abs(reduced_ops[c].matrix - fermionic.matrix).max())
         result.append(
             OrderingClass(
-                representative=ModeOrdering(members_of[0]),
-                _member_labels=members_of,
-                reduced=reduced_op,
-                contains_physical=bool(physical[merged].any()),
+                representative=ModeOrdering(tuple(names[rows[0]].tolist())),
+                _modes=names,
+                _members=rows,
+                reduced=reduced_ops[c],
+                # physical orderings, where no traced mode precedes a kept
+                # one, have code 0, the smallest, so first[0] is one of them
+                contains_physical=bool(c == perm_class[first[0]]),
                 matches_fermionic=diff < tol,
                 max_entry_diff=diff,
             )

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from fermiorder.entanglement import (
 from fermiorder.fock import BipartitionSpec, ModeSystem, OperatorString, random_state
 from fermiorder.numerics import NotHermitianError
 from fermiorder.ordering import ModeOrdering, QubitState, qubit_image
-from fermiorder.reduction import InvalidBipartitionError, sweep_system
+from fermiorder.reduction import InvalidBipartitionError, ordering_scan, sweep_system
 from fermiorder.states import (
     entangling_ordering,
     occupation_bell_state,
@@ -119,6 +121,61 @@ def test_pair_state_negativity_depends_on_ordering():
     mixed = negativity(state, ordering=entangling_ordering())
     assert block.value == 0.0
     assert abs(mixed.value - 0.5) < 1e-10
+
+
+def _split_system(n_modes, kept):
+    system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+    return system, BipartitionSpec(kept=kept, traced=tuple(m for m in system.modes if m not in kept))
+
+
+def _contiguous_orderings(system, kept):
+    """Every ordering that lists the kept modes as one run, traced modes
+    before it, after it or both."""
+    for p in permutations(system.modes):
+        places = [p.index(m) for m in kept]
+        if max(places) - min(places) == len(kept) - 1:
+            yield ModeOrdering(p)
+
+
+def test_negativity_same_for_every_contiguous_ordering_of_one_parity():
+    """Relative to kept-first, an ordering T1 K T2 multiplies each basis
+    state by signs local to K and to T, times (-1)^(n_K n_T1). Within one
+    parity sector n_K = p + n_T (mod 2), so that factor is a diagonal sign on
+    the traced side alone, and the partial-transpose spectrum is unchanged.
+    Checked on kept sets that are not first; a state mixing parities
+    gives some contiguous ordering a different value."""
+    for n_modes, kept in ((4, ("m1", "m2")), (5, ("m0", "m2", "m4")), (6, ("m1", "m3", "m4"))):
+        system, bp = _split_system(n_modes, kept)
+        kept_first = ModeOrdering(bp.kept + bp.traced)
+        for sector in ("even", "odd", "any"):
+            state = random_state(system, sector=sector, seed=40 + n_modes)
+            reference = negativity(state, bp, kept_first).value
+            gaps = [
+                abs(negativity(state, bp, o).value - reference)
+                for o in _contiguous_orderings(system, kept)
+            ]
+            if sector == "any":
+                assert max(gaps) > 1e-3
+            else:
+                assert reference > 1e-3 and max(gaps) < tol
+
+
+def test_negativity_constant_on_each_scan_class():
+    """Every member of an ``ordering_scan`` class gives the same negativity
+    for a state of one parity: all members at 4 and 5 modes, and at 6 modes
+    the representative and three random members of each class."""
+    rng = np.random.default_rng(44)
+    for n_modes, kept in ((4, ("m0", "m2")), (5, ("m1", "m2", "m4")), (6, ("m0", "m3", "m5"))):
+        system, bp = _split_system(n_modes, kept)
+        for sector in ("even", "odd"):
+            state = random_state(system, sector=sector, seed=50 + n_modes)
+            for c in ordering_scan(state, bp):
+                members = c.orderings
+                if n_modes == 6:
+                    picks = rng.choice(c.size, size=min(3, c.size), replace=False)
+                    members = [c.representative] + [members[int(k)] for k in picks]
+                values = [negativity(state, bp, o).value for o in members]
+                assert max(values) - min(values) < tol
 
 
 def test_negativity_matches_eigvalsh_oracle_on_random_states():

@@ -75,6 +75,29 @@ def test_batched_sign_rows_match_sign_vector():
         assert np.array_equal(kept_row, ordering_sign_vector(kept_system, o.restricted_to(kept)))
 
 
+def test_inversion_signs_match_loop_parity_at_every_mode_count():
+    """The one-product sign rule against a loop-counted parity at 1 to 14
+    modes: random rank stacks plus the reversed order (91 inversions at 14
+    modes), every basis index up to 8 modes and sampled ones above, and the
+    rank columns of every other mode, a non-contiguous subset whose ranks
+    keep their gaps."""
+    rng = np.random.default_rng(1114)
+    for n in range(1, 15):
+        ranks = np.array([rng.permutation(n) for _ in range(3)] + [np.arange(n)[::-1]], dtype=np.int8)
+        for stack in (ranks, ranks[:, ::2]):
+            k = stack.shape[1]
+            signs = _inversion_signs(stack)
+            assert signs.dtype == np.int8 and signs.shape == (len(stack), 1 << k)
+            if k <= 8:
+                indices = range(1 << k)
+            else:
+                indices = np.append(rng.choice(1 << k, size=200, replace=False), (1 << k) - 1)
+            for r, row in zip(stack.tolist(), signs):
+                for x in map(int, indices):
+                    occupied = [i for i in range(k) if x >> (k - 1 - i) & 1]
+                    assert row[x] == permutation_parity(sorted(occupied, key=r.__getitem__))
+
+
 def test_fourteen_mode_sign_vector_is_read_only_int8():
     """The cached sign vector holds one read-only byte per basis state, so a
     14-mode entry is 2**14 B, and its values match a loop-counted parity."""

@@ -633,6 +633,41 @@ def test_scan_uniformity_check_fires(monkeypatch):
         ordering_scan(state)
 
 
+def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
+    """The rank rows the scan signs are, group by group in order of first
+    appearance, each precedence group's first member followed by
+    min(SCAN_VERIFY_SAMPLES, size - 1) distinct other members of that same
+    group, and nothing else."""
+    seen = []
+
+    def spy(ranks):
+        if ranks.shape[1] == n_modes:
+            seen.extend(tuple(row) for row in ranks.tolist())
+        return _inversion_signs(ranks)
+
+    monkeypatch.setattr(reduction, "_inversion_signs", spy)
+    rng = np.random.default_rng(2026)
+    for n_modes in (4, 5, 6):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        bp = _split_not_first(rng, system)
+        seen.clear()
+        reduction.ordering_scan(random_state(system, sector="even", seed=n_modes), bp)
+
+        groups = {}
+        for p in permutations(range(n_modes)):
+            labels = [system.modes[i] for i in p]
+            key = tuple(labels.index(c) < labels.index(a) for a in bp.kept for c in bp.traced)
+            groups.setdefault(key, []).append(tuple(np.argsort(p).tolist()))
+        assert len(set(seen)) == len(seen)
+        start = 0
+        for members in groups.values():
+            count = 1 + min(reduction.SCAN_VERIFY_SAMPLES, len(members) - 1)
+            run = seen[start : start + count]
+            assert run[0] == members[0] and set(run) <= set(members)
+            start += count
+        assert start == len(seen)
+
+
 def test_seven_mode_scan():
     """A (3,4) scan on a kept set that is not first covers all 7! orderings,
     and its one physical class is the fermionic reduction."""

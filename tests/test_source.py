@@ -94,3 +94,35 @@ def test_traced_benchmark_targets_resolve():
         if not callable(obj):
             missing.append(target)
     assert not missing, f"traced targets no longer on the package: {missing}"
+
+
+def _cache_name(decorator: ast.expr) -> str | None:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return getattr(target, "id", None)
+
+
+def test_every_cache_is_bounded():
+    """Each ``lru_cache`` or ``cache`` in the package is a module-level
+    function whose cache has a finite ``maxsize``, read off the live cache,
+    so no cache grows with the inputs it is called on."""
+    found, unbounded = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = importlib.import_module(
+            "fermiorder" if path.stem == "__init__" else f"fermiorder.{path.stem}"
+        )
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(_cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+                continue
+            name = f"{path.name}:{node.name}"
+            found.append(name)
+            cached = getattr(module, node.name, None) if node in tree.body else None
+            maxsize = getattr(cached, "cache_parameters", dict)().get("maxsize")
+            if not isinstance(maxsize, int):
+                unbounded.append(name)
+    assert "ordering.py:_pair_table" in found and "fock.py:_parity_vector" in found
+    assert not unbounded, f"caches without a finite maxsize: {unbounded}"
