@@ -23,6 +23,7 @@ import numpy as np
 from .fock import (
     MAX_MODES,
     BipartitionSpec,
+    FockVector,
     ModeSystem,
     OperatorString,
     from_operator_string,
@@ -236,12 +237,12 @@ def _resolve_state(args: argparse.Namespace, system: ModeSystem):
         return state_from_spec(args.state, system)
     if args.state_json:
         with open(args.state_json, "r", encoding="utf-8") as fh:
-            state = state_from_json_str(fh.read(), a_count=system.a_count)
+            state = state_from_json_str(fh.read())
         if state.system.modes != system.modes:
             args.parser.error(
                 f"state file modes {state.system.modes} do not match --kept/--traced {system.modes}"
             )
-        return state
+        return FockVector(system, state.amplitudes)
     return None
 
 

@@ -29,7 +29,7 @@ from .fock import (
 )
 from .numerics import DEFAULT_TOL, STATE_TOL, _check_eig_dim, hermitian_eigenvalues, trace_norm
 from .ordering import ModeOrdering, QubitState, qubit_image
-from .reduction import _resolve_bipartition
+from .reduction import _bipartition_positions
 
 #: Eigenvalues above this count toward a marginal's support dimension, and
 #: partial-transpose eigenvalues below its negation witness entanglement.
@@ -82,7 +82,8 @@ def _as_qubit_matrix(
     """Dense qubit-register matrix for any supported state input, refused
     before it is formed if the eigensolver would refuse its dimension. A
     fermionic input is carried there under ``ordering``, a ``FockVector`` as
-    its density; every register must have unit trace (unit norm if pure)."""
+    its amplitudes; every register must have unit trace (unit norm if pure).
+    A pure register gives its outer product, Hermitized as its density is."""
     if not isinstance(state, (QubitState, FockVector, DensityOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     _check_eig_dim(state.system.dim)
@@ -95,11 +96,14 @@ def _as_qubit_matrix(
             "the measured value depends on it"
         )
     else:
-        state = qubit_image(state.to_density() if isinstance(state, FockVector) else state, ordering)
+        state = qubit_image(state, ordering)
     tr = np.vdot(state.data, state.data) if state.is_pure else state.data.trace()
     if abs(tr - 1.0) >= STATE_TOL:
         raise ValueError(f"qubit state trace is {tr}, expected 1")
-    matrix = np.outer(state.data, state.data.conj()) if state.is_pure else state.data
+    matrix = state.data
+    if state.is_pure:
+        matrix = np.outer(matrix, matrix.conj())
+        matrix = 0.5 * (matrix + matrix.conj().T)
     return matrix, state.system, state.ordering
 
 
@@ -107,15 +111,14 @@ def partial_transpose(
     matrix: np.ndarray, system: ModeSystem, bp: Union[BipartitionSpec, None] = None
 ) -> np.ndarray:
     """Transpose the traced block's bit indices of a mode-indexed matrix."""
-    bp = _resolve_bipartition(system, bp)
+    _, _, traced = _bipartition_positions(system, bp)
     n = system.n_modes
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (system.dim, system.dim):
         raise ValueError(f"expected a {system.dim}x{system.dim} matrix, got {m.shape}")
     t = m.reshape([2] * (2 * n))
     axes = list(range(2 * n))
-    for label in bp.traced:
-        k = system.position(label)
+    for k in traced:
         axes[k], axes[n + k] = axes[n + k], axes[k]
     return t.transpose(axes).reshape(system.dim, system.dim)
 
@@ -131,7 +134,7 @@ def negativity(
     for all orderings listing the kept modes contiguously; for a state mixing
     parities those orderings can disagree."""
     matrix, system, used_ordering = _as_qubit_matrix(state, ordering)
-    bp = _resolve_bipartition(system, bp)
+    bp, _, _ = _bipartition_positions(system, bp)
     pt = partial_transpose(matrix, system, bp)
     value = (trace_norm(pt, tol=STATE_TOL) - 1.0) / 2.0
     if value < NEGATIVITY_CLAMP:
@@ -160,9 +163,9 @@ def ppt_separable(
     returning a one-sided answer.
     """
     matrix, system, _ = _as_qubit_matrix(state, ordering)
-    bp = _resolve_bipartition(system, bp)
-    rank_kept = _support_rank(_block_partial_trace(matrix, system, bp.kept))
-    rank_traced = _support_rank(_block_partial_trace(matrix, system, bp.traced))
+    bp, kept, traced = _bipartition_positions(system, bp)
+    rank_kept = _support_rank(_block_partial_trace(matrix, kept, traced))
+    rank_traced = _support_rank(_block_partial_trace(matrix, traced, kept))
     low, high = sorted((rank_kept, rank_traced))
     if low > 2 or high > 3:
         raise UnsupportedDimensionsError(

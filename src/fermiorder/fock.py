@@ -174,25 +174,22 @@ def _sign_conjugate(signs: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 
 def _block_partial_trace(
-    data: np.ndarray, system: ModeSystem, kept: Iterable[str], batch: bool = False
+    data: np.ndarray, kept: Sequence[int], traced: Sequence[int], batch: bool = False
 ) -> np.ndarray:
     """Sum a mode-indexed vector psi or matrix rho over the occupations of
-    the modes not kept.
+    the modes at the ``traced`` positions, keeping those at ``kept``.
 
-    Mode k is axis k of the ``[2] * N`` reshape; the kept modes stay in
-    canonical order. psi is reshaped to dk x dt and reduced as an exactly
-    Hermitized psi psi^dag, never forming its 2^N x 2^N density. No signs
-    are applied: callers conjugate the state by their own sign rule first.
-    With ``batch``, axis 0 stacks states that are reduced one by one, and
-    the result stacks their dk x dk reductions.
+    Mode k is axis k of the ``[2] * N`` reshape; the kept modes stay in the
+    order ``kept`` lists them. psi is reshaped to dk x dt and reduced as an
+    exactly Hermitized psi psi^dag, never forming its 2^N x 2^N density. No
+    signs are applied: callers conjugate the state by their own sign rule
+    first. With ``batch``, axis 0 stacks states that are reduced one by one,
+    and the result stacks their dk x dk reductions.
     """
-    n = system.n_modes
-    kept_set = set(kept)
-    kept_axes = [k for k, label in enumerate(system.modes) if label in kept_set]
-    traced_axes = [k for k, label in enumerate(system.modes) if label not in kept_set]
-    dk, dt = 1 << len(kept_axes), 1 << len(traced_axes)
+    n = len(kept) + len(traced)
+    dk, dt = 1 << len(kept), 1 << len(traced)
     lead = list(data.shape[:1]) if batch else []
-    perm = list(range(len(lead))) + [len(lead) + ax for ax in kept_axes + traced_axes]
+    perm = list(range(len(lead))) + [len(lead) + ax for ax in [*kept, *traced]]
     if data.ndim == len(lead) + 1:
         psi = data.reshape(lead + [2] * n).transpose(perm).reshape(lead + [dk, dt])
         reduced = psi @ psi.conj().mT
@@ -256,8 +253,8 @@ class FockVector:
         return {"modes": list(self.system.modes), "amplitudes": amps}
 
     @classmethod
-    def from_json(cls, obj: dict, a_count: Union[int, None] = None) -> "FockVector":
-        """Inverse of ``to_json``; any other shape raises ``ValueError``."""
+    def from_json(cls, obj: dict) -> "FockVector":
+        """Inverse of ``to_json``, every mode kept; other shapes raise ``ValueError``."""
         if not (
             isinstance(obj, dict)
             and isinstance(obj.get("modes"), list)
@@ -265,7 +262,7 @@ class FockVector:
         ):
             raise ValueError('state JSON must be an object with a "modes" list and an "amplitudes" object')
         modes = tuple(obj["modes"])
-        system = ModeSystem(modes, a_count=len(modes) if a_count is None else a_count)
+        system = ModeSystem(modes, a_count=len(modes))
         amps = np.zeros(system.dim, dtype=np.complex128)
         for bits, pair in obj["amplitudes"].items():
             if not (
@@ -434,8 +431,8 @@ def state_to_json_str(state: FockVector) -> str:
     return json.dumps(state.to_json(), sort_keys=True)
 
 
-def state_from_json_str(text: str, a_count: Union[int, None] = None) -> FockVector:
+def state_from_json_str(text: str) -> FockVector:
     try:
-        return FockVector.from_json(json.loads(text), a_count=a_count)
+        return FockVector.from_json(json.loads(text))
     except RecursionError:
         raise ValueError("state JSON is nested too deeply") from None

@@ -18,7 +18,8 @@ same kept parity wherever their traced occupations match. The physical
 orderings, every kept mode before every traced mode, are the runs with no
 traced mode in front; ``is_physical`` tests that narrower rule. The
 checker and scanner here measure the agreement, and how badly it fails
-everywhere else.
+everywhere else. Every reduction and measure reads its bipartition through
+``_bipartition_positions``, as kept and traced mode positions.
 """
 
 from __future__ import annotations
@@ -92,22 +93,19 @@ def _check_scan_size(system: ModeSystem) -> None:
         )
 
 
-def _resolve_bipartition(system: ModeSystem, bp: Union[BipartitionSpec, None]) -> BipartitionSpec:
-    if bp is None:
-        return system.bipartition()
+def _bipartition_positions(
+    system: ModeSystem, bp: Union[BipartitionSpec, None]
+) -> tuple[BipartitionSpec, list[int], list[int]]:
+    """``bp``, or the system's own split if None, checked to cover the
+    system, with its kept and traced mode positions in canonical order."""
+    bp = system.bipartition() if bp is None else bp
     try:
         bp.validate_for(system)
     except ValueError as exc:
         raise InvalidBipartitionError(str(exc)) from None
-    return bp
-
-
-def _split_positions(system: ModeSystem, bp: BipartitionSpec) -> tuple[list[str], list[str]]:
-    """Kept and traced labels, each in canonical order."""
-    kept_set, traced_set = set(bp.kept), set(bp.traced)
-    kept = [m for m in system.modes if m in kept_set]
-    traced = [m for m in system.modes if m in traced_set]
-    return kept, traced
+    kept = [k for k, label in enumerate(system.modes) if label in bp.kept]
+    traced = [k for k, label in enumerate(system.modes) if label in bp.traced]
+    return bp, kept, traced
 
 
 def fermionic_partial_trace(
@@ -125,13 +123,12 @@ def fermionic_partial_trace(
     and reduced without forming its density; it must be normalized. The
     trace is preserved exactly, and the result is Hermitian and positive.
     """
-    system = rho.system
-    bp = _resolve_bipartition(system, bp)
-    kept, traced = _split_positions(system, bp)
-    signs = ordering_sign_vector(system, ModeOrdering(traced + kept))
+    _, kept, traced = _bipartition_positions(rho.system, bp)
+    labels = [rho.system.modes[k] for k in traced + kept]
+    signs = ordering_sign_vector(rho.system, ModeOrdering(labels))
     data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
-    reduced = _block_partial_trace(_sign_conjugate(signs, data), system, kept)
-    return DensityOperator(ModeSystem.from_blocks(kept), reduced)
+    reduced = _block_partial_trace(_sign_conjugate(signs, data), kept, traced)
+    return DensityOperator(ModeSystem.from_blocks(labels[len(traced) :]), reduced)
 
 
 def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) -> QubitState:
@@ -142,10 +139,10 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
     inverse map needs to return to the fermionic picture. The reduced
     register is a matrix, also when a pure register is reduced.
     """
-    bp = _resolve_bipartition(q.system, bp)
-    kept, _ = _split_positions(q.system, bp)
-    reduced = _block_partial_trace(q.data, q.system, kept)
-    return QubitState(ModeSystem.from_blocks(kept), q.ordering.restricted_to(kept), reduced)
+    _, kept, traced = _bipartition_positions(q.system, bp)
+    labels = [q.system.modes[k] for k in kept]
+    reduced = _block_partial_trace(q.data, kept, traced)
+    return QubitState(ModeSystem.from_blocks(labels), q.ordering.restricted_to(labels), reduced)
 
 
 def qubit_route_reduction(
@@ -196,9 +193,10 @@ def theorem_check(
     equivalence statement and are rejected unless ``force`` is set, which
     is how the disagreement examples are produced on purpose.
     """
-    system = rho.system
-    bp = _resolve_bipartition(system, bp)
-    physical = is_physical(ordering, ModeSystem.from_blocks(*_split_positions(system, bp)))
+    bp, kept, traced = _bipartition_positions(rho.system, bp)
+    modes = rho.system.modes
+    split = ModeSystem.from_blocks([modes[k] for k in kept], [modes[k] for k in traced])
+    physical = is_physical(ordering, split)
     if not physical and not force:
         raise NonPhysicalOrderingError(
             f"ordering {ordering} interleaves kept and traced modes; "
@@ -283,10 +281,7 @@ def ordering_scan(
     """
     system = rho.system
     _check_scan_size(system)
-    bp = _resolve_bipartition(system, bp)
-    kept, traced = _split_positions(system, bp)
-    kept_cols = [system.position(m) for m in kept]
-    traced_cols = [system.position(m) for m in traced]
+    bp, kept, traced = _bipartition_positions(system, bp)
     fermionic = fermionic_partial_trace(rho, bp)
     data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
 
@@ -297,7 +292,7 @@ def ordering_scan(
     ranks = np.argsort(perms, axis=1).astype(np.int8)
     # bit (kept a, traced c) is set when c precedes a; the bits of one
     # permutation are packed into one integer code, at most 16 bits wide
-    bits = (ranks[:, None, traced_cols] < ranks[:, kept_cols, None]).reshape(len(ranks), -1)
+    bits = (ranks[:, None, traced] < ranks[:, kept, None]).reshape(len(ranks), -1)
     codes = bits @ (1 << np.arange(bits.shape[1]))
     # group[p] numbers p's group in order of first appearance
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -312,7 +307,7 @@ def ordering_scan(
     # group g's samples are samples[bounds[g] : bounds[g + 1]]
     bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
     names = np.array(system.modes)
-    kept_system = ModeSystem.from_blocks(kept)
+    kept_system = ModeSystem.from_blocks(names[kept].tolist())
     group_bytes = data.itemsize * max(data.size, kept_system.dim**2) * (1 + SCAN_VERIFY_SAMPLES)
     per_chunk = max(1, _SCAN_CHUNK_BYTES // group_bytes)
     classes: dict[bytes, int] = {}
@@ -324,8 +319,8 @@ def ordering_scan(
         rows = samples[lo:hi]
         r = ranks[rows]
         signed = _sign_conjugate(_inversion_signs(r), data)
-        reduced = _block_partial_trace(signed, system, kept, batch=True)
-        reduced = _sign_conjugate(_inversion_signs(r[:, kept_cols]), reduced)
+        reduced = _block_partial_trace(signed, kept, traced, batch=True)
+        reduced = _sign_conjugate(_inversion_signs(r[:, kept]), reduced)
         heads = bounds[group[rows]] - lo
         bad = np.flatnonzero((reduced != reduced[heads]).any(axis=(1, 2)))
         if bad.size:

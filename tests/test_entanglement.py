@@ -15,10 +15,17 @@ from fermiorder.entanglement import (
     partial_transpose,
     ppt_separable,
 )
-from fermiorder.fock import BipartitionSpec, ModeSystem, OperatorString, random_state
+from fermiorder.fock import (
+    BipartitionSpec,
+    FockVector,
+    ModeSystem,
+    OperatorString,
+    random_state,
+    ssr_compliant,
+)
 from fermiorder.numerics import NotHermitianError
 from fermiorder.ordering import ModeOrdering, QubitState, qubit_image
-from fermiorder.reduction import InvalidBipartitionError, ordering_scan, sweep_system
+from fermiorder.reduction import ordering_scan, sweep_system
 from fermiorder.states import (
     entangling_ordering,
     occupation_bell_state,
@@ -41,20 +48,6 @@ def bell_matrix():
 
 
 # --- partial transpose ----------------------------------------------------------
-
-
-def test_uncovered_bipartition_is_invalid_bipartition_error():
-    state = occupation_bell_state()
-    ordering = ModeOrdering.canonical(state.system)
-    matrix = qubit_image(state.to_density(), ordering).data
-    uncovered = BipartitionSpec(kept=("A",), traced=("zz",))
-    for call in (
-        lambda: partial_transpose(matrix, state.system, uncovered),
-        lambda: negativity(state, uncovered, ordering=ordering),
-        lambda: ppt_separable(state, uncovered, ordering=ordering),
-    ):
-        with pytest.raises(InvalidBipartitionError, match="does not cover"):
-            call()
 
 
 def test_partial_transpose_is_involution():
@@ -99,6 +92,49 @@ def test_bell_partial_transpose_spectrum():
 
 
 # --- negativity -------------------------------------------------------------------
+
+
+def test_measures_read_pure_inputs_without_their_density(monkeypatch):
+    """A ``FockVector`` is carried to qubits as amplitudes, and its matrix is
+    the Hermitized outer product its density would have, so negativity, the
+    PPT verdict, concurrence and EOF keep the density's bytes."""
+    cases = []
+    for n_modes in range(2, 7):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        rng = np.random.default_rng(n_modes)
+        for sector in ("even", "odd", "any"):
+            state = random_state(system, sector=sector, seed=n_modes)
+            kept = tuple(str(m) for m in rng.permutation(system.modes)[: n_modes // 2])
+            bp = BipartitionSpec(kept=kept, traced=tuple(m for m in system.modes if m not in kept))
+            ordering = ModeOrdering(tuple(str(m) for m in rng.permutation(system.modes)))
+            cases.append((state, bp, ordering))
+
+    def measures(given, bp, ordering):
+        values = [negativity(given, bp, ordering).value]
+        try:
+            values.append(ppt_separable(given, bp, ordering))
+        except UnsupportedDimensionsError as exc:
+            values.append(str(exc))
+        if given.system.n_modes == 2:
+            values += [r.value for r in concurrence_and_eof(given, ordering)]
+        return values
+
+    expected = [measures(state.to_density(), bp, o) for state, bp, o in cases]
+
+    def no_density(self):
+        raise AssertionError("a pure input formed its density")
+
+    monkeypatch.setattr(FockVector, "to_density", no_density)
+    assert [measures(state, bp, o) for state, bp, o in cases] == expected
+
+
+def test_unnormalized_pure_input_is_rejected_by_its_norm():
+    system = sweep_system(1, 1)
+    doubled = FockVector(system, 2 * FockVector.vacuum(system).amplitudes)
+    ordering = ModeOrdering.canonical(system)
+    for call in (negativity, ppt_separable):
+        with pytest.raises(ValueError, match=r"^qubit state trace is \(4\+0j\), expected 1$"):
+            call(doubled, ordering=ordering)
 
 
 def test_fermionic_negativity_requires_ordering():
@@ -158,6 +194,44 @@ def test_negativity_same_for_every_contiguous_ordering_of_one_parity():
                 assert max(gaps) > 1e-3
             else:
                 assert reference > 1e-3 and max(gaps) < tol
+
+
+def _parity_decomposition(system, parity, rng):
+    """Two random product terms, each with a total particle number of the
+    given parity."""
+    kept, traced = [], []
+    while len(kept) < 2:
+        a_subset = [l for l in system.a_labels if rng.random() < 0.5]
+        c_subset = [l for l in system.c_labels if rng.random() < 0.5]
+        if (len(a_subset) + len(c_subset)) % 2 == parity:
+            kept.append(OperatorString(tuple((l, "+") for l in a_subset)))
+            traced.append(OperatorString(tuple((l, "+") for l in c_subset)))
+    weight = float(rng.uniform(0.1, 0.9))
+    return SeparableDecomposition(
+        weights=(weight, 1.0 - weight), terms_kept=tuple(kept), terms_traced=tuple(traced)
+    )
+
+
+def test_ppt_verdict_same_for_every_contiguous_ordering():
+    """A contiguous-kept ordering changes a state of one parity by a local
+    unitary (see above), so the PPT verdict is that of kept-first: all 12
+    contiguous orderings of two_delocalized_fermions say separable, while
+    its 12 interleaved orderings give both verdicts. Separable mixtures of
+    either parity are separable under every contiguous ordering."""
+    pair = two_delocalized_fermions()
+    contiguous = set(_contiguous_orderings(pair.system, pair.system.a_labels))
+    interleaved = {ModeOrdering(p) for p in permutations(pair.system.modes)} - contiguous
+    assert len(contiguous) == len(interleaved) == 12
+    assert all(ppt_separable(pair, ordering=o) for o in contiguous)
+    assert {ppt_separable(pair, ordering=o) for o in interleaved} == {True, False}
+    system = sweep_system(2, 2)
+    rng = np.random.default_rng(7)
+    for parity in (0, 1):
+        for _ in range(3):
+            rho = build_separable(_parity_decomposition(system, parity, rng), system)
+            assert ssr_compliant(rho)
+            for o in _contiguous_orderings(system, system.a_labels):
+                assert ppt_separable(rho, ordering=o) is True
 
 
 def test_negativity_constant_on_each_scan_class():
@@ -352,13 +426,23 @@ def test_ppt_maximally_mixed_separable():
 
 def test_ppt_gate_rejects_large_supports():
     """A (2,2)-mode state with full-rank marginals is outside the regime
-    where a positive partial transpose certifies separability."""
+    where a positive partial transpose certifies separability. So is a
+    (1,2)-mode state with a1 and c1 maximally mixed and c2 empty, split as
+    {c2} | {a1, c1}, a kept set that does not come first: its marginals
+    have ranks 1 and 4, while the system's own split has ranks 2 and 2."""
     system = sweep_system(2, 2)
     rng = np.random.default_rng(3)
     matrix = random_density(16, 16, rng)
     q = QubitState(system, ModeOrdering.canonical(system), matrix)
     with pytest.raises(UnsupportedDimensionsError):
         ppt_separable(q)
+    system = sweep_system(1, 2)
+    half = np.eye(2, dtype=complex) / 2.0
+    matrix = np.kron(np.kron(half, half), np.diag([1.0, 0.0]).astype(complex))
+    q = QubitState(system, ModeOrdering.canonical(system), matrix)
+    assert ppt_separable(q) is True
+    with pytest.raises(UnsupportedDimensionsError, match=r"^local supports 1x4 exceed 2x3"):
+        ppt_separable(q, BipartitionSpec(kept=("c2",), traced=("c1", "a1")))
 
 
 def test_ppt_agrees_with_negativity_in_small_dimensions():

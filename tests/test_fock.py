@@ -293,8 +293,9 @@ def test_random_state_sector_support():
 def test_json_round_trip():
     state = spin_singlet_state()
     text = state_to_json_str(state)
-    loaded = state_from_json_str(text, a_count=2)
+    loaded = state_from_json_str(text)
     assert loaded.system.modes == state.system.modes
+    assert loaded.system.a_labels == state.system.modes
     assert np.array_equal(loaded.amplitudes, state.amplitudes)
     payload = json.loads(text)
     assert set(payload) == {"modes", "amplitudes"}

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 from math import factorial
 
@@ -15,6 +16,7 @@ from fermiorder.fock import (
     random_state,
     ssr_compliant,
 )
+from fermiorder.entanglement import negativity, partial_transpose, ppt_separable
 from fermiorder.numerics import hermitian_eigenvalues
 from fermiorder import ordering as ordering_module
 from fermiorder import reduction
@@ -38,6 +40,7 @@ from fermiorder.states import (
 )
 from _oracles import (
     fermionic_trace,
+    partial_transpose as partial_transpose_oracle,
     qubit_ptrace,
     random_density,
     walsh_hadamard_reduction,
@@ -194,11 +197,88 @@ def test_ssr_propagates_to_reduction():
     assert ssr_compliant(fermionic_partial_trace(rho))
 
 
-def test_invalid_bipartition_rejected():
-    system = sweep_system(1, 1)
-    rho = random_state(system, seed=0).to_density()
-    with pytest.raises(InvalidBipartitionError):
-        fermionic_partial_trace(rho, BipartitionSpec(kept=("a1",), traced=("zz",)))
+def _image(state, ordering):
+    return qubit_image(state.to_density(), ordering)
+
+
+#: Every public entry point that takes a bipartition, called on a state, an
+#: ordering and that bipartition.
+BIPARTITION_ENTRY_POINTS = {
+    "fermionic_partial_trace": lambda state, o, bp: fermionic_partial_trace(state, bp),
+    "qubit_partial_trace": lambda state, o, bp: qubit_partial_trace(_image(state, o), bp),
+    "theorem_check": lambda state, o, bp: theorem_check(state, o, bp),
+    "ordering_scan": lambda state, o, bp: reduction.ordering_scan(state, bp),
+    "partial_transpose": lambda state, o, bp: partial_transpose(_image(state, o).data, state.system, bp),
+    "negativity": lambda state, o, bp: negativity(state, bp, o),
+    "ppt_separable": lambda state, o, bp: ppt_separable(state, bp, o),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BIPARTITION_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "kept, traced",
+    [(("a1",), ("c1",)), (("a1", "zz"), ("c1", "c2")), (("a1", "a1"), ("c1", "c2"))],
+    ids=["short", "foreign-label", "repeated-label"],
+)
+def test_every_bipartition_entry_point_rejects_an_uncovered_split(entry, kept, traced):
+    """All seven entry points read a bipartition through the one resolver,
+    so each rejects a split that does not cover the system in one way."""
+    system = sweep_system(1, 2)
+    state = random_state(system, sector="even", seed=1)
+    bp = BipartitionSpec(kept=kept, traced=traced)
+    message = rf"^bipartition {re.escape(f'{kept}|{traced}')} does not cover system"
+    with pytest.raises(InvalidBipartitionError, match=message):
+        BIPARTITION_ENTRY_POINTS[entry](state, ModeOrdering.canonical(system), bp)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    n_modes=st.sampled_from(range(2, 8)),
+    kind=st.sampled_from(["even", "odd", "any", "rank3"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_reductions_on_random_splits_match_oracles_whatever_the_label_order(n_modes, kind, seed):
+    """On a kept set that does not come first, with its labels and the
+    traced labels passed in shuffled order, under a random ordering: the
+    fermionic trace, the qubit route and the partial transpose agree with
+    the dense oracles, and give the bytes of the same split passed in
+    canonical label order."""
+    rng = np.random.default_rng(seed)
+    system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+    canonical = _split_not_first(rng, system)
+    canonical = BipartitionSpec(
+        kept=tuple(m for m in system.modes if m in canonical.kept),
+        traced=tuple(m for m in system.modes if m in canonical.traced),
+    )
+    shuffled = BipartitionSpec(
+        kept=tuple(str(m) for m in rng.permutation(canonical.kept)),
+        traced=tuple(str(m) for m in rng.permutation(canonical.traced)),
+    )
+    ordering = ModeOrdering(tuple(str(m) for m in rng.permutation(system.modes)))
+    if kind == "rank3":
+        state = rho = DensityOperator(system, random_density(system.dim, 3, rng))
+    else:
+        state = random_state(system, sector=kind, seed=seed)
+        rho = state.to_density()
+    traced = [system.modes.index(m) for m in canonical.traced]
+    ranks = [ordering.labels.index(m) for m in system.modes]
+    table = walsh_hadamard_table(rho.matrix, n_modes, traced)
+    image = qubit_image(rho, ordering).data
+    results = {}
+    for name, bp in (("shuffled", shuffled), ("canonical", canonical)):
+        results[name] = [
+            fermionic_partial_trace(state, bp).matrix,
+            qubit_route_reduction(state, ordering, bp).matrix,
+            partial_transpose(image, system, bp),
+        ]
+    oracles = [
+        fermionic_trace(rho.matrix, n_modes, traced),
+        walsh_hadamard_reduction(table, n_modes, traced, ranks),
+        partial_transpose_oracle(image, n_modes, traced),
+    ]
+    for ours, canonical_order, oracle in zip(results["shuffled"], results["canonical"], oracles):
+        assert np.abs(ours - oracle).max() < tol
+        assert ours.tobytes() == canonical_order.tobytes()
 
 
 # --- qubit route ---------------------------------------------------------------

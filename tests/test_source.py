@@ -126,3 +126,31 @@ def test_every_cache_is_bounded():
                 unbounded.append(name)
     assert "ordering.py:_pair_table" in found and "fock.py:_parity_vector" in found
     assert not unbounded, f"caches without a finite maxsize: {unbounded}"
+
+
+RESOLVER = "_bipartition_positions"
+
+
+def test_one_bipartition_resolver():
+    """``reduction._bipartition_positions`` is the one reader of a
+    bipartition: in the modules that reduce and measure across one, no code
+    looks up a mode position by label and no other function calls
+    ``validate_for``, so a second resolver cannot come back unnoticed."""
+    offending, resolver_checks = [], 0
+    for name in ("reduction.py", "entanglement.py"):
+        tree = ast.parse((PACKAGE_DIR / name).read_text(), filename=name)
+        inside = {
+            id(node)
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef) and func.name == RESOLVER
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "validate_for" and id(node) in inside:
+                resolver_checks += 1
+            elif node.func.attr in ("position", "validate_for"):
+                offending.append(f"{name}:{node.lineno} .{node.func.attr}(")
+    assert resolver_checks == 1
+    assert not offending, f"bipartition read outside {RESOLVER}: {offending}"
