@@ -239,9 +239,8 @@ def _resolve_state(args: argparse.Namespace, system: ModeSystem):
         with open(args.state_json, "r", encoding="utf-8") as fh:
             state = state_from_json_str(fh.read())
         if state.system.modes != system.modes:
-            args.parser.error(
-                f"state file modes {state.system.modes} do not match --kept/--traced {system.modes}"
-            )
+            given = "--kept/--traced" if args.kept else "--modes"
+            args.parser.error(f"state file modes {state.system.modes} do not match {given} {system.modes}")
         return FockVector(system, state.amplitudes)
     return None
 

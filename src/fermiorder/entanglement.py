@@ -112,15 +112,21 @@ def partial_transpose(
 ) -> np.ndarray:
     """Transpose the traced block's bit indices of a mode-indexed matrix."""
     _, _, traced = _bipartition_positions(system, bp)
-    n = system.n_modes
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (system.dim, system.dim):
         raise ValueError(f"expected a {system.dim}x{system.dim} matrix, got {m.shape}")
+    return _partial_transpose(m, traced)
+
+
+def _partial_transpose(m: np.ndarray, traced: list[int]) -> np.ndarray:
+    """``partial_transpose`` of a checked 2^n x 2^n complex matrix, over the
+    modes at the ``traced`` positions its bipartition resolved to."""
+    n = m.shape[0].bit_length() - 1
     t = m.reshape([2] * (2 * n))
     axes = list(range(2 * n))
     for k in traced:
         axes[k], axes[n + k] = axes[n + k], axes[k]
-    return t.transpose(axes).reshape(system.dim, system.dim)
+    return t.transpose(axes).reshape(m.shape)
 
 
 def negativity(
@@ -134,8 +140,8 @@ def negativity(
     for all orderings listing the kept modes contiguously; for a state mixing
     parities those orderings can disagree."""
     matrix, system, used_ordering = _as_qubit_matrix(state, ordering)
-    bp, _, _ = _bipartition_positions(system, bp)
-    pt = partial_transpose(matrix, system, bp)
+    bp, _, traced = _bipartition_positions(system, bp)
+    pt = _partial_transpose(matrix, traced)
     value = (trace_norm(pt, tol=STATE_TOL) - 1.0) / 2.0
     if value < NEGATIVITY_CLAMP:
         value = 0.0
@@ -163,7 +169,7 @@ def ppt_separable(
     returning a one-sided answer.
     """
     matrix, system, _ = _as_qubit_matrix(state, ordering)
-    bp, kept, traced = _bipartition_positions(system, bp)
+    _, kept, traced = _bipartition_positions(system, bp)
     rank_kept = _support_rank(_block_partial_trace(matrix, kept, traced))
     rank_traced = _support_rank(_block_partial_trace(matrix, traced, kept))
     low, high = sorted((rank_kept, rank_traced))
@@ -172,7 +178,7 @@ def ppt_separable(
             f"local supports {rank_kept}x{rank_traced} exceed 2x3; positivity of "
             "the partial transpose is only necessary here, not sufficient"
         )
-    pt = partial_transpose(matrix, system, bp)
+    pt = _partial_transpose(matrix, traced)
     eig = hermitian_eigenvalues(pt, tol=STATE_TOL)
     return bool(eig.eigenvalues[-1] >= -SUPPORT_TOL)
 

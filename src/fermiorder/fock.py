@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, STATE_TOL, _check_hermitian, as_complex_matrix
+from .numerics import DEFAULT_TOL, STATE_TOL, _check_hermitian, _first_failure, as_complex_matrix
 
 #: Operator kinds, matching the operator-string grammar tokens.
 CREATION = "+"
@@ -161,14 +161,15 @@ def _parity_vector(n_modes: int) -> np.ndarray:
     return par
 
 
-def _sign_conjugate(signs: np.ndarray, data: np.ndarray) -> np.ndarray:
+def _sign_conjugate(signs: np.ndarray, data: np.ndarray, batch: bool = False) -> np.ndarray:
     """Apply a diagonal sign matrix S to a state: S psi for an amplitude
     vector, S rho S for a matrix. Callers build the signs by their own rule.
 
     A stack of sign rows, one per leading index, gives a stack of results:
     each row conjugates the one state ``data``, or its own matrix of a
-    stack of matrices."""
-    if data.ndim == 1:
+    stack of matrices. With ``batch``, axis 0 of ``data`` stacks states,
+    which one sign row conjugates alike."""
+    if data.ndim == 1 + batch:
         return signs * data
     return signs[..., :, None] * data * signs[..., None, :]
 
@@ -296,16 +297,35 @@ class DensityOperator:
         m = as_complex_matrix(self.matrix)
         if m.shape != (self.system.dim, self.system.dim):
             raise ValueError(f"expected a {self.system.dim}x{self.system.dim} matrix")
-        _check_hermitian(m, DEFAULT_TOL)
-        tr = m.trace()
-        if abs(tr - 1.0) >= STATE_TOL:
-            raise ValueError(f"density matrix trace is {tr}, expected 1")
+        _check_density(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _checked(cls, system: ModeSystem, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a new complex128 matrix of the system's shape that has
+        passed the finite check and ``_check_density``, as one row of a
+        checked stack, without checking or copying it again."""
+        matrix.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "system", system)
+        object.__setattr__(rho, "matrix", matrix)
+        return rho
+
 
 FockState = Union[FockVector, DensityOperator]
+
+
+def _check_density(m: np.ndarray) -> None:
+    """The checks a finite density matrix passes, on one matrix or on each
+    matrix of a stack along axis 0: Hermitian within ``DEFAULT_TOL`` and
+    unit trace within ``STATE_TOL``."""
+    _check_hermitian(m, DEFAULT_TOL)
+    tr = m.trace(axis1=-2, axis2=-1)
+    _first_failure(
+        abs(tr - 1.0) >= STATE_TOL, ValueError, lambda i: f"density matrix trace is {tr[i]}, expected 1"
+    )
 
 
 @dataclass(frozen=True)
@@ -383,13 +403,20 @@ def ssr_compliant(state: FockState) -> bool:
     entry of psi psi^dagger is its largest even amplitude times its largest
     odd one, so the density is never formed.
     """
-    par = _parity_vector(state.system.n_modes)
     if isinstance(state, FockVector):
-        size = np.abs(state.amplitudes)
-        cross = size[par == 0].max(initial=0.0) * size[par == 1].max(initial=0.0)
-    else:
-        cross = np.abs(state.matrix[par[:, None] != par[None, :]]).max(initial=0.0)
+        return bool(_ssr_compliant_amplitudes(state.amplitudes, state.system.n_modes))
+    par = _parity_vector(state.system.n_modes)
+    cross = np.abs(state.matrix[par[:, None] != par[None, :]]).max(initial=0.0)
     return bool(cross <= DEFAULT_TOL)
+
+
+def _ssr_compliant_amplitudes(amplitudes: np.ndarray, n_modes: int) -> np.ndarray:
+    """``ssr_compliant`` of a pure state's amplitudes, or of each state of a
+    stack along axis 0, one verdict per state."""
+    par = _parity_vector(n_modes)
+    size = np.abs(amplitudes)
+    cross = size[..., par == 0].max(axis=-1, initial=0.0) * size[..., par == 1].max(axis=-1, initial=0.0)
+    return cross <= DEFAULT_TOL
 
 
 def sector_indices(system: ModeSystem, sector: str) -> np.ndarray:

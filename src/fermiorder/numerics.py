@@ -1,16 +1,20 @@
 """Dense Hermitian linear algebra for small complex matrices.
 
 Everything downstream (trace norms, negativity, trace distances) takes its
-spectra from ``hermitian_eigenvalues``. That routine checks and Hermitizes
-its input and then diagonalizes it with LAPACK through ``numpy.linalg.eigh``;
-what it adds on top is the package's input contract, a fixed descending
-order, and the reconstruction residual that says how far to trust a result.
+spectra from ``_eigh``, through ``hermitian_eigenvalues`` for one matrix.
+It checks and Hermitizes its input and then diagonalizes it with LAPACK
+through ``numpy.linalg.eigh``; what it adds on top is the package's input
+contract and a fixed descending order, and ``hermitian_eigenvalues`` adds
+the reconstruction residual that says how far to trust a result. The
+checks and ``_eigh`` also take a stack of matrices along axis 0, which is
+how the route comparison evaluates many states at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,9 +46,27 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    _check_finite(m)
     return m
+
+
+def _first_failure(bad: np.ndarray, error: type, message: Callable[[Any], str]) -> None:
+    """Raise ``error(message(i))`` at the first index i where ``bad`` holds.
+
+    ``bad`` is one test result for one matrix, or one per row for a stack of
+    them along axis 0; a stack's message then leads with the row, so every
+    check below runs unchanged on one matrix or on a stack.
+    """
+    if bad.ndim == 0:
+        if bad:
+            raise error(message(()))
+    elif bad.any():
+        row = int(bad.argmax())
+        raise error(f"row {row}: {message(row)}")
+
+
+def _check_finite(m: np.ndarray) -> None:
+    _first_failure(~np.isfinite(m).all(axis=(-2, -1)), ValueError, lambda i: "matrix entries must be finite")
 
 
 def _check_eig_dim(dim: int) -> None:
@@ -54,9 +76,12 @@ def _check_eig_dim(dim: int) -> None:
 
 
 def _check_hermitian(m: np.ndarray, tol: float) -> None:
-    dev = np.abs(m - m.conj().T).max()
-    if dev >= tol:
-        raise NotHermitianError(f"max |m - m^dag| entry is {dev:.3e} (tolerance {tol:.1e})")
+    dev = np.abs(m - m.conj().mT).max(axis=(-2, -1))
+    _first_failure(
+        dev >= tol,
+        NotHermitianError,
+        lambda i: f"max |m - m^dag| entry is {dev[i]:.3e} (tolerance {tol:.1e})",
+    )
 
 
 @dataclass(frozen=True)
@@ -79,26 +104,44 @@ class EigenResult:
         return float(np.abs(self._input - (v * w) @ v.conj().T).max())
 
 
+def _eigh(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, descending, and eigenvectors of a matrix or of each
+    matrix of a stack along axis 0, checked against the dimension cap and
+    Hermitian within ``tol``, then Hermitized exactly so that LAPACK sees a
+    matrix whose upper and lower triangles agree."""
+    _check_eig_dim(m.shape[-1])
+    _check_hermitian(m, tol)
+    a = 0.5 * (m + m.conj().mT)  # exact Hermitization; deviation is < tol by the check above
+    w, v = np.linalg.eigh(a)
+    return w[..., ::-1], v[..., ::-1]  # eigh sorts ascending
+
+
 def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResult:
     """Diagonalize a Hermitian matrix with ``numpy.linalg.eigh``.
 
     The input must be square, finite and Hermitian within ``tol``; it is
-    Hermitized exactly before the call, so LAPACK sees a matrix whose upper
-    and lower triangles agree. Eigenvalues come back sorted descending. A
-    LAPACK failure surfaces as ``numpy.linalg.LinAlgError``.
+    Hermitized exactly before the call. Eigenvalues come back sorted
+    descending. A LAPACK failure surfaces as ``numpy.linalg.LinAlgError``.
     """
     m = as_complex_matrix(m)
-    _check_eig_dim(m.shape[0])
-    _check_hermitian(m, tol)
-
-    a = 0.5 * (m + m.conj().T)  # exact Hermitization; deviation is < tol by the check above
-    w, v = np.linalg.eigh(a)
-    return EigenResult(eigenvalues=w[::-1], vectors=v[:, ::-1], _input=m)  # eigh sorts ascending
+    w, v = _eigh(m, tol)
+    return EigenResult(eigenvalues=w, vectors=v, _input=m)
 
 
 def trace_norm(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Sum of |eigenvalue| over the spectrum of a Hermitian matrix."""
     return float(np.abs(hermitian_eigenvalues(m, tol=tol).eigenvalues).sum())
+
+
+def _trace_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Half the trace norm of ``x - y``, for two Hermitian matrices of equal
+    shape or two stacks of them along axis 0, one distance per row, from
+    one eigensolve of the stack."""
+    d = x - y
+    _check_finite(d)
+    # deviations of x and y from Hermiticity can add up in the difference
+    w, _ = _eigh(d, 2.0 * DEFAULT_TOL)
+    return 0.5 * np.abs(w).sum(axis=-1)
 
 
 def trace_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -109,5 +152,4 @@ def trace_distance(x: np.ndarray, y: np.ndarray) -> float:
         raise DimensionMismatchError(f"shape mismatch: {x.shape} vs {y.shape}")
     _check_hermitian(x, DEFAULT_TOL)
     _check_hermitian(y, DEFAULT_TOL)
-    # deviations of x and y from Hermiticity can add up in the difference
-    return 0.5 * trace_norm(x - y, tol=2.0 * DEFAULT_TOL)
+    return float(_trace_distances(x, y))

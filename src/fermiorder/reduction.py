@@ -19,31 +19,38 @@ orderings, every kept mode before every traced mode, are the runs with no
 traced mode in front; ``is_physical`` tests that narrower rule. The
 checker and scanner here measure the agreement, and how badly it fails
 everywhere else. Every reduction and measure reads its bipartition through
-``_bipartition_positions``, as kept and traced mode positions.
+``_bipartition_positions``, as kept and traced mode positions. The checker
+and the randomized sweep share one comparison, ``_compare_routes``, which
+takes one state or a stack of them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, permutations
+from operator import attrgetter
 from typing import Union
 
 import numpy as np
 
 from .fock import (
+    EVEN,
+    ODD,
     BipartitionSpec,
     DensityOperator,
     FockState,
     FockVector,
     ModeSystem,
     _block_partial_trace,
+    _check_density,
     _sign_conjugate,
+    _ssr_compliant_amplitudes,
     random_state,
     ssr_compliant,
 )
-from .numerics import DEFAULT_TOL, trace_distance
+from .numerics import DEFAULT_TOL, _check_eig_dim, _check_finite, _first_failure, _trace_distances
 from .ordering import (
     ModeOrdering,
     QubitState,
@@ -62,9 +69,11 @@ from .ordering import (
 #: read.
 MAX_SCAN_MODES = 8
 
-#: Bytes the ordering scan may give one stacked array, which holds a state
-#: or a dk x dk reduction per evaluated ordering.
-_SCAN_CHUNK_BYTES = 64 * 1024
+#: Bytes for stacked evaluations. The ordering scan gives one stacked array,
+#: a state or a dk x dk reduction per evaluated ordering, this much; the
+#: sweep keeps every stacked array one chunk of trials holds at once within
+#: it.
+_STACK_BYTES = 64 * 1024
 
 #: Non-representative members per precedence class that the scan recomputes
 #: to check the class is uniform.
@@ -108,6 +117,44 @@ def _bipartition_positions(
     return bp, kept, traced
 
 
+def _state_data(rho: FockState) -> np.ndarray:
+    return rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
+
+
+def _kept_system(system: ModeSystem, kept: list[int]) -> ModeSystem:
+    return ModeSystem.from_blocks([system.modes[k] for k in kept])
+
+
+def _fermionic_reduction(
+    system: ModeSystem, data: np.ndarray, kept: list[int], traced: list[int], batch: bool = False
+) -> np.ndarray:
+    """The fermionic trace of a state's amplitudes or matrix, or with
+    ``batch`` of each state of a stack along axis 0: the sign conjugation
+    of the traced-first ordering, then the block trace."""
+    labels = [system.modes[k] for k in traced + kept]
+    signs = ordering_sign_vector(system, ModeOrdering(labels))
+    return _block_partial_trace(_sign_conjugate(signs, data, batch), kept, traced, batch)
+
+
+def _qubit_reduction(
+    system: ModeSystem,
+    data: np.ndarray,
+    kept: list[int],
+    traced: list[int],
+    ordering: ModeOrdering,
+    batch: bool = False,
+) -> np.ndarray:
+    """The qubit route under ``ordering`` of a state, or with ``batch`` of
+    each state of a stack along axis 0: ``qubit_image``'s sign conjugation,
+    the block trace of ``qubit_partial_trace``, and the kept block's signs
+    of ``inverse_image_restricted``, without the objects in between."""
+    signs = ordering_sign_vector(system, ordering)
+    reduced = _block_partial_trace(_sign_conjugate(signs, data, batch), kept, traced, batch)
+    kept_system = _kept_system(system, kept)
+    inverse = ordering_sign_vector(kept_system, ordering.restricted_to(kept_system.modes))
+    return _sign_conjugate(inverse, reduced)
+
+
 def fermionic_partial_trace(
     rho: FockState, bp: Union[BipartitionSpec, None] = None
 ) -> DensityOperator:
@@ -124,11 +171,8 @@ def fermionic_partial_trace(
     trace is preserved exactly, and the result is Hermitian and positive.
     """
     _, kept, traced = _bipartition_positions(rho.system, bp)
-    labels = [rho.system.modes[k] for k in traced + kept]
-    signs = ordering_sign_vector(rho.system, ModeOrdering(labels))
-    data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
-    reduced = _block_partial_trace(_sign_conjugate(signs, data), kept, traced)
-    return DensityOperator(ModeSystem.from_blocks(labels[len(traced) :]), reduced)
+    reduced = _fermionic_reduction(rho.system, _state_data(rho), kept, traced)
+    return DensityOperator(_kept_system(rho.system, kept), reduced)
 
 
 def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) -> QubitState:
@@ -148,8 +192,58 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
 def qubit_route_reduction(
     rho: FockState, ordering: ModeOrdering, bp: Union[BipartitionSpec, None] = None
 ) -> DensityOperator:
-    """Map to qubits, trace there, and pull back to the kept fermionic block."""
+    """Map to qubits, trace there, and pull back to the kept fermionic block.
+    ``theorem_check`` computes the same matrix from the arrays alone."""
     return inverse_image_restricted(qubit_partial_trace(qubit_image(rho, ordering), bp))
+
+
+def _compare_routes(
+    system: ModeSystem,
+    data: np.ndarray,
+    kept: list[int],
+    traced: list[int],
+    ordering: ModeOrdering,
+    batch: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fermionic trace and the qubit route under ``ordering``, their
+    largest entry difference and their trace distance, for one state's
+    amplitudes or matrix, or with ``batch`` for each state of a stack along
+    axis 0, from one eigensolve of the stack.
+
+    Each check the one-state objects make runs once on the whole stack, in
+    the order they make it, and a stack's message names the first offending
+    row: the eigensolver's dimension cap, first, before anything is
+    reduced; finite state entries (``FockVector``, ``DensityOperator``);
+    each reduction finite, Hermitian within ``DEFAULT_TOL`` and of unit
+    trace within ``STATE_TOL`` (``DensityOperator``); and their difference
+    finite and Hermitian within ``2 * DEFAULT_TOL`` (``trace_distance``).
+    """
+    _check_eig_dim(1 << len(kept))
+    finite = np.isfinite(data).reshape(data.shape[:batch] + (-1,)).all(axis=-1)
+    _first_failure(~finite, ValueError, lambda i: "state entries must be finite")
+    fermionic = _fermionic_reduction(system, data, kept, traced, batch)
+    qubit_side = _qubit_reduction(system, data, kept, traced, ordering, batch)
+    for reduced in (fermionic, qubit_side):
+        _check_finite(reduced)
+        _check_density(reduced)
+    diff = np.abs(fermionic - qubit_side).max(axis=(-2, -1))
+    return fermionic, qubit_side, diff, _trace_distances(fermionic, qubit_side)
+
+
+def _check_physical(
+    system: ModeSystem, kept: list[int], traced: list[int], ordering: ModeOrdering, force: bool
+) -> bool:
+    """Whether ``ordering`` lists every kept mode before every traced one;
+    an ordering that does not is refused unless ``force`` is set."""
+    modes = system.modes
+    split = ModeSystem.from_blocks([modes[k] for k in kept], [modes[k] for k in traced])
+    physical = is_physical(ordering, split)
+    if not physical and not force:
+        raise NonPhysicalOrderingError(
+            f"ordering {ordering} interleaves kept and traced modes; "
+            "pass force=True to compare the routes anyway"
+        )
+    return physical
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,31 +283,28 @@ def theorem_check(
 ) -> TheoremReport:
     """Compare the fermionic trace against the qubit route for one ordering.
 
-    Orderings that interleave kept and traced modes are outside the
-    equivalence statement and are rejected unless ``force`` is set, which
-    is how the disagreement examples are produced on purpose.
+    This is the one-state case of the stacked comparison that
+    ``theorem_sweep`` runs, with the same checks: the bipartition is read
+    once, both routes are reduced from the state's arrays, and the
+    reductions, their difference and its eigensolve are checked as
+    ``_compare_routes`` lists. Orderings that interleave kept and traced
+    modes are outside the equivalence statement and are rejected unless
+    ``force`` is set, which is how the disagreement examples are produced
+    on purpose.
     """
-    bp, kept, traced = _bipartition_positions(rho.system, bp)
-    modes = rho.system.modes
-    split = ModeSystem.from_blocks([modes[k] for k in kept], [modes[k] for k in traced])
-    physical = is_physical(ordering, split)
-    if not physical and not force:
-        raise NonPhysicalOrderingError(
-            f"ordering {ordering} interleaves kept and traced modes; "
-            "pass force=True to compare the routes anyway"
-        )
-    fermionic = fermionic_partial_trace(rho, bp)
-    qubit_side = qubit_route_reduction(rho, ordering, bp)
-    diff = float(np.abs(fermionic.matrix - qubit_side.matrix).max())
-    dist = trace_distance(fermionic.matrix, qubit_side.matrix)
+    system = rho.system
+    _, kept, traced = _bipartition_positions(system, bp)
+    physical = _check_physical(system, kept, traced, ordering, force)
+    fermionic, qubit_side, diff, dist = _compare_routes(system, _state_data(rho), kept, traced, ordering)
+    kept_system = _kept_system(system, kept)
     return TheoremReport(
         ordering=ordering,
-        max_entry_diff=diff,
-        trace_distance=dist,
+        max_entry_diff=float(diff),
+        trace_distance=float(dist),
         ssr_compliant=ssr_compliant(rho),
         physical=physical,
-        fermionic=fermionic,
-        qubit_route=qubit_side,
+        fermionic=DensityOperator._checked(kept_system, fermionic),
+        qubit_route=DensityOperator._checked(kept_system, qubit_side),
         tol=tol,
     )
 
@@ -270,7 +361,7 @@ def ordering_scan(
     ``SCAN_VERIFY_SAMPLES`` other members picked by one draw of random
     keys, which must agree to the bit. These evaluations run stacked, whole
     groups at a time, in chunks whose largest stacked array stays within
-    ``_SCAN_CHUNK_BYTES`` unless one group alone is larger. Groups are then
+    ``_STACK_BYTES`` unless one group alone is larger. Groups are then
     merged whenever they land on the identical reduced matrix, and each
     final class is compared against the fermionic trace. Classes are
     returned largest first, ties broken by representative labels. For a
@@ -309,7 +400,7 @@ def ordering_scan(
     names = np.array(system.modes)
     kept_system = ModeSystem.from_blocks(names[kept].tolist())
     group_bytes = data.itemsize * max(data.size, kept_system.dim**2) * (1 + SCAN_VERIFY_SAMPLES)
-    per_chunk = max(1, _SCAN_CHUNK_BYTES // group_bytes)
+    per_chunk = max(1, _STACK_BYTES // group_bytes)
     classes: dict[bytes, int] = {}
     reduced_ops = []
     group_class = np.empty(len(first), dtype=np.int64)
@@ -379,7 +470,11 @@ class SweepRow:
     ssr: bool
 
     def as_record(self) -> dict:
-        return dict(zip(SWEEP_COLUMNS, astuple(self)))
+        return dict(zip(SWEEP_COLUMNS, _row_values(self)))
+
+
+# the fields in order, read without the deep copy ``dataclasses.astuple`` makes
+_row_values = attrgetter(*(f.name for f in fields(SweepRow)))
 
 
 @dataclass(frozen=True)
@@ -406,7 +501,7 @@ class SweepResult:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         # csv writes floats as their repr, the shortest round-tripping form
-        writer.writerows(astuple(r) for r in self.rows)
+        writer.writerows(map(_row_values, self.rows))
         return buf.getvalue()
 
 
@@ -427,31 +522,41 @@ def theorem_sweep(
 ) -> SweepResult:
     """Run the route comparison over random superselected states.
 
-    Each trial draws a random pure state in one parity sector and checks
-    the two routes on it, without forming its density, under the canonical
-    kept-before-traced ordering. ``trials`` states are drawn in the even
-    sector, then ``trials`` in the odd one; trial seeds are ``seed + i`` in
-    that order, so a reported seed reproduces its state directly.
+    Each trial draws a random pure state in one parity sector, and the two
+    routes are compared on it, without forming its density, under the
+    canonical kept-before-traced ordering. ``trials`` states are drawn in
+    the even sector, then ``trials`` in the odd one; trial seeds are
+    ``seed + i`` in that order, so a reported seed reproduces its state
+    directly. The trials are not checked one by one: their amplitudes are
+    stacked and compared in one evaluation of ``_compare_routes`` per
+    chunk, each chunk as many trials as keep the stacked arrays it holds at
+    once within ``_STACK_BYTES``, the budget the ordering scan also keeps,
+    and at least one; at 14 modes that is one trial. Every check
+    ``theorem_check`` makes runs on each chunk, a failure naming the first
+    offending row of its chunk, and every row equals the ``theorem_check``
+    of its state, to the bit.
     """
     system = sweep_system(n, m)
     ordering = ModeOrdering.canonical(system)
+    _, kept, traced = _bipartition_positions(system, None)
+    # the canonical ordering lists the kept block first; checked all the same
+    _check_physical(system, kept, traced, ordering, force=False)
+    label = str(ordering)
+    # a trial's largest array, its state or its reduction, is this many
+    # complex128 bytes, and a chunk's comparison holds up to eight arrays
+    # of that size per trial at once (tracemalloc: 5 to 8)
+    state_bytes = 16 * max(system.dim, 1 << 2 * n)
+    per_chunk = max(1, _STACK_BYTES // (8 * state_bytes))
     rows = []
-    offset = 0
-    for sector in ("even", "odd"):
-        for t in range(trials):
-            state_seed = seed + offset + t
-            state = random_state(system, sector=sector, seed=state_seed)
-            report = theorem_check(state, ordering, tol=tol)
-            rows.append(
-                SweepRow(
-                    seed=state_seed,
-                    n=n,
-                    m=m,
-                    ordering=str(ordering),
-                    max_entry_diff=report.max_entry_diff,
-                    trace_distance=report.trace_distance,
-                    ssr=report.ssr_compliant,
-                )
-            )
-        offset += trials
+    for start in range(0, 2 * trials, per_chunk):
+        seeds = range(seed + start, seed + min(start + per_chunk, 2 * trials))
+        amplitudes = np.stack(
+            [random_state(system, EVEN if s < seed + trials else ODD, s).amplitudes for s in seeds]
+        )
+        _, _, diff, dist = _compare_routes(system, amplitudes, kept, traced, ordering, batch=True)
+        ssr = _ssr_compliant_amplitudes(amplitudes, system.n_modes)
+        rows += [
+            SweepRow(s, n, m, label, d, t, c)
+            for s, d, t, c in zip(seeds, diff.tolist(), dist.tolist(), ssr.tolist())
+        ]
     return SweepResult(rows=tuple(rows), tol=tol)

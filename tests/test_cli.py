@@ -288,23 +288,24 @@ def test_unknown_mode_label_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("command", ["ordering-scan", "negativity"])
 def test_state_json_with_other_modes_is_a_mode_mismatch(tmp_path, capsys, command):
-    """A state file with fewer modes than --kept/--traced is reported as a
-    mode mismatch in the subcommand's usage, not as an error about a
-    parameter the user never set."""
+    """A state file with fewer modes than the command's system is reported
+    as a mode mismatch in the subcommand's usage, naming the option that
+    set the system, not a parameter the user never set."""
     path = tmp_path / "one.json"
     path.write_text('{"modes": ["a"], "amplitudes": {"1": [1.0, 0.0]}}', encoding="utf-8")
-    argv = [command, "--kept", "a,b", "--traced", "c", "--state-json", str(path)]
-    if command == "negativity":
-        argv += ["--ordering", "a,b,c"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage: fermiorder {command}")
-    assert err.endswith(
-        f"fermiorder {command}: error: state file modes ('a',) do not match "
-        "--kept/--traced ('a', 'b', 'c')\n"
-    )
+    for system_args, named in (
+        (["--kept", "a,b", "--traced", "c"], "--kept/--traced ('a', 'b', 'c')"),
+        (["--modes", "2,1"], "--modes ('a1', 'a2', 'c1')"),
+    ):
+        argv = [command, *system_args, "--state-json", str(path)]
+        if command == "negativity":
+            argv += ["--ordering", "a,b,c"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fermiorder {command}")
+        assert err.endswith(f"fermiorder {command}: error: state file modes ('a',) do not match {named}\n")
 
 
 def test_deeply_nested_state_json_is_usage_error(tmp_path, capsys):

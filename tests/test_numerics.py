@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from fermiorder.numerics import (
     DimensionMismatchError,
     NotHermitianError,
+    _check_finite,
+    _check_hermitian,
+    _trace_distances,
     hermitian_eigenvalues,
     trace_distance,
     trace_norm,
@@ -146,3 +149,31 @@ def test_trace_distance_symmetry(seed):
     x = random_hermitian(4, rng)
     y = random_hermitian(4, rng)
     assert abs(trace_distance(x, y) - trace_distance(y, x)) < 1e-12
+
+
+def test_stacked_trace_distances_equal_one_pair_at_a_time():
+    """One eigensolve of a stack gives each pair's ``trace_distance`` to the
+    bit, at dimensions where the sum of the spectrum takes the unrolled path."""
+    rng = np.random.default_rng(31)
+    for dim in (2, 8, 16, 64):
+        x = np.stack([random_density(dim, 3, rng) for _ in range(5)])
+        y = np.stack([random_density(dim, 2, rng) for _ in range(5)])
+        stacked = _trace_distances(x, y).tolist()
+        assert stacked == [trace_distance(a, b) for a, b in zip(x, y)]
+
+
+def test_stacked_checks_name_the_first_offending_row():
+    """A check on a stack raises the one-matrix exception for the first row
+    that fails it, its message led by that row."""
+    rng = np.random.default_rng(32)
+    stack = np.stack([random_hermitian(4, rng) for _ in range(4)])
+    stack[2, 0, 1] += 1e-6
+    stack[3, 1, 0] += 1e-6
+    with pytest.raises(NotHermitianError) as one:
+        _check_hermitian(stack[2], tol)
+    with pytest.raises(NotHermitianError) as stacked:
+        _check_hermitian(stack, tol)
+    assert str(stacked.value) == f"row 2: {one.value}"
+    stack[1, 3, 3] = np.inf
+    with pytest.raises(ValueError, match=r"^row 1: matrix entries must be finite$"):
+        _check_finite(stack)

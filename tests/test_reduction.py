@@ -17,13 +17,26 @@ from fermiorder.fock import (
     ssr_compliant,
 )
 from fermiorder.entanglement import negativity, partial_transpose, ppt_separable
-from fermiorder.numerics import hermitian_eigenvalues
+from fermiorder.numerics import (
+    DimensionMismatchError,
+    NotHermitianError,
+    hermitian_eigenvalues,
+    trace_distance,
+)
 from fermiorder import ordering as ordering_module
 from fermiorder import reduction
-from fermiorder.ordering import ModeOrdering, _inversion_signs, is_physical, qubit_image
+from fermiorder.ordering import (
+    ModeOrdering,
+    _inversion_signs,
+    inverse_image_restricted,
+    is_physical,
+    qubit_image,
+)
 from fermiorder.reduction import (
     InvalidBipartitionError,
     NonPhysicalOrderingError,
+    SweepResult,
+    SweepRow,
     SystemTooLargeError,
     fermionic_partial_trace,
     qubit_partial_trace,
@@ -691,7 +704,7 @@ def test_scan_chunk_size_does_not_change_results(monkeypatch):
         for given in (state, state.to_density()):
             default = _scan_record(ordering_scan(given, bp))
             with monkeypatch.context() as patched:
-                patched.setattr(reduction, "_SCAN_CHUNK_BYTES", 1)
+                patched.setattr(reduction, "_STACK_BYTES", 1)
                 assert _scan_record(ordering_scan(given, bp)) == default
 
 
@@ -707,7 +720,7 @@ def test_scan_uniformity_check_fires(monkeypatch):
             signs[-1, 1] *= -1
         return signs
 
-    monkeypatch.setattr(reduction, "_SCAN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(reduction, "_STACK_BYTES", 1)
     monkeypatch.setattr(reduction, "_inversion_signs", one_flip)
     with pytest.raises(AssertionError, match="is not uniform"):
         ordering_scan(state)
@@ -812,3 +825,174 @@ def test_sweep_rows_and_determinism():
     assert first.rows[0].seed == 3
     header = first.to_csv().splitlines()[0]
     assert header == "seed,n,m,ordering,maxEntryDiff,traceDistance,ssr"
+
+
+def _per_trial_sweep(n, m, trials, seed):
+    """The sweep as one ``theorem_check`` per trial, its rows built by hand."""
+    system = sweep_system(n, m)
+    ordering = ModeOrdering.canonical(system)
+    rows = []
+    for i in range(2 * trials):
+        state = random_state(system, sector="even" if i < trials else "odd", seed=seed + i)
+        report = theorem_check(state, ordering)
+        diff, dist, ssr = report.max_entry_diff, report.trace_distance, report.ssr_compliant
+        rows.append(SweepRow(seed + i, n, m, str(ordering), diff, dist, ssr))
+    return SweepResult(rows=tuple(rows), tol=tol)
+
+
+def _sweep_bytes(result):
+    """The CSV and the JSON records, whose floats are written as their repr."""
+    return result.to_csv(), repr([r.as_record() for r in result.rows])
+
+
+#: (n, m) splits covering 1 to 7 modes in total.
+SWEEP_SPLITS = [(1, 0), (1, 1), (2, 1), (1, 3), (3, 1), (2, 3), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 8000], ids=["default", "one-per-chunk", "uneven-chunks"])
+def test_sweep_rows_equal_per_trial_checks(monkeypatch, budget):
+    """The stacked sweep gives, byte for byte, the rows of one
+    ``theorem_check`` per trial, and never calls ``theorem_check``. Its
+    stacks hold, row by row, the states those checks draw. A budget of 1
+    byte makes every trial its own chunk; 8000 bytes gives chunks that
+    straddle the sector boundary at the small splits."""
+    expected = {
+        (n, m, seed): _sweep_bytes(_per_trial_sweep(n, m, 5, seed))
+        for n, m in SWEEP_SPLITS
+        for seed in (0, 11)
+    }
+    stacks = []
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("the sweep checked a trial on its own")
+
+    def spy(system, data, *args, **kwargs):
+        stacks.append(data)
+        return compare(system, data, *args, **kwargs)
+
+    compare = reduction._compare_routes
+    monkeypatch.setattr(reduction, "theorem_check", no_check)
+    monkeypatch.setattr(reduction, "_compare_routes", spy)
+    if budget is not None:
+        monkeypatch.setattr(reduction, "_STACK_BYTES", budget)
+    for (n, m, seed), want in expected.items():
+        stacks.clear()
+        assert _sweep_bytes(theorem_sweep(n, m, trials=5, seed=seed)) == want
+        system = sweep_system(n, m)
+        sectors = ["even"] * 5 + ["odd"] * 5
+        drawn = [random_state(system, sector=sector, seed=seed + i) for i, sector in enumerate(sectors)]
+        assert np.array_equal(np.concatenate(stacks), [state.amplitudes for state in drawn])
+        if budget == 1:
+            assert len(stacks) == 10
+        if budget == 8000 and (n, m) == (2, 1):
+            assert [len(stack) for stack in stacks] == [3, 3, 3, 1]
+
+
+def test_stacked_comparison_equals_one_state_at_a_time():
+    """``_compare_routes`` on a stack gives, row by row and bit for bit,
+    the ``theorem_check`` fields of each state: pure and rank-3 rows, kept
+    sets that are not first, and orderings forced where the routes differ."""
+    rng = np.random.default_rng(2028)
+    for n_modes in range(2, 7):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        bp = _split_not_first(rng, system)
+        _, kept, traced = reduction._bipartition_positions(system, bp)
+        seeds = rng.integers(1 << 30, size=4).tolist()
+        pure = np.stack([random_state(system, sector="any", seed=s).amplitudes for s in seeds])
+        mixed = np.stack([random_density(system.dim, 3, rng) for _ in range(4)])
+        for stack, wrap in ((pure, FockVector), (mixed, DensityOperator)):
+            o = ModeOrdering(tuple(str(x) for x in rng.permutation(system.modes)))
+            compared = reduction._compare_routes(system, stack, kept, traced, o, batch=True)
+            fermionic, qubit_side, diff, dist = compared
+            for row in range(len(stack)):
+                report = theorem_check(wrap(system, stack[row]), o, bp, force=True)
+                assert fermionic[row].tobytes() == report.fermionic.matrix.tobytes()
+                assert qubit_side[row].tobytes() == report.qubit_route.matrix.tobytes()
+                assert (diff[row], dist[row]) == (report.max_entry_diff, report.trace_distance)
+
+
+def test_theorem_check_fields_equal_the_public_routes():
+    """Each ``theorem_check`` field equals what the public calls give: the
+    fermionic trace, the three-step qubit composition (also equal to
+    ``qubit_route_reduction``), their entry difference and ``trace_distance``,
+    bit for bit, on pure and rank-3 inputs, kept sets that are not first,
+    and random orderings, non-physical ones forced."""
+    rng = np.random.default_rng(2027)
+    seen_physical = set()
+    for n_modes in range(2, 8):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for sector in ("even", "odd", "any"):
+            bp = _split_not_first(rng, system)
+            split = ModeSystem.from_blocks(bp.kept, bp.traced)
+            state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+            mixed = DensityOperator(system, random_density(system.dim, 3, rng))
+            orderings = [ModeOrdering(bp.kept + bp.traced)]
+            orderings += [ModeOrdering(tuple(str(x) for x in rng.permutation(system.modes))) for _ in range(3)]
+            for given in (state, mixed):
+                for o in orderings:
+                    report = theorem_check(given, o, bp, force=True)
+                    fermionic = fermionic_partial_trace(given, bp).matrix
+                    composed = inverse_image_restricted(qubit_partial_trace(qubit_image(given, o), bp)).matrix
+                    assert report.fermionic.matrix.tobytes() == fermionic.tobytes()
+                    assert report.qubit_route.matrix.tobytes() == composed.tobytes()
+                    assert qubit_route_reduction(given, o, bp).matrix.tobytes() == composed.tobytes()
+                    assert report.max_entry_diff == float(np.abs(fermionic - composed).max())
+                    assert report.trace_distance == trace_distance(fermionic, composed)
+                    assert report.ssr_compliant == ssr_compliant(given)
+                    assert report.physical == is_physical(o, split)
+                    seen_physical.add(report.physical)
+    assert seen_physical == {True, False}
+
+
+def _sweep_stack(rows):
+    system = sweep_system(2, 2)
+    amplitudes = np.stack([random_state(system, sector="even", seed=s).amplitudes for s in range(rows)])
+    return system, amplitudes, [0, 1], [2, 3], ModeOrdering.canonical(system)
+
+
+def test_stacked_check_names_the_row_the_per_trial_path_refuses():
+    """A row that fails a check raises the exception the per-trial path
+    raises for that state, its message led by the row."""
+    system, amplitudes, kept, traced, ordering = _sweep_stack(5)
+    amplitudes[3] *= 2.0
+    with pytest.raises(ValueError) as per_trial:
+        theorem_check(FockVector(system, amplitudes[3]), ordering)
+    with pytest.raises(type(per_trial.value)) as stacked:
+        reduction._compare_routes(system, amplitudes, kept, traced, ordering, batch=True)
+    assert type(stacked.value) is type(per_trial.value)
+    assert str(stacked.value) == f"row 3: {per_trial.value}"
+    assert str(per_trial.value).startswith("density matrix trace is")
+
+    amplitudes[3] /= 2.0
+    amplitudes[1, 5] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        FockVector(system, amplitudes[1])
+    with pytest.raises(ValueError, match=r"^row 1: state entries must be finite$"):
+        reduction._compare_routes(system, amplitudes, kept, traced, ordering, batch=True)
+
+
+def test_stacked_check_of_mixed_rows_names_the_non_hermitian_row():
+    """A stack of matrices is checked like a stack of amplitudes: the row
+    whose reductions are not Hermitian raises ``NotHermitianError``, as the
+    ``DensityOperator`` of that matrix does."""
+    system, amplitudes, kept, traced, ordering = _sweep_stack(3)
+    rhos = np.einsum("bi,bj->bij", amplitudes, amplitudes.conj())
+    rhos[2, 0, 4] += 1e-3  # kept 00 vs 01 over traced 00, which the trace keeps
+    with pytest.raises(NotHermitianError):
+        DensityOperator(system, rhos[2])
+    with pytest.raises(NotHermitianError, match=r"^row 2: max \|m - m\^dag\| entry"):
+        reduction._compare_routes(system, rhos, kept, traced, ordering, batch=True)
+
+
+def test_sweep_refuses_a_kept_block_above_the_eigensolver_cap_before_reducing(monkeypatch):
+    """At 13 kept modes the trace distance would need an 8192-dimensional
+    eigensolve; the sweep refuses with the eigensolver's own error before
+    anything is reduced, instead of after forming two 1 GiB reductions."""
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("a state was reduced")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(reduction, "_fermionic_reduction", no_reduction)
+        with pytest.raises(DimensionMismatchError, match="^dimension 8192 exceeds eigensolver cap 4096$"):
+            theorem_sweep(13, 1, trials=1)
