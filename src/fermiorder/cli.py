@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -330,6 +331,8 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
     given.add_argument("--state-json", help="path to a JSON state file")
 
 
+# built once per process: parsing leaves the parser as it was
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermiorder",

@@ -440,7 +440,7 @@ def random_state(system: ModeSystem, sector: str = ANY_SECTOR, seed: int = 0) ->
     support = sector_indices(system, sector)
     amps = np.zeros(system.dim, dtype=np.complex128)
     amps[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
-    return FockVector(system, amps).normalized()
+    return FockVector(system, amps / float(np.linalg.norm(amps)))
 
 
 def state_from_terms(

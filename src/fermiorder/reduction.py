@@ -72,8 +72,12 @@ MAX_SCAN_MODES = 8
 #: Bytes for stacked evaluations. The ordering scan gives one stacked array,
 #: a state or a dk x dk reduction per evaluated ordering, this much; the
 #: sweep keeps every stacked array one chunk of trials holds at once within
-#: it.
-_STACK_BYTES = 64 * 1024
+#: it. 256 KiB is the knee of a sweep from 64 KiB to 1 MiB on a 2-core
+#: machine (``BENCH_14.json``): below it the scan spends its time on
+#: per-chunk work, and it is the largest budget at which the (4,4) scan's
+#: tracemalloc peak (19.0 MiB) stays below that of the 64 KiB scan that
+#: checked each class on its own (19.5 MiB); 512 KiB peaks at 20.3 MiB.
+_STACK_BYTES = 256 * 1024
 
 #: Non-representative members per precedence class that the scan recomputes
 #: to check the class is uniform.
@@ -362,8 +366,10 @@ def ordering_scan(
     keys, which must agree to the bit. These evaluations run stacked, whole
     groups at a time, in chunks whose largest stacked array stays within
     ``_STACK_BYTES`` unless one group alone is larger. Groups are then
-    merged whenever they land on the identical reduced matrix, and each
-    final class is compared against the fermionic trace. Classes are
+    merged whenever they land on the identical reduced matrix. The matrices
+    of the classes a chunk opens are checked per chunk as one stack, with
+    the checks ``DensityOperator`` makes, and compared against the
+    fermionic trace in one array operation. Classes are
     returned largest first, ties broken by representative labels. For a
     superselected state, every ordering that keeps the kept modes
     contiguous lands in the one class that matches the fermionic trace
@@ -402,7 +408,7 @@ def ordering_scan(
     group_bytes = data.itemsize * max(data.size, kept_system.dim**2) * (1 + SCAN_VERIFY_SAMPLES)
     per_chunk = max(1, _STACK_BYTES // group_bytes)
     classes: dict[bytes, int] = {}
-    reduced_ops = []
+    reduced_ops, diffs = [], []
     group_class = np.empty(len(first), dtype=np.int64)
     for g in range(0, len(first), per_chunk):
         end = min(g + per_chunk, len(first))
@@ -422,13 +428,28 @@ def ordering_scan(
         # adding 0.0 flushes negative zeros left behind by sign flips,
         # which would otherwise split byte-identical classes
         flushed = (reduced[bounds[g:end] - lo] + 0.0).reshape(end - g, -1)
-        for h, key in enumerate(flushed.view(f"V{flushed[0].nbytes}").ravel().tolist(), g):
-            # a key seen for the first time opens a class, which keeps the
-            # group's own matrix, negative zeros and all
-            group_class[h] = classes.setdefault(key, len(classes))
-            if group_class[h] == len(reduced_ops):
-                reduced_ops.append(DensityOperator(kept_system, reduced[bounds[h] - lo]))
+        # a key seen for the first time opens a class, which keeps the matrix
+        # of the group that opened it, negative zeros and all
+        opened = len(classes)
+        chunk_class = [
+            classes.setdefault(key, len(classes))
+            for key in flushed.view(f"V{flushed[0].nbytes}").ravel().tolist()
+        ]
+        group_class[g:end] = chunk_class
+        if len(classes) == opened:
+            continue
+        # the chunk's new class matrices are checked as one stack, with the
+        # checks ``DensityOperator`` makes, and each row is wrapped as it is
+        openers = [g + chunk_class.index(c) for c in range(opened, len(classes))]
+        matrices = reduced[bounds[openers] - lo]
+        _check_finite(matrices)
+        _check_density(matrices)
+        diffs += np.abs(matrices - fermionic.matrix).max(axis=(1, 2)).tolist()
+        reduced_ops += [DensityOperator._checked(kept_system, m) for m in matrices]
 
+    # the merge keys hold a second copy of every class matrix; freed here,
+    # they do not add to the peak of the steps below
+    del classes
     # each class lists its groups in order of first appearance, each group
     # in permutation order
     perm_class = group_class[group]
@@ -436,7 +457,7 @@ def ordering_scan(
     ordered.setflags(write=False)
     result = []
     for c, rows in enumerate(np.split(ordered, np.cumsum(np.bincount(perm_class))[:-1])):
-        diff = float(np.abs(reduced_ops[c].matrix - fermionic.matrix).max())
+        diff = diffs[c]
         result.append(
             OrderingClass(
                 representative=ModeOrdering(tuple(names[rows[0]].tolist())),

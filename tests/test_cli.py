@@ -333,6 +333,32 @@ def test_late_usage_errors_print_the_subcommand_usage(capsys, argv):
     assert capsys.readouterr().err.startswith(f"usage: fermiorder {argv[0]} ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ordering-scan", "--kept", "a"],
+        ["theorem-sweep", "--modes", "0,2"],
+        ["negativity", "--kept", "a", "--traced", "b", "--ordering", "a,b"],
+        ["no-such-command"],
+    ],
+    ids=["late-scan", "argparse-sweep", "late-negativity", "unknown-command"],
+)
+def test_usage_errors_after_a_command_match_a_fresh_process(capsys, monkeypatch, argv):
+    """The parser is built once per process and reused. A usage error
+    raised after a successful command in the same process prints what a
+    fresh process prints, with the same exit code."""
+    monkeypatch.delenv("FERMIORDER_TOL", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = run_cli(*argv)
+    assert main(["ordering-scan", "--modes", "2,1", "--seed", "1"]) == 0
+    assert _build_parser() is _build_parser()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == fresh.returncode == 2
+    assert capsys.readouterr() == ("", fresh.stderr)
+
+
 _COEFFICIENTS = st.sampled_from(["1", "-0.5", "0.3j", "1+2j", "0", "1e400", "nan", "x", ""])
 _OPERATORS = st.sampled_from(["a+", "b+", "a-", "b-", "c+", "c-", "+", "-", ":", "a", "1"])
 _INLINE_STATES = st.lists(

@@ -287,6 +287,23 @@ def test_random_state_sector_support():
     assert abs(odd.norm() - 1.0) < tol
 
 
+def test_random_state_draws_the_two_step_amplitudes():
+    """One ``FockVector`` per draw holds, byte for byte, the amplitudes of
+    the raw Gaussian vector wrapped and then ``normalized()``, for every
+    sector at 1-10 modes and 20 seeds."""
+    for n in range(1, 11):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n)), a_count=n)
+        for sector in ("even", "odd", "any"):
+            support = sector_indices(system, sector)
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                amps = np.zeros(system.dim, dtype=np.complex128)
+                amps[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+                two_step = FockVector(system, amps).normalized()
+                drawn = random_state(system, sector=sector, seed=seed)
+                assert drawn.amplitudes.tobytes() == two_step.amplitudes.tobytes()
+
+
 # --- serialization -------------------------------------------------------------
 
 

@@ -64,3 +64,12 @@ def test_output_file_matches_golden(name, capsys, monkeypatch, tmp_path):
     assert main([*CASES[name], "--output", str(target)]) == 0
     assert capsys.readouterr() == ("", "")
     assert target.read_bytes() == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+def test_reports_match_golden_back_to_back(capsys, monkeypatch):
+    """Every pinned report still matches when all the commands run one after
+    another in one process, twice over, on the one parser it builds."""
+    monkeypatch.delenv("FERMIORDER_TOL", raising=False)
+    for name in sorted(CASES) * 2:
+        assert main(list(CASES[name])) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")

@@ -695,17 +695,73 @@ def test_walsh_hadamard_oracle_matches_qubit_route():
 
 
 def test_scan_chunk_size_does_not_change_results(monkeypatch):
-    """A byte budget of one group per chunk gives the same scan, to the bit."""
+    """A byte budget of one group per chunk, and one of 16 MiB that holds a
+    pure state's whole scan in one chunk, give the same scan, to the bit."""
     rng = np.random.default_rng(2021)
     system = ModeSystem(tuple(f"m{k}" for k in range(6)), a_count=6)
+    chunks = []
+
+    def counting(data, kept, traced, batch=False):
+        chunks.append(batch)
+        return block_trace(data, kept, traced, batch)
+
+    block_trace = reduction._block_partial_trace
     for sector in ("even", "any"):
         bp = _split_not_first(rng, system)
         state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
         for given in (state, state.to_density()):
             default = _scan_record(ordering_scan(given, bp))
+            for budget in (1, 16 << 20):
+                chunks.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(reduction, "_STACK_BYTES", budget)
+                    patched.setattr(reduction, "_block_partial_trace", counting)
+                    assert _scan_record(ordering_scan(given, bp)) == default
+                if budget > 1 and given is state:
+                    assert chunks.count(True) == 1
+
+
+def test_scan_constructs_only_the_fermionic_reference(monkeypatch):
+    """Whatever its size, a scan runs ``DensityOperator.__post_init__`` once,
+    for the fermionic trace it compares against; each class's matrix is
+    checked as a row of its chunk's stack and wrapped as it is."""
+    rng = np.random.default_rng(2029)
+    constructed = []
+    post_init = DensityOperator.__post_init__
+
+    def counting(self):
+        constructed.append(self.system.dim)
+        post_init(self)
+
+    for n_modes in range(2, 8):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        bp = _split_not_first(rng, system)
+        state = random_state(system, sector="any", seed=int(rng.integers(1 << 30)))
+        for given in (state, state.to_density()) if n_modes < 7 else (state,):
+            constructed.clear()
             with monkeypatch.context() as patched:
-                patched.setattr(reduction, "_STACK_BYTES", 1)
-                assert _scan_record(ordering_scan(given, bp)) == default
+                patched.setattr(DensityOperator, "__post_init__", counting)
+                classes = reduction.ordering_scan(given, bp)
+            assert len(classes) > 1
+            assert constructed == [1 << len(bp.kept)]
+
+
+def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
+    """A stacked reduction scaled off unit trace fails the density check
+    that the scan runs on each chunk's class matrices."""
+    system = sweep_system(2, 2)
+    state = random_state(system, sector="any", seed=3)
+    block_trace = reduction._block_partial_trace
+
+    def scaled(data, kept, traced, batch=False):
+        reduced = block_trace(data, kept, traced, batch)
+        return 1.5 * reduced if batch else reduced
+
+    monkeypatch.setattr(reduction, "_block_partial_trace", scaled)
+    for budget in (1, reduction._STACK_BYTES):
+        monkeypatch.setattr(reduction, "_STACK_BYTES", budget)
+        with pytest.raises(ValueError, match="density matrix trace is"):
+            reduction.ordering_scan(state)
 
 
 def test_scan_uniformity_check_fires(monkeypatch):

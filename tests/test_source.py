@@ -154,3 +154,23 @@ def test_one_bipartition_resolver():
                 offending.append(f"{name}:{node.lineno} .{node.func.attr}(")
     assert resolver_checks == 1
     assert not offending, f"bipartition read outside {RESOLVER}: {offending}"
+
+
+def test_scan_wraps_class_matrices_without_the_constructor():
+    """``reduction.ordering_scan`` never calls ``DensityOperator(...)``:
+    its class matrices are checked as a stack and wrapped by
+    ``DensityOperator._checked``, so the per-class constructor, which checks
+    and copies each matrix again, cannot come back unnoticed."""
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    scan = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "ordering_scan"
+    )
+    calls = [node.func for node in ast.walk(scan) if isinstance(node, ast.Call)]
+    constructed = [f.lineno for f in calls if isinstance(f, ast.Name) and f.id == "DensityOperator"]
+    wrapped = [
+        f.attr
+        for f in calls
+        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "DensityOperator"
+    ]
+    assert not constructed, f"ordering_scan constructs DensityOperator at lines {constructed}"
+    assert wrapped == ["_checked"]
