@@ -24,7 +24,8 @@ from .fock import (
     FockVector,
     ModeSystem,
     OperatorString,
-    _block_partial_trace,
+    _hermitized_outer,
+    _kept_traced_view,
     from_operator_string,
 )
 from .numerics import DEFAULT_TOL, STATE_TOL, _check_eig_dim, hermitian_eigenvalues, trace_norm
@@ -100,10 +101,7 @@ def _as_qubit_matrix(
     tr = np.vdot(state.data, state.data) if state.is_pure else state.data.trace()
     if abs(tr - 1.0) >= STATE_TOL:
         raise ValueError(f"qubit state trace is {tr}, expected 1")
-    matrix = state.data
-    if state.is_pure:
-        matrix = np.outer(matrix, matrix.conj())
-        matrix = 0.5 * (matrix + matrix.conj().T)
+    matrix = _hermitized_outer(state.data) if state.is_pure else state.data
     return matrix, state.system, state.ordering
 
 
@@ -170,8 +168,9 @@ def ppt_separable(
     """
     matrix, system, _ = _as_qubit_matrix(state, ordering)
     _, kept, traced = _bipartition_positions(system, bp)
-    rank_kept = _support_rank(_block_partial_trace(matrix, kept, traced))
-    rank_traced = _support_rank(_block_partial_trace(matrix, traced, kept))
+    view = _kept_traced_view(matrix, kept, traced)
+    rank_kept = _support_rank(np.einsum("ajbj->ab", view))
+    rank_traced = _support_rank(np.einsum("jajb->ab", view))
     low, high = sorted((rank_kept, rank_traced))
     if low > 2 or high > 3:
         raise UnsupportedDimensionsError(

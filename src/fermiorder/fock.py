@@ -174,29 +174,54 @@ def _sign_conjugate(signs: np.ndarray, data: np.ndarray, batch: bool = False) ->
     return signs[..., :, None] * data * signs[..., None, :]
 
 
-def _block_partial_trace(
+def _kept_traced_view(
     data: np.ndarray, kept: Sequence[int], traced: Sequence[int], batch: bool = False
 ) -> np.ndarray:
-    """Sum a mode-indexed vector psi or matrix rho over the occupations of
-    the modes at the ``traced`` positions, keeping those at ``kept``.
+    """A mode-indexed vector psi as dk x dt, or matrix rho as dk x dt x dk x
+    dt, with the modes at the ``kept`` positions first, in the order
+    ``kept`` lists them, and those at ``traced`` after them.
 
-    Mode k is axis k of the ``[2] * N`` reshape; the kept modes stay in the
-    order ``kept`` lists them. psi is reshaped to dk x dt and reduced as an
-    exactly Hermitized psi psi^dag, never forming its 2^N x 2^N density. No
-    signs are applied: callers conjugate the state by their own sign rule
-    first. With ``batch``, axis 0 stacks states that are reduced one by one,
-    and the result stacks their dk x dk reductions.
+    Mode k is axis k of the ``[2] * N`` reshape. With ``batch``, axis 0
+    stacks states and stays in front. A sign vector viewed this way has the
+    signs of the kept block with every traced mode empty at ``[..., 0]``.
     """
     n = len(kept) + len(traced)
     dk, dt = 1 << len(kept), 1 << len(traced)
     lead = list(data.shape[:1]) if batch else []
     perm = list(range(len(lead))) + [len(lead) + ax for ax in [*kept, *traced]]
     if data.ndim == len(lead) + 1:
-        psi = data.reshape(lead + [2] * n).transpose(perm).reshape(lead + [dk, dt])
-        reduced = psi @ psi.conj().mT
-        return 0.5 * (reduced + reduced.conj().mT)
+        return data.reshape(lead + [2] * n).transpose(perm).reshape(lead + [dk, dt])
     t = data.reshape(lead + [2] * (2 * n)).transpose(perm + [n + ax for ax in perm[len(lead) :]])
-    return np.einsum("...ajbj->...ab", t.reshape(lead + [dk, dt, dk, dt]))
+    return t.reshape(lead + [dk, dt, dk, dt])
+
+
+def _block_partial_trace(
+    data: np.ndarray, kept: Sequence[int], traced: Sequence[int], batch: bool = False
+) -> np.ndarray:
+    """Sum a mode-indexed vector psi or matrix rho over the occupations of
+    the modes at the ``traced`` positions, keeping those at ``kept``.
+
+    The sum runs over the ``_kept_traced_view`` of the state, so the kept
+    modes stay in the order ``kept`` lists them. psi is reduced as an
+    exactly Hermitized psi psi^dag of its dk x dt view, never forming its
+    2^N x 2^N density. No signs are applied: callers conjugate the state by
+    their own sign rule first. With ``batch``, axis 0 stacks states that
+    are reduced one by one, and the result stacks their dk x dk reductions.
+    """
+    view = _kept_traced_view(data, kept, traced, batch)
+    if view.ndim == 2 + batch:
+        reduced = view @ view.conj().mT
+        return 0.5 * (reduced + reduced.conj().mT)
+    return np.einsum("...ajbj->...ab", view)
+
+
+def _hermitized_outer(psi: np.ndarray) -> np.ndarray:
+    """The density psi psi^dag of an amplitude vector, made exactly
+    Hermitian: fused multiply-add lanes can leave the outer product a few
+    ulp off conjugate symmetry, and reductions, which preserve Hermiticity
+    exactly, then hand back exactly Hermitian matrices."""
+    m = np.outer(psi, psi.conj())
+    return 0.5 * (m + m.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,12 +264,7 @@ class FockVector:
     def to_density(self) -> "DensityOperator":
         if not self.is_normalized():
             raise ValueError("state must be normalized before forming a density operator")
-        m = np.outer(self.amplitudes, self.amplitudes.conj())
-        # fused multiply-add lanes can leave the outer product a few ulp off
-        # exact conjugate symmetry; restore it so reductions, which preserve
-        # Hermiticity exactly, hand back exactly Hermitian matrices
-        m = 0.5 * (m + m.conj().T)
-        return DensityOperator(self.system, m)
+        return DensityOperator(self.system, _hermitized_outer(self.amplitudes))
 
     def to_json(self) -> dict:
         amps = {}
@@ -315,6 +335,11 @@ class DensityOperator:
 
 
 FockState = Union[FockVector, DensityOperator]
+
+
+def _state_data(state: FockState) -> np.ndarray:
+    """A state's amplitudes if it is pure, else its matrix."""
+    return state.amplitudes if isinstance(state, FockVector) else state.matrix
 
 
 def _check_density(m: np.ndarray) -> None:

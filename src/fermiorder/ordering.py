@@ -25,6 +25,7 @@ from .fock import (
     ModeSystem,
     _check_label,
     _sign_conjugate,
+    _state_data,
 )
 
 
@@ -178,8 +179,7 @@ def qubit_image(state: FockState, ordering: ModeOrdering) -> QubitState:
     operator the sign matrix acts on both sides.
     """
     signs = ordering_sign_vector(state.system, ordering)
-    data = state.amplitudes if isinstance(state, FockVector) else state.matrix
-    return QubitState(state.system, ordering, _sign_conjugate(signs, data))
+    return QubitState(state.system, ordering, _sign_conjugate(signs, _state_data(state)))
 
 
 def inverse_image_restricted(q: QubitState) -> FockState:

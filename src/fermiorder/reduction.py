@@ -21,7 +21,9 @@ checker and scanner here measure the agreement, and how badly it fails
 everywhere else. Every reduction and measure reads its bipartition through
 ``_bipartition_positions``, as kept and traced mode positions. The checker
 and the randomized sweep share one comparison, ``_compare_routes``, which
-takes one state or a stack of them.
+takes one state or a stack of them, and the comparison and the scan share
+one qubit route, ``_qubit_reduction``, which takes one sign vector or a
+stack of them and reads the kept block's signs off those same signs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain, permutations
 from operator import attrgetter
 from typing import Union
@@ -41,12 +44,13 @@ from .fock import (
     BipartitionSpec,
     DensityOperator,
     FockState,
-    FockVector,
     ModeSystem,
     _block_partial_trace,
     _check_density,
+    _kept_traced_view,
     _sign_conjugate,
     _ssr_compliant_amplitudes,
+    _state_data,
     random_state,
     ssr_compliant,
 )
@@ -63,10 +67,9 @@ from .ordering import (
 
 #: Orderings are enumerated exhaustively. At the cap, a scan holds two
 #: 8! x 8 int8 matrices (permutations and their ranks, 315 KiB each) and a
-#: few int64 or float64 arrays of 8! entries (315 KiB each); it builds a
-#: ``ModeOrdering`` only for each class representative, and
-#: ``OrderingClass.orderings`` builds its members from their int8 rows when
-#: read.
+#: few int64 or float64 arrays of 8! entries (315 KiB each). It builds no
+#: ``ModeOrdering`` but its fermionic trace's: ``OrderingClass`` builds its
+#: representative and its members from their int8 rows when read.
 MAX_SCAN_MODES = 8
 
 #: Bytes for stacked evaluations. The ordering scan gives one stacked array,
@@ -74,9 +77,11 @@ MAX_SCAN_MODES = 8
 #: sweep keeps every stacked array one chunk of trials holds at once within
 #: it. 256 KiB is the knee of a sweep from 64 KiB to 1 MiB on a 2-core
 #: machine (``BENCH_14.json``): below it the scan spends its time on
-#: per-chunk work, and it is the largest budget at which the (4,4) scan's
-#: tracemalloc peak (19.0 MiB) stays below that of the 64 KiB scan that
-#: checked each class on its own (19.5 MiB); 512 KiB peaks at 20.3 MiB.
+#: per-chunk work, and it was the largest budget at which the (4,4) scan's
+#: tracemalloc peak (19.0 MiB) stayed below that of the 64 KiB scan that
+#: checked each class on its own (19.5 MiB); 512 KiB peaked at 20.3 MiB.
+#: With each class matrix held once, the even (4,4) scan peaks at 13.0,
+#: 13.0 and 13.2 MiB at 64, 256 and 512 KiB.
 _STACK_BYTES = 256 * 1024
 
 #: Non-representative members per precedence class that the scan recomputes
@@ -121,10 +126,6 @@ def _bipartition_positions(
     return bp, kept, traced
 
 
-def _state_data(rho: FockState) -> np.ndarray:
-    return rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
-
-
 def _kept_system(system: ModeSystem, kept: list[int]) -> ModeSystem:
     return ModeSystem.from_blocks([system.modes[k] for k in kept])
 
@@ -141,22 +142,21 @@ def _fermionic_reduction(
 
 
 def _qubit_reduction(
-    system: ModeSystem,
-    data: np.ndarray,
-    kept: list[int],
-    traced: list[int],
-    ordering: ModeOrdering,
-    batch: bool = False,
+    data: np.ndarray, signs: np.ndarray, kept: list[int], traced: list[int], batch: bool = False
 ) -> np.ndarray:
-    """The qubit route under ``ordering`` of a state, or with ``batch`` of
-    each state of a stack along axis 0: ``qubit_image``'s sign conjugation,
-    the block trace of ``qubit_partial_trace``, and the kept block's signs
-    of ``inverse_image_restricted``, without the objects in between."""
-    signs = ordering_sign_vector(system, ordering)
-    reduced = _block_partial_trace(_sign_conjugate(signs, data, batch), kept, traced, batch)
-    kept_system = _kept_system(system, kept)
-    inverse = ordering_sign_vector(kept_system, ordering.restricted_to(kept_system.modes))
-    return _sign_conjugate(inverse, reduced)
+    """The qubit route of a state under the ordering whose sign vector is
+    ``signs``, or under each ordering of a stack of sign rows; with
+    ``batch``, of each state of a stack along axis 0 under one sign vector.
+    It is ``qubit_image``'s sign conjugation, the block trace of
+    ``qubit_partial_trace`` and the kept block's signs of
+    ``inverse_image_restricted``, without the objects in between. The kept
+    block's signs are the ordering's own with every traced mode empty,
+    read off the ``_kept_traced_view`` of ``signs``: the occupied pairs the
+    ordering inverts are then kept pairs, inverted exactly when the
+    ordering restricted to the kept modes inverts them."""
+    rows = signs.ndim > 1
+    reduced = _block_partial_trace(_sign_conjugate(signs, data, batch), kept, traced, batch or rows)
+    return _sign_conjugate(_kept_traced_view(signs, kept, traced, rows)[..., 0], reduced)
 
 
 def fermionic_partial_trace(
@@ -226,7 +226,7 @@ def _compare_routes(
     finite = np.isfinite(data).reshape(data.shape[:batch] + (-1,)).all(axis=-1)
     _first_failure(~finite, ValueError, lambda i: "state entries must be finite")
     fermionic = _fermionic_reduction(system, data, kept, traced, batch)
-    qubit_side = _qubit_reduction(system, data, kept, traced, ordering, batch)
+    qubit_side = _qubit_reduction(data, ordering_sign_vector(system, ordering), kept, traced, batch)
     for reduced in (fermionic, qubit_side):
         _check_finite(reduced)
         _check_density(reduced)
@@ -319,15 +319,20 @@ def theorem_check(
 @dataclass(frozen=True, eq=False)
 class OrderingClass:
     """All orderings whose qubit-route reduced state is one and the same,
-    held as int8 rows of indices into ``_modes``, the system's labels."""
+    held as int8 rows of indices into ``_modes``, the system's labels. The
+    first row is the representative, built as a ``ModeOrdering`` when first
+    read and kept from then on."""
 
-    representative: ModeOrdering
     _modes: np.ndarray
     _members: np.ndarray
     reduced: DensityOperator
     contains_physical: bool
     matches_fermionic: bool
     max_entry_diff: float
+
+    @cached_property
+    def representative(self) -> ModeOrdering:
+        return ModeOrdering(tuple(self._modes[self._members[0]].tolist()))
 
     @property
     def orderings(self) -> tuple[ModeOrdering, ...]:
@@ -365,12 +370,16 @@ def ordering_scan(
     ``SCAN_VERIFY_SAMPLES`` other members picked by one draw of random
     keys, which must agree to the bit. These evaluations run stacked, whole
     groups at a time, in chunks whose largest stacked array stays within
-    ``_STACK_BYTES`` unless one group alone is larger. Groups are then
-    merged whenever they land on the identical reduced matrix. The matrices
-    of the classes a chunk opens are checked per chunk as one stack, with
-    the checks ``DensityOperator`` makes, and compared against the
-    fermionic trace in one array operation. Classes are
-    returned largest first, ties broken by representative labels. For a
+    ``_STACK_BYTES`` unless one group alone is larger: each chunk's sign
+    rows come from one ``_inversion_signs`` call and go through
+    ``_qubit_reduction``, the route ``theorem_check`` compares. Groups are
+    then merged whenever they land on the identical reduced matrix, with
+    negative zeros flushed to +0.0 first; the flushed bytes of the group
+    that opens a class are its merge key and its matrix, held once. The
+    matrices of the classes a chunk opens are checked per chunk as one
+    stack, with the checks ``DensityOperator`` makes, and compared against
+    the fermionic trace in one array operation. Classes are returned
+    largest first, ties broken by representative labels. For a
     superselected state, every ordering that keeps the kept modes
     contiguous lands in the one class that matches the fermionic trace
     exactly; ``contains_physical`` still flags only kept-before-traced
@@ -380,7 +389,7 @@ def ordering_scan(
     _check_scan_size(system)
     bp, kept, traced = _bipartition_positions(system, bp)
     fermionic = fermionic_partial_trace(rho, bp)
-    data = rho.amplitudes if isinstance(rho, FockVector) else rho.matrix
+    data = _state_data(rho)
 
     # perms[p] lists the mode indices of the p-th permutation in itertools
     # order; ranks[p, i] is the position of canonical mode i in it
@@ -404,20 +413,19 @@ def ordering_scan(
     # group g's samples are samples[bounds[g] : bounds[g + 1]]
     bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
     names = np.array(system.modes)
-    kept_system = ModeSystem.from_blocks(names[kept].tolist())
-    group_bytes = data.itemsize * max(data.size, kept_system.dim**2) * (1 + SCAN_VERIFY_SAMPLES)
+    kept_system = _kept_system(system, kept)
+    dk = kept_system.dim
+    group_bytes = data.itemsize * max(data.size, dk * dk) * (1 + SCAN_VERIFY_SAMPLES)
     per_chunk = max(1, _STACK_BYTES // group_bytes)
+    # a class's key is its matrix's bytes, the one copy of it the scan keeps
     classes: dict[bytes, int] = {}
-    reduced_ops, diffs = [], []
+    diffs = []
     group_class = np.empty(len(first), dtype=np.int64)
     for g in range(0, len(first), per_chunk):
         end = min(g + per_chunk, len(first))
         lo, hi = bounds[g], bounds[end]
         rows = samples[lo:hi]
-        r = ranks[rows]
-        signed = _sign_conjugate(_inversion_signs(r), data)
-        reduced = _block_partial_trace(signed, kept, traced, batch=True)
-        reduced = _sign_conjugate(_inversion_signs(r[:, kept]), reduced)
+        reduced = _qubit_reduction(data, _inversion_signs(ranks[rows]), kept, traced)
         heads = bounds[group[rows]] - lo
         bad = np.flatnonzero((reduced != reduced[heads]).any(axis=(1, 2)))
         if bad.size:
@@ -428,8 +436,6 @@ def ordering_scan(
         # adding 0.0 flushes negative zeros left behind by sign flips,
         # which would otherwise split byte-identical classes
         flushed = (reduced[bounds[g:end] - lo] + 0.0).reshape(end - g, -1)
-        # a key seen for the first time opens a class, which keeps the matrix
-        # of the group that opened it, negative zeros and all
         opened = len(classes)
         chunk_class = [
             classes.setdefault(key, len(classes))
@@ -439,40 +445,33 @@ def ordering_scan(
         if len(classes) == opened:
             continue
         # the chunk's new class matrices are checked as one stack, with the
-        # checks ``DensityOperator`` makes, and each row is wrapped as it is
-        openers = [g + chunk_class.index(c) for c in range(opened, len(classes))]
-        matrices = reduced[bounds[openers] - lo]
+        # checks ``DensityOperator`` makes
+        openers = [chunk_class.index(c) for c in range(opened, len(classes))]
+        matrices = flushed[openers].reshape(-1, dk, dk)
         _check_finite(matrices)
         _check_density(matrices)
         diffs += np.abs(matrices - fermionic.matrix).max(axis=(1, 2)).tolist()
-        reduced_ops += [DensityOperator._checked(kept_system, m) for m in matrices]
 
-    # the merge keys hold a second copy of every class matrix; freed here,
-    # they do not add to the peak of the steps below
-    del classes
     # each class lists its groups in order of first appearance, each group
     # in permutation order
     perm_class = group_class[group]
     ordered = perms[np.lexsort((group, perm_class))]
     ordered.setflags(write=False)
-    result = []
-    for c, rows in enumerate(np.split(ordered, np.cumsum(np.bincount(perm_class))[:-1])):
-        diff = diffs[c]
-        result.append(
-            OrderingClass(
-                representative=ModeOrdering(tuple(names[rows[0]].tolist())),
-                _modes=names,
-                _members=rows,
-                reduced=reduced_ops[c],
-                # physical orderings, where no traced mode precedes a kept
-                # one, have code 0, the smallest, so first[0] is one of them
-                contains_physical=bool(c == perm_class[first[0]]),
-                matches_fermionic=diff < tol,
-                max_entry_diff=diff,
-            )
+    members = np.split(ordered, np.cumsum(np.bincount(perm_class))[:-1])
+    result = [
+        OrderingClass(
+            _modes=names,
+            _members=rows,
+            reduced=DensityOperator._checked(kept_system, np.frombuffer(key, np.complex128).reshape(dk, dk)),
+            # physical orderings, where no traced mode precedes a kept one,
+            # have code 0, the smallest, so first[0] is one of them
+            contains_physical=bool(c == perm_class[first[0]]),
+            matches_fermionic=diff < tol,
+            max_entry_diff=diff,
         )
-    result.sort(key=lambda c: (-c.size, c.representative.labels))
-    return result
+        for c, (key, rows, diff) in enumerate(zip(classes, members, diffs))
+    ]
+    return sorted(result, key=lambda c: (-c.size, names[c._members[0]].tolist()))
 
 
 # --- randomized sweep --------------------------------------------------------

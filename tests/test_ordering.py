@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiorder.fock import DensityOperator, ModeSystem, random_state
+from fermiorder.fock import DensityOperator, ModeSystem, _kept_traced_view, random_state
 from fermiorder.ordering import (
     InvalidOrderingError,
     InvalidSubsetError,
@@ -73,6 +73,33 @@ def test_batched_sign_rows_match_sign_vector():
     for o, row, kept_row in zip(orderings, rows, kept_rows):
         assert np.array_equal(row, ordering_sign_vector(system, o))
         assert np.array_equal(kept_row, ordering_sign_vector(kept_system, o.restricted_to(kept)))
+
+
+def test_kept_block_signs_are_the_orderings_own_with_traced_modes_empty():
+    """At 1 to 10 modes, on random orderings and kept sets that are not
+    first, the kept|traced view of an ordering's signs at traced index 0 is
+    the sign vector of the ordering restricted to the kept modes, one
+    ordering at a time and for a stack of rank rows."""
+    rng = np.random.default_rng(2031)
+    for n_modes in range(1, 11):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for _ in range(4):
+            while True:
+                chosen = rng.random(n_modes) < 0.5
+                kept = np.flatnonzero(chosen).tolist()
+                if kept and (n_modes == 1 or kept != list(range(len(kept)))):
+                    break
+            traced = np.flatnonzero(~chosen).tolist()
+            labels = [system.modes[k] for k in kept]
+            kept_system = ModeSystem.from_blocks(labels)
+            ranks = np.array([rng.permutation(n_modes) for _ in range(3)])
+            stacked = _kept_traced_view(_inversion_signs(ranks), kept, traced, batch=True)[..., 0]
+            for row, kept_signs in zip(ranks, stacked):
+                o = ModeOrdering(tuple(system.modes[i] for i in np.argsort(row)))
+                own = _kept_traced_view(ordering_sign_vector(system, o), kept, traced)[..., 0]
+                restricted = ordering_sign_vector(kept_system, o.restricted_to(labels))
+                assert np.array_equal(own, restricted)
+                assert np.array_equal(kept_signs, restricted)
 
 
 def test_inversion_signs_match_loop_parity_at_every_mode_count():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -746,6 +747,25 @@ def test_scan_constructs_only_the_fermionic_reference(monkeypatch):
             assert constructed == [1 << len(bp.kept)]
 
 
+def test_scan_holds_each_class_matrix_once():
+    """A (4,3) scan of a state mixing parities, on a kept set that is not
+    first, peaks under twice the bytes of the class matrices it returns
+    (tracemalloc): each class's merge key is its matrix, so no second copy
+    of the class matrices is held while the scan runs."""
+    system = sweep_system(4, 3)
+    bp = BipartitionSpec(kept=("a2", "c1", "c3", "a4"), traced=("a1", "a3", "c2"))
+    state = random_state(system, sector="any", seed=43)
+    tracemalloc.start()
+    try:
+        classes = reduction.ordering_scan(state, bp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(c.reduced.matrix.nbytes for c in classes)
+    assert len(classes) > 1000
+    assert peak < 2 * held
+
+
 def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
     """A stacked reduction scaled off unit trace fails the density check
     that the scan runs on each chunk's class matrices."""
@@ -998,6 +1018,20 @@ def test_theorem_check_fields_equal_the_public_routes():
                     assert report.physical == is_physical(o, split)
                     seen_physical.add(report.physical)
     assert seen_physical == {True, False}
+
+
+def test_theorem_check_signs_two_orderings():
+    """One ``theorem_check`` leaves two entries in the sign cache, the
+    ordering's and the traced-first one of the fermionic trace: the qubit
+    route reads the kept block's inverse signs off the ordering's own
+    signs, with no cached vector for the restricted ordering."""
+    system = sweep_system(3, 3)
+    bp = BipartitionSpec(kept=("a2", "c1", "c3"), traced=("a1", "a3", "c2"))
+    state = random_state(system, sector="even", seed=5)
+    ordering_module.ordering_sign_vector.cache_clear()
+    report = theorem_check(state, ModeOrdering(bp.kept + bp.traced), bp)
+    assert report.physical and report.agrees
+    assert ordering_module.ordering_sign_vector.cache_info().currsize == 2
 
 
 def _sweep_stack(rows):

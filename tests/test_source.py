@@ -174,3 +174,34 @@ def test_scan_wraps_class_matrices_without_the_constructor():
     ]
     assert not constructed, f"ordering_scan constructs DensityOperator at lines {constructed}"
     assert wrapped == ["_checked"]
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The module-level functions whose bodies call ``name``, once per call,
+    as a bare name or as an attribute."""
+    return [
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_qubit_route_in_reduction():
+    """``reduction.py`` runs the block trace only in the two routes and in
+    the public qubit trace, restricts an ordering only in the public qubit
+    trace, and signs the scan's orderings in one ``_inversion_signs`` call:
+    the scan and the comparison both go through ``_qubit_reduction``, which
+    reads the kept block's signs off the ordering's own, so a second
+    inline route or a second sign computation cannot come back unnoticed."""
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    assert sorted(_callers(tree, "_block_partial_trace")) == [
+        "_fermionic_reduction",
+        "_qubit_reduction",
+        "qubit_partial_trace",
+    ]
+    assert _callers(tree, "restricted_to") == ["qubit_partial_trace"]
+    assert _callers(tree, "_inversion_signs") == ["ordering_scan"]
+    assert "ordering_scan" in _callers(tree, "_qubit_reduction")
