@@ -77,14 +77,11 @@ class MeasureResult:
         }
 
 
-def _as_qubit_matrix(
-    state: AnyState, ordering: Union[ModeOrdering, None]
-) -> tuple[np.ndarray, ModeSystem, Union[ModeOrdering, None]]:
-    """Dense qubit-register matrix for any supported state input, refused
-    before it is formed if the eigensolver would refuse its dimension. A
+def _qubit_register(state: AnyState, ordering: Union[ModeOrdering, None]) -> QubitState:
+    """The qubit register of any supported state input, refused before its
+    matrix is formed if the eigensolver would refuse its dimension. A
     fermionic input is carried there under ``ordering``, a ``FockVector`` as
-    its amplitudes; every register must have unit trace (unit norm if pure).
-    A pure register gives its outer product, Hermitized as its density is."""
+    its amplitudes; every register must have unit trace (unit norm if pure)."""
     if not isinstance(state, (QubitState, FockVector, DensityOperator)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     _check_eig_dim(state.system.dim)
@@ -101,8 +98,18 @@ def _as_qubit_matrix(
     tr = np.vdot(state.data, state.data) if state.is_pure else state.data.trace()
     if abs(tr - 1.0) >= STATE_TOL:
         raise ValueError(f"qubit state trace is {tr}, expected 1")
-    matrix = _hermitized_outer(state.data) if state.is_pure else state.data
-    return matrix, state.system, state.ordering
+    return state
+
+
+def _as_qubit_matrix(
+    state: AnyState, ordering: Union[ModeOrdering, None]
+) -> tuple[np.ndarray, ModeSystem, Union[ModeOrdering, None]]:
+    """Dense qubit-register matrix of ``_qubit_register``'s register, with
+    its system and ordering. A pure register gives its outer product,
+    Hermitized as its density is."""
+    register = _qubit_register(state, ordering)
+    matrix = _hermitized_outer(register.data) if register.is_pure else register.data
+    return matrix, register.system, register.ordering
 
 
 def partial_transpose(
@@ -133,10 +140,23 @@ def negativity(
     ordering: Union[ModeOrdering, None] = None,
 ) -> MeasureResult:
     """Negativity of a state across a mode bipartition: (‖partial
-    transpose‖₁ − 1) / 2, clamped to zero below the noise floor. For a state
-    of one parity it is constant on each ``ordering_scan`` class and equal
-    for all orderings listing the kept modes contiguously; for a state mixing
-    parities those orderings can disagree."""
+    transpose‖₁ − 1) / 2, clamped to zero below the noise floor.
+
+    A fermionic input depends on the ordering only through its kept ×
+    traced precedence matrix M; the signs inside each block are local. For
+    a state of one total parity p, both ways of changing M that leave the
+    value alone give local signs on amplitude (x, z). Rule (i), the column
+    rule: XOR-ing one mask into every kept row multiplies it by
+    (−1)^(|x|·z_c) for each flipped column c, which is (−1)^((p + |z|)·z_c),
+    a sign on the traced side alone. Rule (ii), the row rule: complementing
+    kept mode a's row multiplies it by (−1)^(x_a·|z|) = (−1)^(x_a·(p + |x|)),
+    a sign on the kept side alone. Local signs leave the partial-transpose
+    spectrum unchanged, so such a state takes one value per orbit of M
+    under row and column flips: one value on each ``ordering_scan`` class,
+    a column orbit, and the same value for all orderings listing the kept
+    modes contiguously, the orbit of the zero matrix. A state mixing
+    parities, in its amplitudes or as a mixture of an even and an odd
+    state, can give two contiguous orderings different values."""
     matrix, system, used_ordering = _as_qubit_matrix(state, ordering)
     bp, _, traced = _bipartition_positions(system, bp)
     pt = _partial_transpose(matrix, traced)
@@ -261,28 +281,35 @@ def concurrence_and_eof(
     Uses the spin-flip construction: the singular spectrum of √ρ ρ̃ √ρ with
     ρ̃ the doubly spin-flipped conjugate gives concurrence
     C = max(0, λ₁ − λ₂ − λ₃ − λ₄), and the entanglement of formation is the
-    binary entropy of (1 + √(1 − C²)) / 2.
+    binary entropy of (1 + √(1 − C²)) / 2. A pure register, a
+    ``FockVector`` or a pure ``QubitState``, takes the closed form
+    C = 2|ψ₀₀ψ₁₁ − ψ₀₁ψ₁₀| instead: three of its λ are 0 and come out near
+    1e-17, and their square roots would reach 1e-8.
     """
     bp: Union[BipartitionSpec, None] = None
     if isinstance(rho, np.ndarray):
-        matrix = np.asarray(rho, dtype=np.complex128)
+        data = np.asarray(rho, dtype=np.complex128)
+        if data.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 density matrix, got {data.shape}")
     else:
-        matrix, system, ordering = _as_qubit_matrix(rho, ordering)
+        register = _qubit_register(rho, ordering)
+        system, ordering, data = register.system, register.ordering, register.data
         if system.n_modes != 2:
             raise ValueError(f"need a two-mode system, got {system.n_modes} modes")
         bp = BipartitionSpec(kept=(system.modes[0],), traced=(system.modes[1],))
-    if matrix.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got {matrix.shape}")
-    if abs(matrix.trace() - 1.0) >= STATE_TOL:
-        raise ValueError(f"density matrix trace is {matrix.trace()}, expected 1")
-    # the eigensolver rejects a matrix further than STATE_TOL from Hermitian
-    eig = hermitian_eigenvalues(matrix, tol=STATE_TOL)
-    vals = np.clip(eig.eigenvalues, 0.0, None)
-    sqrt_rho = (eig.vectors * np.sqrt(vals)) @ eig.vectors.conj().T
-    flipped = _SPIN_FLIP @ matrix.conj() @ _SPIN_FLIP
-    m = sqrt_rho @ flipped @ sqrt_rho
-    lam = np.sqrt(np.clip(hermitian_eigenvalues(m, tol=STATE_TOL).eigenvalues, 0.0, None))
-    concurrence = float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+    if data.ndim == 1:
+        concurrence = float(min(1.0, 2.0 * abs(data[0] * data[3] - data[1] * data[2])))
+    else:
+        if abs(data.trace() - 1.0) >= STATE_TOL:
+            raise ValueError(f"density matrix trace is {data.trace()}, expected 1")
+        # the eigensolver rejects a matrix further than STATE_TOL from Hermitian
+        eig = hermitian_eigenvalues(data, tol=STATE_TOL)
+        vals = np.clip(eig.eigenvalues, 0.0, None)
+        sqrt_rho = (eig.vectors * np.sqrt(vals)) @ eig.vectors.conj().T
+        flipped = _SPIN_FLIP @ data.conj() @ _SPIN_FLIP
+        m = sqrt_rho @ flipped @ sqrt_rho
+        lam = np.sqrt(np.clip(hermitian_eigenvalues(m, tol=STATE_TOL).eigenvalues, 0.0, None))
+        concurrence = float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
     eof = _binary_entropy((1.0 + math.sqrt(1.0 - concurrence**2)) / 2.0)
     return (
         MeasureResult(value=concurrence, measure="concurrence", bipartition=bp, ordering=ordering),

@@ -444,6 +444,18 @@ def _ssr_compliant_amplitudes(amplitudes: np.ndarray, n_modes: int) -> np.ndarra
     return cross <= DEFAULT_TOL
 
 
+def _superselected_exactly(data: np.ndarray, n_modes: int) -> bool:
+    """Whether a state's amplitudes or matrix connect no two bitstrings of
+    different total parity at all: every cross-parity amplitude pair has a
+    zero factor, or every cross-parity matrix entry is 0. Unlike
+    ``ssr_compliant`` it allows no tolerance, and it forms no products that
+    could underflow to 0."""
+    odd = _parity_vector(n_modes).astype(bool)
+    if data.ndim == 1:
+        return not (data[odd].any() and data[~odd].any())
+    return not (data[np.ix_(odd, ~odd)].any() or data[np.ix_(~odd, odd)].any())
+
+
 def sector_indices(system: ModeSystem, sector: str) -> np.ndarray:
     """Basis indices of one parity sector (or all of them for "any")."""
     if sector not in (EVEN, ODD, ANY_SECTOR):

@@ -51,6 +51,7 @@ from .fock import (
     _sign_conjugate,
     _ssr_compliant_amplitudes,
     _state_data,
+    _superselected_exactly,
     random_state,
     ssr_compliant,
 )
@@ -84,8 +85,8 @@ MAX_SCAN_MODES = 8
 #: 13.0 and 13.2 MiB at 64, 256 and 512 KiB.
 _STACK_BYTES = 256 * 1024
 
-#: Non-representative members per precedence class that the scan recomputes
-#: to check the class is uniform.
+#: Non-representative members per scan group that the scan recomputes to
+#: check the group is uniform.
 SCAN_VERIFY_SAMPLES = 3
 
 
@@ -352,6 +353,13 @@ class OrderingClass:
         }
 
 
+def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's distinct code numbered in order of first appearance, and
+    the index where each code first appears, in order of code."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse], first
+
+
 def ordering_scan(
     rho: FockState,
     bp: Union[BipartitionSpec, None] = None,
@@ -360,30 +368,46 @@ def ordering_scan(
     """Group all mode orderings by the reduced state their route produces.
 
     The qubit-route reduced state depends on the ordering only through its
-    kept/traced precedence bits, which traced modes precede which kept
-    ones: signs from inversions inside the kept block are cancelled by the
-    inverse map, and signs from inversions inside the traced block square
-    away on the trace diagonal. Every permutation of the modes is
-    enumerated (8-mode cap) as a row of mode ranks, and the orderings are
-    grouped by their precedence bits in order of first appearance. The
-    route is evaluated once per group on its first member, and on up to
-    ``SCAN_VERIFY_SAMPLES`` other members picked by one draw of random
-    keys, which must agree to the bit. These evaluations run stacked, whole
-    groups at a time, in chunks whose largest stacked array stays within
-    ``_STACK_BYTES`` unless one group alone is larger: each chunk's sign
-    rows come from one ``_inversion_signs`` call and go through
-    ``_qubit_reduction``, the route ``theorem_check`` compares. Groups are
-    then merged whenever they land on the identical reduced matrix, with
-    negative zeros flushed to +0.0 first; the flushed bytes of the group
-    that opens a class are its merge key and its matrix, held once. The
-    matrices of the classes a chunk opens are checked per chunk as one
-    stack, with the checks ``DensityOperator`` makes, and compared against
-    the fermionic trace in one array operation. Classes are returned
-    largest first, ties broken by representative labels. For a
-    superselected state, every ordering that keeps the kept modes
-    contiguous lands in the one class that matches the fermionic trace
-    exactly; ``contains_physical`` still flags only kept-before-traced
-    orderings.
+    kept/traced precedence matrix M, whose bit (a, c) is set when traced
+    mode c precedes kept mode a: signs from inversions inside the kept
+    block are cancelled by the inverse map, and signs from inversions
+    inside the traced block square away on the trace diagonal. The
+    ordering's sign factors as s_K(x) s_T(z) (-1)^(x.M.z) over kept bits x
+    and traced bits z. Every permutation of the modes is enumerated (8-mode
+    cap) as a row of mode ranks, and the orderings are grouped by M in
+    order of first appearance.
+
+    Rule (i), the column rule: for a state that is exactly
+    parity-superselected, with every entry between opposite total
+    parities exactly 0, the reduction depends on M only up to XOR-ing one
+    common mask into every kept row. Flipping column c multiplies reduced entry (x, y) by
+    (-1)^((|x| + |y|) z_c), and |x| and |y| have one parity wherever the
+    state is supported. Such a state's orderings are grouped by column
+    orbit, M with every row XOR-ed with the first kept mode's row, and the
+    route runs once per orbit; any other state keeps one group per M.
+    Members are still listed by precedence group, so the result does not
+    depend on the grouping. The orbit of the zero matrix, every ordering
+    that keeps the kept modes contiguous, lands in the class that matches
+    the fermionic trace.
+
+    The route is evaluated once per group on its first member, and on up to
+    ``SCAN_VERIFY_SAMPLES`` other members of the group picked by one draw of
+    random keys, which must agree to the bit; for a superselected state
+    that checks the column rule on every class. These evaluations run
+    stacked, whole groups at a time, in chunks whose largest stacked array
+    stays within ``_STACK_BYTES`` unless one group alone is larger: each
+    chunk's sign rows come from one ``_inversion_signs`` call and go
+    through ``_qubit_reduction``, the route ``theorem_check`` compares.
+    Groups are then merged whenever they land on the identical reduced
+    matrix, with negative zeros flushed to +0.0 first; the flushed bytes of
+    the group that opens a class are its merge key and its matrix, held
+    once. The matrices of the classes a chunk opens are checked per chunk
+    as one stack, with the checks ``DensityOperator`` makes, and compared
+    against the fermionic trace in one array operation. Each class lists
+    its members by precedence group in order of first appearance, then in
+    permutation order. Classes are returned largest first, ties broken by
+    representative labels. ``contains_physical`` flags only the class of
+    the kept-before-traced orderings.
     """
     system = rho.system
     _check_scan_size(system)
@@ -398,11 +422,16 @@ def ordering_scan(
     ranks = np.argsort(perms, axis=1).astype(np.int8)
     # bit (kept a, traced c) is set when c precedes a; the bits of one
     # permutation are packed into one integer code, at most 16 bits wide
-    bits = (ranks[:, None, traced] < ranks[:, kept, None]).reshape(len(ranks), -1)
-    codes = bits @ (1 << np.arange(bits.shape[1]))
-    # group[p] numbers p's group in order of first appearance
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    group = np.argsort(np.argsort(first))[inverse]
+    bits = ranks[:, None, traced] < ranks[:, kept, None]
+    weights = 1 << np.arange(len(kept) * len(traced))
+    # prec[p] numbers p's precedence group in order of first appearance
+    prec, first = _first_appearance(bits.reshape(len(ranks), -1) @ weights)
+    group = prec
+    if _superselected_exactly(data, system.n_modes):
+        # the column rule: XOR-ing one mask into every kept row leaves the
+        # reduction as it is, so the group is the column orbit, keyed by the
+        # rows XOR-ed with the first kept mode's row
+        group, first = _first_appearance((bits ^ bits[:, :1]).reshape(len(ranks), -1) @ weights)
     # sorted by group and then by a random key that is lowest at the first
     # member, each group's run is its first member, then the others at random
     keys = np.random.default_rng(0).random(len(perms))
@@ -430,9 +459,7 @@ def ordering_scan(
         bad = np.flatnonzero((reduced != reduced[heads]).any(axis=(1, 2)))
         if bad.size:
             head, other = names[perms[rows[[heads[bad[0]], bad[0]]]]].tolist()
-            raise AssertionError(
-                f"precedence class of {tuple(head)} is not uniform: {tuple(other)} disagrees"
-            )
+            raise AssertionError(f"scan group of {tuple(head)} is not uniform: {tuple(other)} disagrees")
         # adding 0.0 flushes negative zeros left behind by sign flips,
         # which would otherwise split byte-identical classes
         flushed = (reduced[bounds[g:end] - lo] + 0.0).reshape(end - g, -1)
@@ -452,10 +479,10 @@ def ordering_scan(
         _check_density(matrices)
         diffs += np.abs(matrices - fermionic.matrix).max(axis=(1, 2)).tolist()
 
-    # each class lists its groups in order of first appearance, each group
-    # in permutation order
+    # each class lists its precedence groups in order of first appearance,
+    # each group in permutation order
     perm_class = group_class[group]
-    ordered = perms[np.lexsort((group, perm_class))]
+    ordered = perms[np.lexsort((prec, perm_class))]
     ordered.setflags(write=False)
     members = np.split(ordered, np.cumsum(np.bincount(perm_class))[:-1])
     result = [
@@ -464,7 +491,8 @@ def ordering_scan(
             _members=rows,
             reduced=DensityOperator._checked(kept_system, np.frombuffer(key, np.complex128).reshape(dk, dk)),
             # physical orderings, where no traced mode precedes a kept one,
-            # have code 0, the smallest, so first[0] is one of them
+            # have code 0, the smallest, under either key, so first[0] is
+            # in their group
             contains_physical=bool(c == perm_class[first[0]]),
             matches_fermionic=diff < tol,
             max_entry_diff=diff,

@@ -180,3 +180,31 @@ def walsh_hadamard_reduction(
                     w ^= mask
             out[x, y] = table[x, y, w]
     return out
+
+
+def precedence_rows(ordering, kept, traced) -> tuple[int, ...]:
+    """The kept x traced precedence matrix of an ordering (a sequence of
+    labels), one integer per kept mode: bit i is set when ``traced[i]``
+    stands before that kept mode."""
+    place = {label: i for i, label in enumerate(ordering)}
+    return tuple(
+        sum(1 << i for i, c in enumerate(traced) if place[c] < place[a]) for a in kept
+    )
+
+
+def column_orbit(rows: tuple[int, ...], n_traced: int) -> tuple[int, ...]:
+    """The column orbit of a precedence matrix, named by its smallest
+    member: every one of the 2^t masks is XOR-ed into all rows at once."""
+    return min(tuple(r ^ mask for r in rows) for mask in range(1 << n_traced))
+
+
+def row_column_orbit(rows: tuple[int, ...], n_traced: int) -> tuple[int, ...]:
+    """The orbit of a precedence matrix under column flips and row
+    complements, named by its smallest member: every column mask is tried
+    with every subset of rows complemented."""
+    ones = (1 << n_traced) - 1
+    return min(
+        tuple(r ^ mask ^ (ones if (subset >> i) & 1 else 0) for i, r in enumerate(rows))
+        for mask in range(1 << n_traced)
+        for subset in range(1 << len(rows))
+    )

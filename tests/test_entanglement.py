@@ -96,8 +96,10 @@ def test_bell_partial_transpose_spectrum():
 
 def test_measures_read_pure_inputs_without_their_density(monkeypatch):
     """A ``FockVector`` is carried to qubits as amplitudes, and its matrix is
-    the Hermitized outer product its density would have, so negativity, the
-    PPT verdict, concurrence and EOF keep the density's bytes."""
+    the Hermitized outer product its density would have, so negativity and
+    the PPT verdict keep the density's bytes. Concurrence and EOF of a pure
+    input come from the closed form, within 1e-7 of the density's spin-flip
+    spectrum."""
     cases = []
     for n_modes in range(2, 7):
         system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
@@ -115,17 +117,19 @@ def test_measures_read_pure_inputs_without_their_density(monkeypatch):
             values.append(ppt_separable(given, bp, ordering))
         except UnsupportedDimensionsError as exc:
             values.append(str(exc))
-        if given.system.n_modes == 2:
-            values += [r.value for r in concurrence_and_eof(given, ordering)]
         return values
 
     expected = [measures(state.to_density(), bp, o) for state, bp, o in cases]
+    two_mode = [(s, o) for s, _, o in cases if s.system.n_modes == 2]
+    spin_flip = [[r.value for r in concurrence_and_eof(s.to_density(), o)] for s, o in two_mode]
 
     def no_density(self):
         raise AssertionError("a pure input formed its density")
 
     monkeypatch.setattr(FockVector, "to_density", no_density)
     assert [measures(state, bp, o) for state, bp, o in cases] == expected
+    closed = [[r.value for r in concurrence_and_eof(s, o)] for s, o in two_mode]
+    assert np.abs(np.array(closed) - np.array(spin_flip)).max() < 1e-7
 
 
 def test_unnormalized_pure_input_is_rejected_by_its_norm():
@@ -486,6 +490,51 @@ def test_concurrence_accepts_fermionic_input_with_ordering():
     c, e = concurrence_and_eof(state.to_density(), ordering=ModeOrdering.canonical(state.system))
     assert abs(c.value - 1.0) < 1e-10
     assert e.bipartition is not None
+
+
+def test_pure_concurrence_of_separable_products_is_zero():
+    """Every one-term ``build_separable`` product of a two-mode system is a
+    pure state, and a pure input, as a ``FockVector`` or as its qubit image,
+    takes the closed form 2|psi00 psi11 - psi01 psi10|: exactly 0 here, under
+    either ordering."""
+    system = sweep_system(1, 1)
+    for kept in ("", "a1+"):
+        for traced in ("", "c1+"):
+            dec = SeparableDecomposition((1.0,), (OperatorString.parse(kept),), (OperatorString.parse(traced),))
+            rho = build_separable(dec, system).matrix
+            pure = FockVector(system, np.linalg.eigh(rho)[1][:, -1])
+            for ordering in (ModeOrdering(("a1", "c1")), ModeOrdering(("c1", "a1"))):
+                for given in (pure, qubit_image(pure, ordering)):
+                    c, e = concurrence_and_eof(given, ordering)
+                    assert c.value == 0.0 and e.value == 0.0
+
+
+def test_pure_concurrence_of_bell_states_is_one():
+    """The four Bell states as pure ``QubitState``s, and the occupation
+    Bell state as a ``FockVector``, have concurrence and EOF 1."""
+    r = 1.0 / np.sqrt(2.0)
+    system = qubit_pair_system()
+    for psi in ([r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0]):
+        register = QubitState(system, ModeOrdering.canonical(system), np.array(psi, dtype=complex))
+        for result in concurrence_and_eof(register):
+            assert abs(result.value - 1.0) < 1e-15
+    bell = occupation_bell_state()
+    for result in concurrence_and_eof(bell, ModeOrdering.canonical(bell.system)):
+        assert abs(result.value - 1.0) < 1e-15
+
+
+def test_pure_concurrence_is_twice_the_schmidt_product():
+    """On random two-mode pure states under both orderings, the closed form
+    equals 2 s1 s2 from the Schmidt coefficients of the qubit image, and
+    stays within 1e-7 of the spin-flip route on the state's density."""
+    system = sweep_system(1, 1)
+    for seed in range(30):
+        state = random_state(system, sector="any", seed=seed)
+        for ordering in (ModeOrdering(("a1", "c1")), ModeOrdering(("c1", "a1"))):
+            c = concurrence_and_eof(state, ordering)[0].value
+            s = np.linalg.svd(qubit_image(state, ordering).data.reshape(2, 2), compute_uv=False)
+            assert abs(c - 2.0 * s[0] * s[1]) < 1e-15
+            assert abs(c - concurrence_and_eof(state.to_density(), ordering)[0].value) < 1e-7
 
 
 def test_concurrence_rejects_non_density():

@@ -53,10 +53,13 @@ from fermiorder.states import (
     two_delocalized_fermions,
 )
 from _oracles import (
+    column_orbit,
     fermionic_trace,
     partial_transpose as partial_transpose_oracle,
+    precedence_rows,
     qubit_ptrace,
     random_density,
+    row_column_orbit,
     walsh_hadamard_reduction,
     walsh_hadamard_table,
 )
@@ -802,11 +805,22 @@ def test_scan_uniformity_check_fires(monkeypatch):
         ordering_scan(state)
 
 
+def _nearly_superselected(system, seed):
+    """An even state with one odd amplitude of 1e-13: superselected within
+    ``DEFAULT_TOL``, but not exactly."""
+    amplitudes = random_state(system, sector="even", seed=seed).amplitudes.copy()
+    amplitudes[1] = 1e-13
+    return FockVector(system, amplitudes)
+
+
 def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
     """The rank rows the scan signs are, group by group in order of first
-    appearance, each precedence group's first member followed by
+    appearance, each group's first member followed by
     min(SCAN_VERIFY_SAMPLES, size - 1) distinct other members of that same
-    group, and nothing else."""
+    group, and nothing else. A group is a column orbit for an exactly
+    superselected input, even or odd, and a precedence group otherwise: for
+    an any-sector state, and for one whose single cross-parity amplitude is
+    1e-13, which ``ssr_compliant`` accepts."""
     seen = []
 
     def spy(ranks):
@@ -818,23 +832,133 @@ def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
     rng = np.random.default_rng(2026)
     for n_modes in (4, 5, 6):
         system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
-        bp = _split_not_first(rng, system)
-        seen.clear()
-        reduction.ordering_scan(random_state(system, sector="even", seed=n_modes), bp)
+        near = _nearly_superselected(system, n_modes)
+        assert ssr_compliant(near)
+        for sector, state in (
+            ("even", random_state(system, sector="even", seed=n_modes)),
+            ("odd", random_state(system, sector="odd", seed=n_modes)),
+            ("any", random_state(system, sector="any", seed=n_modes)),
+            ("near", near),
+        ):
+            bp = _split_not_first(rng, system)
+            seen.clear()
+            reduction.ordering_scan(state, bp)
 
-        groups = {}
-        for p in permutations(range(n_modes)):
-            labels = [system.modes[i] for i in p]
-            key = tuple(labels.index(c) < labels.index(a) for a in bp.kept for c in bp.traced)
-            groups.setdefault(key, []).append(tuple(np.argsort(p).tolist()))
-        assert len(set(seen)) == len(seen)
-        start = 0
-        for members in groups.values():
-            count = 1 + min(reduction.SCAN_VERIFY_SAMPLES, len(members) - 1)
-            run = seen[start : start + count]
-            assert run[0] == members[0] and set(run) <= set(members)
-            start += count
-        assert start == len(seen)
+            groups = {}
+            for p in permutations(range(n_modes)):
+                key = precedence_rows([system.modes[i] for i in p], bp.kept, bp.traced)
+                if sector in ("even", "odd"):
+                    key = column_orbit(key, len(bp.traced))
+                groups.setdefault(key, []).append(tuple(np.argsort(p).tolist()))
+            assert len(set(seen)) == len(seen)
+            start = 0
+            for members in groups.values():
+                count = 1 + min(reduction.SCAN_VERIFY_SAMPLES, len(members) - 1)
+                run = seen[start : start + count]
+                assert run[0] == members[0] and set(run) <= set(members)
+                start += count
+            assert start == len(seen)
+
+
+def _split_of_size(rng, system, k):
+    """A random kept set of k modes that does not sit first."""
+    while True:
+        kept = tuple(str(m) for m in rng.choice(system.modes, size=k, replace=False))
+        if set(kept) != set(system.modes[:k]):
+            return BipartitionSpec(kept=kept, traced=tuple(m for m in system.modes if m not in kept))
+
+
+def _parity_mixture(system, seed):
+    """0.3 of a random even state plus 0.7 of a random odd one."""
+    even = random_state(system, sector="even", seed=seed).amplitudes
+    odd = random_state(system, sector="odd", seed=seed + 1).amplitudes
+    return DensityOperator(system, 0.3 * np.outer(even, even.conj()) + 0.7 * np.outer(odd, odd.conj()))
+
+
+@pytest.mark.parametrize("k, t", [(2, 2), (3, 3), (4, 3)])
+def test_scan_classes_are_column_orbits(k, t):
+    """The column rule: for a superselected state, even, odd or a 30/70
+    mixture of both, the qubit route depends on the precedence matrix only
+    up to XOR-ing one mask into every kept row. Each scan class is exactly
+    one column orbit, and no two classes share one, on kept sets that are
+    not first; the orbits are the oracle's, named by their smallest member
+    over all 2^t masks."""
+    rng = np.random.default_rng(100 * k + t)
+    system = ModeSystem(tuple(f"m{i}" for i in range(k + t)), a_count=k + t)
+    bp = _split_of_size(rng, system, k)
+    orbit = {
+        p: column_orbit(precedence_rows(p, bp.kept, bp.traced), t) for p in permutations(system.modes)
+    }
+    for kind in ("even", "odd", "mixture"):
+        seed = int(rng.integers(1 << 30))
+        state = _parity_mixture(system, seed) if kind == "mixture" else random_state(system, kind, seed)
+        orbits = [{orbit[o.labels] for o in c.orderings} for c in reduction.ordering_scan(state, bp)]
+        assert all(len(members) == 1 for members in orbits)
+        assert set().union(*orbits) == set(orbit.values()) and len(orbits) == len(set(orbit.values()))
+
+
+def _negativities(state, bp):
+    """The negativity under every ordering, with each ordering's labels."""
+    orderings = list(permutations(state.system.modes))
+    return orderings, np.array([negativity(state, bp, ModeOrdering(o)).value for o in orderings])
+
+
+def _distinct(values, gap=1e-9):
+    """How many values stay apart once those within ``gap`` are joined."""
+    return 1 + int((np.diff(np.sort(values)) > gap).sum())
+
+
+@pytest.mark.parametrize("k, t, orbits, groups", [(2, 2, 2, 14), (2, 3, 4, 46), (3, 3, 16, 230)])
+def test_negativity_takes_one_value_per_row_and_column_orbit(k, t, orbits, groups):
+    """The row rule: for a state of one parity, negativity also ignores
+    complementing a whole kept row of the precedence matrix, a sign on the
+    kept side alone. Over all N! orderings, even and odd states take one
+    value per row-and-column orbit, spread by at most 1e-12 inside an orbit
+    and at least 1e-9 apart between orbits. Contrasts: any-sector states
+    take one value per precedence matrix, and 30/70 even+odd mixtures take
+    more values than they have scan classes (checked below 6 modes, where
+    the N! eigensolves are cheap)."""
+    rng = np.random.default_rng(10 * k + t)
+    system = ModeSystem(tuple(f"m{i}" for i in range(k + t)), a_count=k + t)
+    bp = _split_of_size(rng, system, k)
+    for kind, orbit, count in (
+        ("even", row_column_orbit, orbits),
+        ("odd", row_column_orbit, orbits),
+        ("any", lambda rows, _: rows, groups),
+    ):
+        orderings, values = _negativities(random_state(system, kind, int(rng.integers(1 << 30))), bp)
+        by_orbit = {}
+        for o, v in zip(orderings, values):
+            by_orbit.setdefault(orbit(precedence_rows(o, bp.kept, bp.traced), t), []).append(v)
+        assert len(by_orbit) == count
+        assert max(max(v) - min(v) for v in by_orbit.values()) <= 1e-12
+        assert _distinct(values) == count
+    if k + t < 6:
+        mixture = _parity_mixture(system, int(rng.integers(1 << 30)))
+        assert _distinct(_negativities(mixture, bp)[1]) > len(reduction.ordering_scan(mixture, bp))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n_modes=st.integers(min_value=2, max_value=7),
+    sector=st.sampled_from(["even", "odd"]),
+    mixed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**30),
+)
+def test_contiguous_kept_orderings_reproduce_the_fermionic_trace(n_modes, sector, mixed, seed):
+    """For a superselected state, pure or a rank-2 mixture of one parity, any
+    ordering that lists the kept modes as one run, with traced modes on
+    either side, gives the fermionic trace bit for bit, on a random split
+    whose kept set is not first: the zero matrix's column orbit."""
+    rng = np.random.default_rng(seed)
+    system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+    bp = _split_not_first(rng, system)
+    state = random_state(system, sector, seed)
+    if mixed:
+        other = random_state(system, sector, seed + 1).to_density().matrix
+        state = DensityOperator(system, 0.5 * state.to_density().matrix + 0.5 * other)
+    route = qubit_route_reduction(state, _contiguous_kept_ordering(rng, bp), bp)
+    assert np.array_equal(route.matrix, fermionic_partial_trace(state, bp).matrix)
 
 
 def test_seven_mode_scan():
