@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, permutations
 from operator import attrgetter
 from typing import Union
@@ -66,11 +66,14 @@ from .ordering import (
     qubit_image,
 )
 
-#: Orderings are enumerated exhaustively. At the cap, a scan holds two
-#: 8! x 8 int8 matrices (permutations and their ranks, 315 KiB each) and a
-#: few int64 or float64 arrays of 8! entries (315 KiB each). It builds no
-#: ``ModeOrdering`` but its fermionic trace's: ``OrderingClass`` builds its
-#: representative and its members from their int8 rows when read.
+#: Orderings are enumerated exhaustively. At the cap, a split's scan plan
+#: (``_scan_plan``) holds two 8! x 8 int8 matrices (permutations and their
+#: ranks, 315 KiB each) and one or two int64 arrays of 8! entries (315 KiB
+#: each), 0.92-1.31 MiB in all, and outlives the call in the plan cache.
+#: Each call adds a few int64 arrays of 8! entries and an int8 copy of the
+#: permutations in class order, which the returned classes keep. It builds
+#: no ``ModeOrdering`` but its fermionic trace's: ``OrderingClass`` builds
+#: its representative and its members from their int8 rows when read.
 MAX_SCAN_MODES = 8
 
 #: Bytes for stacked evaluations. The ordering scan gives one stacked array,
@@ -82,7 +85,11 @@ MAX_SCAN_MODES = 8
 #: tracemalloc peak (19.0 MiB) stayed below that of the 64 KiB scan that
 #: checked each class on its own (19.5 MiB); 512 KiB peaked at 20.3 MiB.
 #: With each class matrix held once, the even (4,4) scan peaks at 13.0,
-#: 13.0 and 13.2 MiB at 64, 256 and 512 KiB.
+#: 13.0 and 13.2 MiB at 64, 256 and 512 KiB. The budget bounds the stacks
+#: alone, not the scan plan, which outlives the call: at 256 KiB the even
+#: (4,4) scan peaks at 10.7 MiB when it builds its 1.3 MiB plan, whose
+#: scratch arrays are freed before the first chunk, and at 9.3 MiB when
+#: the plan is cached (``BENCH_17.json``).
 _STACK_BYTES = 256 * 1024
 
 #: Non-representative members per scan group that the scan recomputes to
@@ -360,6 +367,52 @@ def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(np.argsort(first))[inverse], first
 
 
+#: Plans ``_scan_plan`` keeps. An 8-mode plan, at the ``MAX_SCAN_MODES``
+#: cap, holds 0.92-1.31 MiB (1.31 MiB for a (4,4) or (5,3) split keyed by
+#: orbit), so a full cache holds at most 10.5 MiB.
+_SCAN_PLANS = 8
+
+
+@lru_cache(maxsize=_SCAN_PLANS)
+def _scan_plan(
+    n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], orbits: bool
+) -> tuple[np.ndarray, ...]:
+    """What the ordering scan of one split needs and no state changes, as
+    read-only arrays: ``perms``, ``ranks``, ``prec``, ``group``, ``first``,
+    ``samples`` and ``bounds``. ``orbits`` groups by column orbit instead of
+    by precedence group, for an exactly superselected state."""
+    # perms[p] lists the mode indices of the p-th permutation in itertools
+    # order; ranks[p, i] is the position of canonical mode i in it
+    perms = np.fromiter(chain.from_iterable(permutations(range(n_modes))), np.int8)
+    perms = perms.reshape(-1, n_modes)
+    ranks = np.argsort(perms, axis=1).astype(np.int8)
+    # bit (kept a, traced c) is set when c precedes a; the bits of one
+    # permutation are packed into one integer code, at most 16 bits wide
+    bits = ranks[:, None, traced] < ranks[:, kept, None]
+    weights = 1 << np.arange(len(kept) * len(traced))
+    # prec[p] numbers p's precedence group in order of first appearance
+    prec, first = _first_appearance(bits.reshape(len(ranks), -1) @ weights)
+    group = prec
+    if orbits:
+        # the column rule: XOR-ing one mask into every kept row leaves the
+        # reduction as it is, so the group is the column orbit, keyed by the
+        # rows XOR-ed with the first kept mode's row
+        group, first = _first_appearance((bits ^ bits[:, :1]).reshape(len(ranks), -1) @ weights)
+    # sorted by group and then by a random key that is lowest at the first
+    # member, each group's run is its first member, then the others at random
+    keys = np.random.default_rng(0).random(len(perms))
+    keys[first] = -1.0
+    by_key = np.lexsort((keys, group))
+    runs = group[by_key]
+    samples = by_key[np.arange(len(perms)) - np.searchsorted(runs, runs) <= SCAN_VERIFY_SAMPLES]
+    # group g's samples are samples[bounds[g] : bounds[g + 1]]
+    bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
+    plan = (perms, ranks, prec, group, first, samples, bounds)
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
 def ordering_scan(
     rho: FockState,
     bp: Union[BipartitionSpec, None] = None,
@@ -408,6 +461,17 @@ def ordering_scan(
     permutation order. Classes are returned largest first, ties broken by
     representative labels. ``contains_physical`` flags only the class of
     the kept-before-traced orderings.
+
+    What no state changes is the split's plan, ``_scan_plan``: the
+    permutation rows and their ranks, the precedence and group numbers, each
+    group's first member, the sampled members and where each group's run of
+    them starts. It is keyed by the mode count, the kept and traced
+    positions and whether the state is exactly superselected, so an
+    orbit-keyed plan never serves a state it does not fit, and the cache
+    keeps the last ``_SCAN_PLANS`` plans, read-only. Scanning many states
+    on one split pays for the plan once; a process that runs one scan, as
+    the CLI does, gains nothing. Sign rows are not kept: each chunk signs
+    its own.
     """
     system = rho.system
     _check_scan_size(system)
@@ -415,32 +479,9 @@ def ordering_scan(
     fermionic = fermionic_partial_trace(rho, bp)
     data = _state_data(rho)
 
-    # perms[p] lists the mode indices of the p-th permutation in itertools
-    # order; ranks[p, i] is the position of canonical mode i in it
-    perms = np.fromiter(chain.from_iterable(permutations(range(system.n_modes))), np.int8)
-    perms = perms.reshape(-1, system.n_modes)
-    ranks = np.argsort(perms, axis=1).astype(np.int8)
-    # bit (kept a, traced c) is set when c precedes a; the bits of one
-    # permutation are packed into one integer code, at most 16 bits wide
-    bits = ranks[:, None, traced] < ranks[:, kept, None]
-    weights = 1 << np.arange(len(kept) * len(traced))
-    # prec[p] numbers p's precedence group in order of first appearance
-    prec, first = _first_appearance(bits.reshape(len(ranks), -1) @ weights)
-    group = prec
-    if _superselected_exactly(data, system.n_modes):
-        # the column rule: XOR-ing one mask into every kept row leaves the
-        # reduction as it is, so the group is the column orbit, keyed by the
-        # rows XOR-ed with the first kept mode's row
-        group, first = _first_appearance((bits ^ bits[:, :1]).reshape(len(ranks), -1) @ weights)
-    # sorted by group and then by a random key that is lowest at the first
-    # member, each group's run is its first member, then the others at random
-    keys = np.random.default_rng(0).random(len(perms))
-    keys[first] = -1.0
-    by_key = np.lexsort((keys, group))
-    runs = group[by_key]
-    samples = by_key[np.arange(len(perms)) - np.searchsorted(runs, runs) <= SCAN_VERIFY_SAMPLES]
-    # group g's samples are samples[bounds[g] : bounds[g + 1]]
-    bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
+    perms, ranks, prec, group, first, samples, bounds = _scan_plan(
+        system.n_modes, tuple(kept), tuple(traced), _superselected_exactly(data, system.n_modes)
+    )
     names = np.array(system.modes)
     kept_system = _kept_system(system, kept)
     dk = kept_system.dim
@@ -480,26 +521,32 @@ def ordering_scan(
         diffs += np.abs(matrices - fermionic.matrix).max(axis=(1, 2)).tolist()
 
     # each class lists its precedence groups in order of first appearance,
-    # each group in permutation order
+    # each group in permutation order; class c's members are
+    # ordered[starts[c] : ends[c]], its representative ordered[starts[c]]
     perm_class = group_class[group]
     ordered = perms[np.lexsort((prec, perm_class))]
     ordered.setflags(write=False)
-    members = np.split(ordered, np.cumsum(np.bincount(perm_class))[:-1])
-    result = [
+    ends = np.cumsum(np.bincount(perm_class)).tolist()
+    starts = [0, *ends[:-1]]
+    # classes go largest first, ties broken by representative labels, read
+    # as each mode's rank in label order
+    label_rank = np.argsort(sorted(range(system.n_modes), key=system.modes.__getitem__))
+    heads = label_rank[ordered[starts]].tolist()
+    keys = list(classes)
+    # physical orderings, where no traced mode precedes a kept one, have
+    # code 0, the smallest, under either key, so first[0] is in their group
+    physical = perm_class[first[0]]
+    return [
         OrderingClass(
             _modes=names,
-            _members=rows,
-            reduced=DensityOperator._checked(kept_system, np.frombuffer(key, np.complex128).reshape(dk, dk)),
-            # physical orderings, where no traced mode precedes a kept one,
-            # have code 0, the smallest, under either key, so first[0] is
-            # in their group
-            contains_physical=bool(c == perm_class[first[0]]),
-            matches_fermionic=diff < tol,
-            max_entry_diff=diff,
+            _members=ordered[starts[c] : ends[c]],
+            reduced=DensityOperator._checked(kept_system, np.frombuffer(keys[c], np.complex128).reshape(dk, dk)),
+            contains_physical=bool(c == physical),
+            matches_fermionic=diffs[c] < tol,
+            max_entry_diff=diffs[c],
         )
-        for c, (key, rows, diff) in enumerate(zip(classes, members, diffs))
+        for c in sorted(range(len(keys)), key=lambda c: (starts[c] - ends[c], heads[c]))
     ]
-    return sorted(result, key=lambda c: (-c.size, names[c._members[0]].tolist()))
 
 
 # --- randomized sweep --------------------------------------------------------

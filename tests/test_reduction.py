@@ -860,6 +860,93 @@ def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
             assert start == len(seen)
 
 
+def _signed_rows(bp, orbits):
+    """How many rank rows a scan on ``bp`` signs when it groups by column
+    orbit or by precedence group: each group's first member and up to
+    SCAN_VERIFY_SAMPLES others."""
+    sizes = {}
+    for p in permutations(bp.kept + bp.traced):
+        key = precedence_rows(p, bp.kept, bp.traced)
+        key = column_orbit(key, len(bp.traced)) if orbits else key
+        sizes[key] = sizes.get(key, 0) + 1
+    return sum(1 + min(reduction.SCAN_VERIFY_SAMPLES, size - 1) for size in sizes.values())
+
+
+def test_scan_plan_serves_only_the_grouping_a_state_fits(monkeypatch):
+    """On one split, an even, an any-sector, a nearly superselected and an
+    odd state are scanned, then the same four again from the plan cache.
+    The warm scans equal the cold ones, the second pass only hits the
+    cache, and every scan signs one row set per column orbit for the even
+    and odd state and per precedence group for the other two, so a plan
+    keyed by orbit never serves a state it does not fit."""
+    signed = []
+
+    def spy(ranks):
+        if ranks.shape[1] == system.n_modes:
+            signed[-1] += len(ranks)
+        return _inversion_signs(ranks)
+
+    monkeypatch.setattr(reduction, "_inversion_signs", spy)
+    system = ModeSystem(tuple(f"m{k}" for k in range(6)), a_count=6)
+    bp = _split_of_size(np.random.default_rng(2030), system, 3)
+    states = (
+        (random_state(system, "even", 1), True),
+        (random_state(system, "any", 2), False),
+        (_nearly_superselected(system, 3), False),
+        (random_state(system, "odd", 4), True),
+    )
+    reduction._scan_plan.cache_clear()
+    records = []
+    for state, orbits in states + states:
+        signed.append(0)
+        records.append(_scan_record(reduction.ordering_scan(state, bp)))
+        assert signed[-1] == _signed_rows(bp, orbits)
+    assert records[4:] == records[:4]
+    assert _signed_rows(bp, True) != _signed_rows(bp, False)
+    info = reduction._scan_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+
+
+def test_scan_plan_arrays_are_read_only():
+    """No array of a cached plan can be written to, whichever grouping it
+    is keyed by."""
+    for orbits in (False, True):
+        plan = reduction._scan_plan(5, (0, 1), (2, 3, 4), orbits)
+        assert len(plan) == 7
+        for array in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    n_modes=st.integers(min_value=3, max_value=6),
+    sector=st.sampled_from(["even", "odd", "any"]),
+    seed=st.integers(min_value=0, max_value=2**30),
+)
+def test_warm_scan_equals_cold_and_only_the_fermionic_class_matches(n_modes, sector, seed):
+    """On a random split whose kept set is not first, a scan served from
+    the plan cache equals the same scan after the cache is emptied. The
+    class holding the traced-first orderings, whose route is the fermionic
+    trace, matches it; for a state that is not superselected it is not the
+    physical class, and every other class, the physical one among them,
+    has a route gap above 0."""
+    rng = np.random.default_rng(seed)
+    system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+    bp = _split_not_first(rng, system)
+    state = random_state(system, sector, seed)
+    reduction.ordering_scan(state, bp)
+    warm = reduction.ordering_scan(state, bp)
+    reduction._scan_plan.cache_clear()
+    assert _scan_record(warm) == _scan_record(reduction.ordering_scan(state, bp))
+    traced_first = bp.traced + bp.kept
+    (fermionic,) = [c for c in warm if traced_first in {o.labels for o in c.orderings}]
+    assert fermionic.matches_fermionic
+    assert fermionic.contains_physical == (sector != "any")
+    if sector == "any":
+        assert all(c.max_entry_diff > 0 for c in warm if c is not fermionic)
+
+
 def _split_of_size(rng, system, k):
     """A random kept set of k modes that does not sit first."""
     while True:
