@@ -444,16 +444,35 @@ def _ssr_compliant_amplitudes(amplitudes: np.ndarray, n_modes: int) -> np.ndarra
     return cross <= DEFAULT_TOL
 
 
-def _superselected_exactly(data: np.ndarray, n_modes: int) -> bool:
-    """Whether a state's amplitudes or matrix connect no two bitstrings of
-    different total parity at all: every cross-parity amplitude pair has a
-    zero factor, or every cross-parity matrix entry is 0. Unlike
-    ``ssr_compliant`` it allows no tolerance, and it forms no products that
-    could underflow to 0."""
+#: How a state's entries sit across total parity, as ``_exact_parity``
+#: reads them: some entry joins the two parities, both parities hold
+#: entries but none joins them, or every entry lies in one parity.
+_CROSS_PARITY, _BOTH_PARITIES, _ONE_PARITY = range(3)
+
+
+def _exact_parity(data: np.ndarray, n_modes: int) -> tuple[int, int]:
+    """How a state's amplitudes or matrix sit across total parity, read
+    with no tolerance and without forming products that could underflow
+    to 0, and the parity p they keep: ``(_ONE_PARITY, 0)`` when every odd
+    entry is 0, ``(_ONE_PARITY, 1)`` when every even entry is 0,
+    ``(_BOTH_PARITIES, 0)`` when every cross-parity entry is 0 but both
+    parities are present, and ``(_CROSS_PARITY, 0)`` otherwise. A matrix
+    entry counts as even when either of its indices is even and as odd when
+    either is odd, so a cross-parity entry counts as both. A pure state with
+    amplitudes of both parities is cross-parity: its density joins them."""
     odd = _parity_vector(n_modes).astype(bool)
     if data.ndim == 1:
-        return not (data[odd].any() and data[~odd].any())
-    return not (data[np.ix_(odd, ~odd)].any() or data[np.ix_(~odd, odd)].any())
+        if not data[odd].any():
+            return _ONE_PARITY, 0
+        return (_ONE_PARITY, 1) if not data[~odd].any() else (_CROSS_PARITY, 0)
+    # the columns the even rows reach, and those the odd rows reach
+    nonzero = data != 0
+    from_even, from_odd = nonzero[~odd].any(axis=0), nonzero[odd].any(axis=0)
+    if from_even[odd].any() or from_odd[~odd].any():
+        return _CROSS_PARITY, 0
+    if from_even.any() and from_odd.any():
+        return _BOTH_PARITIES, 0
+    return _ONE_PARITY, int(from_odd.any())
 
 
 def sector_indices(system: ModeSystem, sector: str) -> np.ndarray:

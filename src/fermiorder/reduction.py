@@ -34,13 +34,15 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import chain, permutations
 from operator import attrgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .fock import (
     EVEN,
     ODD,
+    _CROSS_PARITY,
+    _ONE_PARITY,
     BipartitionSpec,
     DensityOperator,
     FockState,
@@ -48,10 +50,10 @@ from .fock import (
     _block_partial_trace,
     _check_density,
     _kept_traced_view,
+    _exact_parity,
     _sign_conjugate,
     _ssr_compliant_amplitudes,
     _state_data,
-    _superselected_exactly,
     random_state,
     ssr_compliant,
 )
@@ -66,21 +68,24 @@ from .ordering import (
     qubit_image,
 )
 
-#: Orderings are enumerated exhaustively. At the cap, a split's scan plan
-#: (``_scan_plan``) holds two 8! x 8 int8 matrices (permutations and their
-#: ranks, 315 KiB each) and one or two int64 arrays of 8! entries (315 KiB
-#: each), 0.92-1.31 MiB in all, and outlives the call in the plan cache.
-#: Each call adds a few int64 arrays of 8! entries and an int8 copy of the
-#: permutations in class order, which the returned classes keep. It builds
-#: no ``ModeOrdering`` but its fermionic trace's: ``OrderingClass`` builds
-#: its representative and its members from their int8 rows when read.
+#: Orderings are enumerated exhaustively. At the cap, the permutations and
+#: their ranks (``_permutations``), two 8! x 8 int8 matrices of 315 KiB,
+#: are shared by every 8-mode plan; a split's scan plan (``_scan_plan``)
+#: holds one or two int64 arrays of 8! entries (315 KiB each) and its
+#: samples, 0.31-0.80 MiB in all (``nbytes``), and both outlive the call
+#: in their caches. Each call adds a few int64 arrays of 8! entries and an
+#: int8 copy of the permutations in class order, which the returned classes
+#: keep. It builds no ``ModeOrdering`` but its fermionic trace's:
+#: ``OrderingClass`` builds its representative and its members from their
+#: int8 rows when read.
 MAX_SCAN_MODES = 8
 
 #: Bytes for stacked evaluations. The ordering scan gives one stacked array,
-#: a state or a dk x dk reduction per evaluated ordering, this much; the
-#: sweep keeps every stacked array one chunk of trials holds at once within
-#: it. 256 KiB is the knee of a sweep from 64 KiB to 1 MiB on a 2-core
-#: machine (``BENCH_14.json``): below it the scan spends its time on
+#: a state or a dk x dk reduction per evaluated ordering, this much, and
+#: each stack of orbit matrices it derives from them as much; the sweep
+#: keeps every stacked array one chunk of trials holds at once within it.
+#: 256 KiB is the knee of a sweep from 64 KiB to 1 MiB on a 2-core machine
+#: (``BENCH_14.json``): below it the scan spends its time on
 #: per-chunk work, and it was the largest budget at which the (4,4) scan's
 #: tracemalloc peak (19.0 MiB) stayed below that of the 64 KiB scan that
 #: checked each class on its own (19.5 MiB); 512 KiB peaked at 20.3 MiB.
@@ -89,7 +94,8 @@ MAX_SCAN_MODES = 8
 #: alone, not the scan plan, which outlives the call: at 256 KiB the even
 #: (4,4) scan peaks at 10.7 MiB when it builds its 1.3 MiB plan, whose
 #: scratch arrays are freed before the first chunk, and at 9.3 MiB when
-#: the plan is cached (``BENCH_17.json``).
+#: the plan is cached (``BENCH_17.json``); run once per row-and-column
+#: orbit, it peaks at 10.4 and 9.0 MiB (``BENCH_18.json``).
 _STACK_BYTES = 256 * 1024
 
 #: Non-representative members per scan group that the scan recomputes to
@@ -131,6 +137,18 @@ def _bipartition_positions(
         raise InvalidBipartitionError(str(exc)) from None
     kept = [k for k, label in enumerate(system.modes) if label in bp.kept]
     traced = [k for k, label in enumerate(system.modes) if label in bp.traced]
+    return bp, kept, traced
+
+
+def _reduction_positions(
+    system: ModeSystem, bp: Union[BipartitionSpec, None]
+) -> tuple[BipartitionSpec, list[int], list[int]]:
+    """``_bipartition_positions`` for a reduction, whose result lives on the
+    kept modes: an empty kept block is refused before anything is reduced."""
+    bp, kept, traced = _bipartition_positions(system, bp)
+    if not kept:
+        message = f"bipartition {bp.kept}|{bp.traced} keeps no mode: the kept block is empty"
+        raise InvalidBipartitionError(message)
     return bp, kept, traced
 
 
@@ -181,8 +199,9 @@ def fermionic_partial_trace(
     under the traced-first ordering. A pure state is conjugated as s * psi
     and reduced without forming its density; it must be normalized. The
     trace is preserved exactly, and the result is Hermitian and positive.
+    An empty kept block is an ``InvalidBipartitionError``.
     """
-    _, kept, traced = _bipartition_positions(rho.system, bp)
+    _, kept, traced = _reduction_positions(rho.system, bp)
     reduced = _fermionic_reduction(rho.system, _state_data(rho), kept, traced)
     return DensityOperator(_kept_system(rho.system, kept), reduced)
 
@@ -193,9 +212,11 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
     The surviving register keeps the kept modes in canonical positions and
     remembers the ordering restricted to those modes, which is what the
     inverse map needs to return to the fermionic picture. The reduced
-    register is a matrix, also when a pure register is reduced.
+    register is a matrix, also when a pure register is reduced. An empty
+    kept block is an ``InvalidBipartitionError``, raised before anything is
+    traced, so ``qubit_route_reduction`` refuses it too.
     """
-    _, kept, traced = _bipartition_positions(q.system, bp)
+    _, kept, traced = _reduction_positions(q.system, bp)
     labels = [q.system.modes[k] for k in kept]
     reduced = _block_partial_trace(q.data, kept, traced)
     return QubitState(ModeSystem.from_blocks(labels), q.ordering.restricted_to(labels), reduced)
@@ -302,10 +323,11 @@ def theorem_check(
     ``_compare_routes`` lists. Orderings that interleave kept and traced
     modes are outside the equivalence statement and are rejected unless
     ``force`` is set, which is how the disagreement examples are produced
-    on purpose.
+    on purpose. An empty kept block is an ``InvalidBipartitionError``,
+    raised before anything is reduced or diagonalized.
     """
     system = rho.system
-    _, kept, traced = _bipartition_positions(system, bp)
+    _, kept, traced = _reduction_positions(system, bp)
     physical = _check_physical(system, kept, traced, ordering, force)
     fermionic, qubit_side, diff, dist = _compare_routes(system, _state_data(rho), kept, traced, ordering)
     kept_system = _kept_system(system, kept)
@@ -367,50 +389,145 @@ def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(np.argsort(first))[inverse], first
 
 
-#: Plans ``_scan_plan`` keeps. An 8-mode plan, at the ``MAX_SCAN_MODES``
-#: cap, holds 0.92-1.31 MiB (1.31 MiB for a (4,4) or (5,3) split keyed by
-#: orbit), so a full cache holds at most 10.5 MiB.
-_SCAN_PLANS = 8
-
-
-@lru_cache(maxsize=_SCAN_PLANS)
-def _scan_plan(
-    n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], orbits: bool
-) -> tuple[np.ndarray, ...]:
-    """What the ordering scan of one split needs and no state changes, as
-    read-only arrays: ``perms``, ``ranks``, ``prec``, ``group``, ``first``,
-    ``samples`` and ``bounds``. ``orbits`` groups by column orbit instead of
-    by precedence group, for an exactly superselected state."""
-    # perms[p] lists the mode indices of the p-th permutation in itertools
-    # order; ranks[p, i] is the position of canonical mode i in it
+@lru_cache(maxsize=MAX_SCAN_MODES)
+def _permutations(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of n modes as read-only int8 rows: ``perms[p]``
+    lists the mode indices of the p-th permutation in ``itertools`` order,
+    and ``ranks[p, i]`` is the position of mode i in it. They depend on the
+    mode count alone, so the scan plans of one mode count share them; the
+    eight counts up to ``MAX_SCAN_MODES`` hold 0.69 MiB, 0.62 MiB of it at
+    8 modes."""
     perms = np.fromiter(chain.from_iterable(permutations(range(n_modes))), np.int8)
     perms = perms.reshape(-1, n_modes)
     ranks = np.argsort(perms, axis=1).astype(np.int8)
-    # bit (kept a, traced c) is set when c precedes a; the bits of one
-    # permutation are packed into one integer code, at most 16 bits wide
-    bits = ranks[:, None, traced] < ranks[:, kept, None]
-    weights = 1 << np.arange(len(kept) * len(traced))
-    # prec[p] numbers p's precedence group in order of first appearance
-    prec, first = _first_appearance(bits.reshape(len(ranks), -1) @ weights)
-    group = prec
-    if orbits:
+    for array in (perms, ranks):
+        array.setflags(write=False)
+    return perms, ranks
+
+
+#: Plans ``_scan_plan`` keeps. An 8-mode plan, at the ``MAX_SCAN_MODES``
+#: cap, holds 0.31-0.80 MiB besides the permutations it shares (0.80 MiB
+#: for a (5,3) split keyed by row-and-column orbit, 0.78 MiB for a (4,4)
+#: split keyed by precedence group), so a full cache holds at most
+#: 6.4 MiB, and 7.1 MiB with the permutations of every mode count up to
+#: the cap.
+_SCAN_PLANS = 8
+
+
+class _ScanPlan(NamedTuple):
+    """What the ordering scan of one split needs and no state changes, as
+    read-only arrays, and the orbit of the physical orderings. Groups are
+    the orderings the route runs once for, orbits those a class matrix is
+    derived for; samples are the evaluated orderings. Sign rows are the
+    kept-side signs d_R of the rows R a sample or an orbit complements
+    relative to its group's first member, one set per total parity p; they
+    exist only for row-and-column orbits, where some R is not empty."""
+
+    prec: np.ndarray  # each permutation's precedence group, by first appearance
+    orbit: np.ndarray  # each permutation's orbit; a group's orbits are one run
+    samples: np.ndarray  # group g's are samples[bounds[g] : bounds[g + 1]]
+    bounds: np.ndarray
+    sample_heads: np.ndarray  # where each sample's group starts in samples
+    sample_signs: Union[np.ndarray, None]  # [p, i]: sample i's for parity p
+    orbit_bounds: np.ndarray  # group g's orbits are orbit_bounds[g] to [g + 1]
+    orbit_heads: np.ndarray  # where each orbit's group starts in samples
+    orbit_signs: Union[np.ndarray, None]  # [p, o]: orbit o's for parity p
+    physical: int
+
+
+@lru_cache(maxsize=_SCAN_PLANS)
+def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], parity: int) -> _ScanPlan:
+    """The ``_ScanPlan`` of one split. ``parity`` is ``_exact_parity``'s
+    verdict on the state, which picks the groups: precedence groups for
+    cross-parity states, column orbits for states of both parities and
+    row-and-column orbits for states of one parity. An orbit is a column
+    orbit, or a precedence group when the groups are."""
+    _, ranks = _permutations(n_modes)
+    k, t = len(kept), len(traced)
+    # rows[p, a] packs kept mode a's precedence bits: bit c is set when
+    # traced[c] precedes it; a permutation's code packs all its rows, at
+    # most 16 bits
+    rows = (ranks[:, None, traced] < ranks[:, kept, None]) @ (1 << np.arange(t))
+    shifts = t * np.arange(k)
+    # prec[p] numbers p's precedence group in order of first appearance;
+    # the physical orderings, no traced mode before a kept one, have code 0
+    codes = (rows << shifts).sum(axis=1)
+    prec, first = _first_appearance(codes)
+    orbit = group = prec
+    if parity != _CROSS_PARITY:
         # the column rule: XOR-ing one mask into every kept row leaves the
-        # reduction as it is, so the group is the column orbit, keyed by the
-        # rows XOR-ed with the first kept mode's row
-        group, first = _first_appearance((bits ^ bits[:, :1]).reshape(len(ranks), -1) @ weights)
+        # reduction as it is, so an orbit is keyed by the rows XOR-ed with
+        # the first kept mode's row
+        columns = rows ^ rows[:, :1]
+        group, first = _first_appearance((columns << shifts).sum(axis=1))
+        if parity == _ONE_PARITY:
+            # the row rule: complementing kept rows signs the reduction on
+            # the kept side alone, so a group is keyed by the column key
+            # with each row r replaced by min(r, r XOR all-ones); flipped
+            # marks the rows each permutation's key complements, kept mode a
+            # at bit k - 1 - a as in a kept index
+            ones = (1 << t) - 1
+            flips = (columns ^ ones) < columns
+            flipped = flips @ (1 << np.arange(k)[::-1])
+            group, first = _first_appearance(((columns ^ flips * ones) << shifts).sum(axis=1))
+        # orbits are numbered by group, then by key, so each group's orbits
+        # are one run
+        _, orbit = np.unique(group << k * t | (columns << shifts).sum(axis=1), return_inverse=True)
     # sorted by group and then by a random key that is lowest at the first
     # member, each group's run is its first member, then the others at random
-    keys = np.random.default_rng(0).random(len(perms))
+    keys = np.random.default_rng(0).random(len(ranks))
     keys[first] = -1.0
     by_key = np.lexsort((keys, group))
     runs = group[by_key]
-    samples = by_key[np.arange(len(perms)) - np.searchsorted(runs, runs) <= SCAN_VERIFY_SAMPLES]
-    # group g's samples are samples[bounds[g] : bounds[g + 1]]
+    samples = by_key[np.arange(len(ranks)) - np.searchsorted(runs, runs) <= SCAN_VERIFY_SAMPLES]
     bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
-    plan = (perms, ranks, prec, group, first, samples, bounds)
-    for array in plan:
-        array.setflags(write=False)
+    orbit_group = np.zeros(orbit.max() + 1, dtype=np.int64)
+    orbit_group[orbit] = group
+    orbit_bounds = np.searchsorted(orbit_group, np.arange(len(first) + 1))
+    sample_signs = orbit_signs = None
+    if parity == _ONE_PARITY:
+        head_flips = flipped[samples[bounds[:-1]]]
+        orbit_flips = np.zeros(len(orbit_group), dtype=np.int64)
+        orbit_flips[orbit] = flipped ^ head_flips[group]
+        signs = _kept_side_signs(k)
+        sample_signs = signs[:, flipped[samples] ^ head_flips[group[samples]]]
+        orbit_signs = signs[:, orbit_flips]
+    plan = _ScanPlan(
+        prec=prec,
+        orbit=orbit,
+        samples=samples,
+        bounds=bounds,
+        sample_heads=bounds[group[samples]],
+        sample_signs=sample_signs,
+        orbit_bounds=orbit_bounds,
+        orbit_heads=bounds[orbit_group],
+        orbit_signs=orbit_signs,
+        physical=int(orbit[codes.argmin()]),
+    )
+    for array in plan[:-1]:
+        if array is not None:
+            array.setflags(write=False)
     return plan
+
+
+def _kept_side_signs(n_kept: int) -> np.ndarray:
+    """d_R(x) = (-1)^((p + |x|) |x & R|) as int8 at [p, R, x], p a total
+    parity, R a set of kept rows and x a kept index, kept mode a at bit
+    k - 1 - a of both. Complementing the kept rows R of the precedence
+    matrix multiplies amplitude (x, z) of a state of parity p by d_R(x),
+    since |z| = p + |x| on its support, so it conjugates the reduction by
+    d_R."""
+    x = np.arange(1 << n_kept)
+    overlap = np.bitwise_count(x[:, None] & x)
+    exponent = (np.arange(2)[:, None, None] + np.bitwise_count(x).astype(np.int64)) * overlap
+    return np.where(exponent % 2, -1, 1).astype(np.int8)
+
+
+def _conjugate_stack(stack: np.ndarray, signs: np.ndarray) -> None:
+    """Conjugate each matrix of a stack by its own row of ``signs``, d m d,
+    in place: the scan passes a fresh gather, so one stack is held."""
+    stack *= signs[:, :, None]
+    stack *= signs[:, None, :]
 
 
 def ordering_scan(
@@ -433,29 +550,51 @@ def ordering_scan(
     Rule (i), the column rule: for a state that is exactly
     parity-superselected, with every entry between opposite total
     parities exactly 0, the reduction depends on M only up to XOR-ing one
-    common mask into every kept row. Flipping column c multiplies reduced entry (x, y) by
-    (-1)^((|x| + |y|) z_c), and |x| and |y| have one parity wherever the
-    state is supported. Such a state's orderings are grouped by column
-    orbit, M with every row XOR-ed with the first kept mode's row, and the
-    route runs once per orbit; any other state keeps one group per M.
-    Members are still listed by precedence group, so the result does not
-    depend on the grouping. The orbit of the zero matrix, every ordering
-    that keeps the kept modes contiguous, lands in the class that matches
-    the fermionic trace.
+    common mask into every kept row. Flipping column c multiplies reduced
+    entry (x, y) by (-1)^((|x| + |y|) z_c), and |x| and |y| have one
+    parity wherever the state is supported. A column orbit is keyed by M
+    with every row XOR-ed with the first kept mode's row.
+
+    Rule (ii), the row rule: for a state of one total parity p, also
+    complementing the kept rows R of M multiplies amplitude (x, z) by
+    d_R(x) = (-1)^((p + |x|) |x & R|), since |z| = p + |x| on the support:
+    a sign on the kept side alone, so the reduction becomes d_R rho d_R. A
+    row-and-column orbit is keyed by the column key with each row r
+    replaced by min(r, r XOR all-ones).
+
+    ``_exact_parity`` reads, with no tolerance, which rules a state obeys.
+    The route runs once per row-and-column orbit for a state of one parity,
+    even or odd, pure or mixed; once per column orbit for a mixture of both
+    parities with no entry between them; and once per precedence group, one
+    M, for any other state. A class is a column orbit, or a precedence group
+    when the groups are; for a state of one parity each column orbit's
+    matrix is its row-and-column orbit's first member conjugated by d_R for
+    the rows R the orbit complements relative to it. Members are still
+    listed by precedence group, so the result does not depend on the
+    grouping. The orbit of the zero matrix, every ordering that keeps the
+    kept modes contiguous, lands in the class that matches the fermionic
+    trace.
 
     The route is evaluated once per group on its first member, and on up to
     ``SCAN_VERIFY_SAMPLES`` other members of the group picked by one draw of
-    random keys, which must agree to the bit; for a superselected state
-    that checks the column rule on every class. These evaluations run
-    stacked, whole groups at a time, in chunks whose largest stacked array
-    stays within ``_STACK_BYTES`` unless one group alone is larger: each
-    chunk's sign rows come from one ``_inversion_signs`` call and go
-    through ``_qubit_reduction``, the route ``theorem_check`` compares.
-    Groups are then merged whenever they land on the identical reduced
-    matrix, with negative zeros flushed to +0.0 first; the flushed bytes of
-    the group that opens a class are its merge key and its matrix, held
-    once. The matrices of the classes a chunk opens are checked per chunk
-    as one stack, with the checks ``DensityOperator`` makes, and compared
+    random keys; each must equal the first member conjugated by its own
+    d_R, to the bit (d_R is 1 unless the groups are row-and-column orbits).
+    For a state of one parity the samples come from the whole orbit, so
+    that checks both rules on every row-and-column orbit, and for a mixture
+    the column rule on every class. These evaluations run stacked, whole
+    groups at a time, in chunks whose largest stacked array stays within
+    ``_STACK_BYTES`` unless one group alone is larger: each chunk's sign
+    rows come from one ``_inversion_signs`` call and go through
+    ``_qubit_reduction``, the route ``theorem_check`` compares. Each
+    chunk's evaluated first members are checked as one stack, with the
+    checks ``DensityOperator`` makes: d_R moves no diagonal entry and no
+    deviation size, so a derived matrix passes them as its first member
+    does. The chunk then derives the matrix of each orbit of its groups,
+    at most ``_STACK_BYTES`` of them at a time and conjugated in place on
+    one gathered copy, and orbits are merged whenever they land on the
+    identical reduced matrix, with negative zeros flushed to +0.0 first;
+    the flushed bytes of the orbit that opens a class are its merge key
+    and its matrix, held once. The classes a stack opens are compared
     against the fermionic trace in one array operation. Each class lists
     its members by precedence group in order of first appearance, then in
     permutation order. Classes are returned largest first, ties broken by
@@ -463,68 +602,91 @@ def ordering_scan(
     the kept-before-traced orderings.
 
     What no state changes is the split's plan, ``_scan_plan``: the
-    permutation rows and their ranks, the precedence and group numbers, each
-    group's first member, the sampled members and where each group's run of
-    them starts. It is keyed by the mode count, the kept and traced
-    positions and whether the state is exactly superselected, so an
-    orbit-keyed plan never serves a state it does not fit, and the cache
-    keeps the last ``_SCAN_PLANS`` plans, read-only. Scanning many states
-    on one split pays for the plan once; a process that runs one scan, as
-    the CLI does, gains nothing. Sign rows are not kept: each chunk signs
-    its own.
+    precedence and orbit numbers, the sampled members, where each group's
+    run of them and of its orbits starts, and the kept-side signs of each
+    sample and orbit. It is keyed by the mode count, the kept and traced
+    positions and ``_exact_parity``'s verdict, so a plan never serves a
+    state whose grouping it does not fit, and the cache keeps the last
+    ``_SCAN_PLANS`` plans, read-only. The permutation rows and their ranks
+    depend on the mode count alone and are shared by its plans
+    (``_permutations``). Scanning many states on one split pays for the
+    plan once; a process that runs one scan, as the CLI does, gains
+    nothing. The orderings' own sign rows are not kept: each chunk signs
+    its own. An empty kept block is an ``InvalidBipartitionError``; an
+    empty traced block gives one class.
     """
     system = rho.system
     _check_scan_size(system)
-    bp, kept, traced = _bipartition_positions(system, bp)
+    bp, kept, traced = _reduction_positions(system, bp)
     fermionic = fermionic_partial_trace(rho, bp)
     data = _state_data(rho)
 
-    perms, ranks, prec, group, first, samples, bounds = _scan_plan(
-        system.n_modes, tuple(kept), tuple(traced), _superselected_exactly(data, system.n_modes)
-    )
+    parity, p = _exact_parity(data, system.n_modes)
+    plan = _scan_plan(system.n_modes, tuple(kept), tuple(traced), parity)
+    perms, ranks = _permutations(system.n_modes)
     names = np.array(system.modes)
     kept_system = _kept_system(system, kept)
     dk = kept_system.dim
     group_bytes = data.itemsize * max(data.size, dk * dk) * (1 + SCAN_VERIFY_SAMPLES)
     per_chunk = max(1, _STACK_BYTES // group_bytes)
+    # a group of a state of one parity may have more orbits than samples,
+    # so a chunk derives its orbits' matrices this many at a time
+    per_stack = max(1, _STACK_BYTES // (data.itemsize * dk * dk))
     # a class's key is its matrix's bytes, the one copy of it the scan keeps
     classes: dict[bytes, int] = {}
     diffs = []
-    group_class = np.empty(len(first), dtype=np.int64)
-    for g in range(0, len(first), per_chunk):
-        end = min(g + per_chunk, len(first))
-        lo, hi = bounds[g], bounds[end]
-        rows = samples[lo:hi]
+    orbit_class = np.empty(len(plan.orbit_heads), dtype=np.int64)
+    for g in range(0, len(plan.bounds) - 1, per_chunk):
+        end = min(g + per_chunk, len(plan.bounds) - 1)
+        lo, hi = plan.bounds[g], plan.bounds[end]
+        rows = plan.samples[lo:hi]
         reduced = _qubit_reduction(data, _inversion_signs(ranks[rows]), kept, traced)
-        heads = bounds[group[rows]] - lo
-        bad = np.flatnonzero((reduced != reduced[heads]).any(axis=(1, 2)))
+        # each sample must be its group's first member conjugated by the
+        # kept-side signs of the rows it complements relative to it
+        heads = plan.sample_heads[lo:hi] - lo
+        derived = reduced[heads]
+        if parity == _ONE_PARITY:
+            _conjugate_stack(derived, plan.sample_signs[p, lo:hi])
+        bad = np.flatnonzero((reduced != derived).any(axis=(1, 2)))
         if bad.size:
             head, other = names[perms[rows[[heads[bad[0]], bad[0]]]]].tolist()
             raise AssertionError(f"scan group of {tuple(head)} is not uniform: {tuple(other)} disagrees")
-        # adding 0.0 flushes negative zeros left behind by sign flips,
-        # which would otherwise split byte-identical classes
-        flushed = (reduced[bounds[g:end] - lo] + 0.0).reshape(end - g, -1)
-        opened = len(classes)
-        chunk_class = [
-            classes.setdefault(key, len(classes))
-            for key in flushed.view(f"V{flushed[0].nbytes}").ravel().tolist()
-        ]
-        group_class[g:end] = chunk_class
-        if len(classes) == opened:
-            continue
-        # the chunk's new class matrices are checked as one stack, with the
-        # checks ``DensityOperator`` makes
-        openers = [chunk_class.index(c) for c in range(opened, len(classes))]
-        matrices = flushed[openers].reshape(-1, dk, dk)
-        _check_finite(matrices)
-        _check_density(matrices)
-        diffs += np.abs(matrices - fermionic.matrix).max(axis=(1, 2)).tolist()
+        # the checks ``DensityOperator`` makes run on the first members as
+        # one stack: a sign conjugation moves no diagonal entry and no
+        # deviation size, so each derived matrix passes them as its first
+        # member does
+        starts = plan.bounds[g:end] - lo
+        _check_finite(reduced[starts])
+        _check_density(reduced[starts])
+        # the same rule gives each orbit of the chunk's groups its matrix
+        # from its group's first member; adding 0.0 flushes negative zeros
+        # left behind by sign flips, which would otherwise split
+        # byte-identical classes
+        for o in range(plan.orbit_bounds[g], plan.orbit_bounds[end], per_stack):
+            o_end = min(o + per_stack, plan.orbit_bounds[end])
+            flushed = reduced[plan.orbit_heads[o:o_end] - lo]
+            if parity == _ONE_PARITY:
+                _conjugate_stack(flushed, plan.orbit_signs[p, o:o_end])
+            flushed += 0.0
+            flushed = flushed.reshape(o_end - o, -1)
+            opened = len(classes)
+            stack_class = [
+                classes.setdefault(key, len(classes))
+                for key in flushed.view(f"V{flushed[0].nbytes}").ravel().tolist()
+            ]
+            orbit_class[o:o_end] = stack_class
+            if len(classes) > opened:
+                openers = [stack_class.index(c) for c in range(opened, len(classes))]
+                matrices = flushed[openers].reshape(-1, dk, dk)
+                diffs += np.abs(matrices - fermionic.matrix).max(axis=(1, 2)).tolist()
 
+    # the last chunk's stacks are not held while the members are sorted
+    del reduced, derived, flushed
     # each class lists its precedence groups in order of first appearance,
     # each group in permutation order; class c's members are
     # ordered[starts[c] : ends[c]], its representative ordered[starts[c]]
-    perm_class = group_class[group]
-    ordered = perms[np.lexsort((prec, perm_class))]
+    perm_class = orbit_class[plan.orbit]
+    ordered = perms[np.lexsort((plan.prec, perm_class))]
     ordered.setflags(write=False)
     ends = np.cumsum(np.bincount(perm_class)).tolist()
     starts = [0, *ends[:-1]]
@@ -533,15 +695,12 @@ def ordering_scan(
     label_rank = np.argsort(sorted(range(system.n_modes), key=system.modes.__getitem__))
     heads = label_rank[ordered[starts]].tolist()
     keys = list(classes)
-    # physical orderings, where no traced mode precedes a kept one, have
-    # code 0, the smallest, under either key, so first[0] is in their group
-    physical = perm_class[first[0]]
     return [
         OrderingClass(
             _modes=names,
             _members=ordered[starts[c] : ends[c]],
             reduced=DensityOperator._checked(kept_system, np.frombuffer(keys[c], np.complex128).reshape(dk, dk)),
-            contains_physical=bool(c == physical),
+            contains_physical=bool(c == orbit_class[plan.physical]),
             matches_fermionic=diffs[c] < tol,
             max_entry_diff=diffs[c],
         )

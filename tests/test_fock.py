@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiorder.fock import (
+    _BOTH_PARITIES,
+    _CROSS_PARITY,
+    _ONE_PARITY,
     ANNIHILATION,
     CREATION,
     FockVector,
     ModeSystem,
     OperatorString,
     UnknownModeError,
+    _exact_parity,
     apply,
     basis_state,
     from_operator_string,
@@ -285,6 +289,35 @@ def test_random_state_sector_support():
     odd = random_state(system, sector="odd", seed=0)
     assert ssr_compliant(odd)
     assert abs(odd.norm() - 1.0) < tol
+
+
+def test_exact_parity_reads_every_entry_without_tolerance():
+    """``_exact_parity`` sorts states by their entries alone: one parity and
+    which, both parities with nothing between them, or something between
+    them, however small. A matrix is read entry by entry, not off its
+    diagonal: an odd block with an empty odd diagonal still counts."""
+    system = ModeSystem.from_blocks(("a1", "a2"), ("c1", "c2"))
+    odd = np.array([bin(i).count("1") % 2 == 1 for i in range(16)])
+    even_state = random_state(system, sector="even", seed=1).amplitudes
+    odd_state = random_state(system, sector="odd", seed=2).amplitudes
+    tiny = even_state.copy()
+    tiny[odd.argmax()] = 1e-300
+    mixture = np.outer(even_state, even_state.conj()) + np.outer(odd_state, odd_state.conj())
+    joined = mixture.copy()
+    joined[0, odd.argmax()] = 1e-300
+    hollow = np.outer(even_state, even_state.conj())
+    hollow[1, 2] = hollow[2, 1] = 1e-3
+    for data, verdict in (
+        (even_state, (_ONE_PARITY, 0)),
+        (odd_state, (_ONE_PARITY, 1)),
+        (np.outer(odd_state, odd_state.conj()), (_ONE_PARITY, 1)),
+        (tiny, (_CROSS_PARITY, 0)),
+        (random_state(system, sector="any", seed=3).amplitudes, (_CROSS_PARITY, 0)),
+        (mixture, (_BOTH_PARITIES, 0)),
+        (joined, (_CROSS_PARITY, 0)),
+        (hollow, (_BOTH_PARITIES, 0)),
+    ):
+        assert _exact_parity(data, system.n_modes) == verdict
 
 
 def test_random_state_draws_the_two_step_amplitudes():

@@ -24,6 +24,7 @@ from fermiorder.numerics import (
     hermitian_eigenvalues,
     trace_distance,
 )
+from fermiorder import fock
 from fermiorder import ordering as ordering_module
 from fermiorder import reduction
 from fermiorder.ordering import (
@@ -246,6 +247,48 @@ def test_every_bipartition_entry_point_rejects_an_uncovered_split(entry, kept, t
     message = rf"^bipartition {re.escape(f'{kept}|{traced}')} does not cover system"
     with pytest.raises(InvalidBipartitionError, match=message):
         BIPARTITION_ENTRY_POINTS[entry](state, ModeOrdering.canonical(system), bp)
+
+
+REDUCTIONS = ("fermionic_partial_trace", "qubit_partial_trace", "theorem_check", "ordering_scan")
+
+
+@pytest.mark.parametrize("entry", REDUCTIONS)
+@pytest.mark.parametrize("sector", ["even", "any"])
+def test_reductions_refuse_an_empty_kept_block_before_reducing(monkeypatch, entry, sector):
+    """A reduction keeps a state on its kept modes, so an empty kept block
+    is an invalid bipartition, named as such before anything is reduced or
+    diagonalized; ``qubit_route_reduction`` refuses it through
+    ``qubit_partial_trace``."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduced before the bipartition was checked")
+
+    system = sweep_system(1, 2)
+    state = random_state(system, sector=sector, seed=2)
+    bp = BipartitionSpec(kept=(), traced=system.modes)
+    monkeypatch.setattr(reduction, "_block_partial_trace", forbidden)
+    monkeypatch.setattr(reduction, "_trace_distances", forbidden)
+    message = re.escape(f"bipartition ()|{system.modes} keeps no mode: the kept block is empty")
+    with pytest.raises(InvalidBipartitionError, match=message):
+        BIPARTITION_ENTRY_POINTS[entry](state, ModeOrdering.canonical(system), bp)
+    with pytest.raises(InvalidBipartitionError, match=message):
+        qubit_route_reduction(state, ModeOrdering.canonical(system), bp)
+
+
+def test_empty_blocks_where_they_are_answered():
+    """Negativity across an empty kept block is 0, and a scan whose traced
+    block is empty has one class, every ordering, whose matrix is the
+    fermionic trace, the state's own density."""
+    system = sweep_system(2, 1)
+    for sector in ("even", "any"):
+        state = random_state(system, sector=sector, seed=4)
+        empty_kept = BipartitionSpec(kept=(), traced=system.modes)
+        assert negativity(state, empty_kept, ModeOrdering.canonical(system)).value == 0.0
+        nothing_traced = BipartitionSpec(kept=system.modes, traced=())
+        (only,) = reduction.ordering_scan(state, nothing_traced)
+        assert only.size == factorial(3) and only.contains_physical and only.matches_fermionic
+        assert np.array_equal(only.reduced.matrix, fermionic_partial_trace(state, nothing_traced).matrix)
+        assert np.abs(only.reduced.matrix - state.to_density().matrix).max() < tol
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
@@ -653,8 +696,10 @@ def _scan_record(classes):
 def test_scan_classes_match_qubit_route(monkeypatch):
     """Each class's reduced matrix is exactly what the per-ordering route
     gives its representative and three random members, on kept sets that
-    are not first, for pure and density inputs. The scan itself neither
-    calls the route nor the cached sign vectors."""
+    are not first, for even, odd and any-sector states, pure and as
+    densities. For even and odd states most class matrices are derived
+    from another orbit's by the row rule, and each is compared here. The
+    scan itself neither calls the route nor the cached sign vectors."""
 
     def forbidden(*args):
         raise AssertionError("the scan called the per-ordering route")
@@ -662,19 +707,20 @@ def test_scan_classes_match_qubit_route(monkeypatch):
     rng = np.random.default_rng(2020)
     for n_modes in range(3, 7):
         system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
-        bp = _split_not_first(rng, system)
-        state = random_state(system, sector="any", seed=int(rng.integers(1 << 30)))
-        for given in (state, state.to_density()):
-            with monkeypatch.context() as patched:
-                patched.setattr(reduction, "qubit_route_reduction", forbidden)
-                patched.setattr(ordering_module, "ordering_sign_vector", forbidden)
-                classes = ordering_scan(given, bp)
-            assert sum(c.size for c in classes) == factorial(n_modes)
-            for c in classes:
-                picks = rng.choice(c.size, size=min(3, c.size), replace=False)
-                for o in [c.representative] + [c.orderings[int(k)] for k in picks]:
-                    route = qubit_route_reduction(given, o, bp)
-                    assert np.array_equal(c.reduced.matrix, route.matrix)
+        for sector in ("even", "odd", "any"):
+            bp = _split_not_first(rng, system)
+            state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+            for given in (state, state.to_density()):
+                with monkeypatch.context() as patched:
+                    patched.setattr(reduction, "qubit_route_reduction", forbidden)
+                    patched.setattr(ordering_module, "ordering_sign_vector", forbidden)
+                    classes = ordering_scan(given, bp)
+                assert sum(c.size for c in classes) == factorial(n_modes)
+                for c in classes:
+                    picks = rng.choice(c.size, size=min(3, c.size), replace=False)
+                    for o in [c.representative] + [c.orderings[int(k)] for k in picks]:
+                        route = qubit_route_reduction(given, o, bp)
+                        assert np.array_equal(c.reduced.matrix, route.matrix)
 
 
 def test_walsh_hadamard_oracle_matches_qubit_route():
@@ -789,20 +835,33 @@ def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
 
 def test_scan_uniformity_check_fires(monkeypatch):
     """One flipped sign in a verification sample's row makes that sample
-    disagree with its representative, and the scan refuses to group it."""
+    disagree with its representative, and the scan refuses to group it.
+    For the even state the flip hits an even amplitude, and the corrupted
+    sample lies in another column orbit than its group's first member, so
+    the check that fires is the row rule's, head conjugated by kept-side
+    signs against sample."""
     system = sweep_system(2, 2)
-    state = random_state(system, sector="any", seed=3)
+    corrupted = []
 
     def one_flip(ranks):
         signs = _inversion_signs(ranks)
         if len(ranks) > 1 and ranks.shape[1] == system.n_modes:
-            signs[-1, 1] *= -1
+            signs[-1, 3] *= -1
+            corrupted.append(ranks)
         return signs
 
     monkeypatch.setattr(reduction, "_STACK_BYTES", 1)
     monkeypatch.setattr(reduction, "_inversion_signs", one_flip)
-    with pytest.raises(AssertionError, match="is not uniform"):
-        ordering_scan(state)
+    for sector, kept, traced in (("any", ("a1", "a2"), ("c1", "c2")), ("even", ("a1", "c1"), ("a2", "c2"))):
+        corrupted.clear()
+        bp = BipartitionSpec(kept=kept, traced=traced)
+        with pytest.raises(AssertionError, match="is not uniform"):
+            ordering_scan(random_state(system, sector=sector, seed=3), bp)
+        head, sample = (
+            column_orbit(precedence_rows([system.modes[i] for i in np.argsort(row)], kept, traced), 2)
+            for row in corrupted[0][[0, -1]]
+        )
+        assert (head != sample) == (sector == "even")
 
 
 def _nearly_superselected(system, seed):
@@ -813,14 +872,26 @@ def _nearly_superselected(system, seed):
     return FockVector(system, amplitudes)
 
 
+def _scan_groups(sector):
+    """The oracle's orbit function for the groups a scan of an input of this
+    kind runs the route on: row-and-column orbits for one parity, column
+    orbits for both parities, precedence matrices otherwise."""
+    if sector in ("even", "odd"):
+        return row_column_orbit
+    if sector == "mixture":
+        return column_orbit
+    return lambda rows, _: rows
+
+
 def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
     """The rank rows the scan signs are, group by group in order of first
     appearance, each group's first member followed by
     min(SCAN_VERIFY_SAMPLES, size - 1) distinct other members of that same
-    group, and nothing else. A group is a column orbit for an exactly
-    superselected input, even or odd, and a precedence group otherwise: for
-    an any-sector state, and for one whose single cross-parity amplitude is
-    1e-13, which ``ssr_compliant`` accepts."""
+    group, and nothing else. A group is a row-and-column orbit for an input
+    of one parity, even or odd, a column orbit for a 30/70 mixture of both,
+    and a precedence group otherwise: for an any-sector state, and for one
+    whose single cross-parity amplitude is 1e-13, which ``ssr_compliant``
+    accepts."""
     seen = []
 
     def spy(ranks):
@@ -837,6 +908,7 @@ def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
         for sector, state in (
             ("even", random_state(system, sector="even", seed=n_modes)),
             ("odd", random_state(system, sector="odd", seed=n_modes)),
+            ("mixture", _parity_mixture(system, n_modes)),
             ("any", random_state(system, sector="any", seed=n_modes)),
             ("near", near),
         ):
@@ -847,8 +919,7 @@ def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
             groups = {}
             for p in permutations(range(n_modes)):
                 key = precedence_rows([system.modes[i] for i in p], bp.kept, bp.traced)
-                if sector in ("even", "odd"):
-                    key = column_orbit(key, len(bp.traced))
+                key = _scan_groups(sector)(key, len(bp.traced))
                 groups.setdefault(key, []).append(tuple(np.argsort(p).tolist()))
             assert len(set(seen)) == len(seen)
             start = 0
@@ -860,25 +931,24 @@ def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
             assert start == len(seen)
 
 
-def _signed_rows(bp, orbits):
-    """How many rank rows a scan on ``bp`` signs when it groups by column
-    orbit or by precedence group: each group's first member and up to
-    SCAN_VERIFY_SAMPLES others."""
+def _signed_rows(bp, sector):
+    """How many rank rows a scan on ``bp`` of an input of this kind signs:
+    each group's first member and up to SCAN_VERIFY_SAMPLES others."""
     sizes = {}
     for p in permutations(bp.kept + bp.traced):
-        key = precedence_rows(p, bp.kept, bp.traced)
-        key = column_orbit(key, len(bp.traced)) if orbits else key
+        key = _scan_groups(sector)(precedence_rows(p, bp.kept, bp.traced), len(bp.traced))
         sizes[key] = sizes.get(key, 0) + 1
     return sum(1 + min(reduction.SCAN_VERIFY_SAMPLES, size - 1) for size in sizes.values())
 
 
 def test_scan_plan_serves_only_the_grouping_a_state_fits(monkeypatch):
-    """On one split, an even, an any-sector, a nearly superselected and an
-    odd state are scanned, then the same four again from the plan cache.
-    The warm scans equal the cold ones, the second pass only hits the
-    cache, and every scan signs one row set per column orbit for the even
-    and odd state and per precedence group for the other two, so a plan
-    keyed by orbit never serves a state it does not fit."""
+    """On one split, an even, an any-sector, a nearly superselected, an odd
+    state and a mixture of both parities are scanned, then the same five
+    again from the plan cache. The warm scans equal the cold ones, the
+    second pass only hits the cache, and every scan signs one row set per
+    row-and-column orbit for the even and odd state, per column orbit for
+    the mixture and per precedence group for the other two, so a plan
+    keyed by one grouping never serves a state it does not fit."""
     signed = []
 
     def spy(ranks):
@@ -890,32 +960,37 @@ def test_scan_plan_serves_only_the_grouping_a_state_fits(monkeypatch):
     system = ModeSystem(tuple(f"m{k}" for k in range(6)), a_count=6)
     bp = _split_of_size(np.random.default_rng(2030), system, 3)
     states = (
-        (random_state(system, "even", 1), True),
-        (random_state(system, "any", 2), False),
-        (_nearly_superselected(system, 3), False),
-        (random_state(system, "odd", 4), True),
+        (random_state(system, "even", 1), "even"),
+        (random_state(system, "any", 2), "any"),
+        (_nearly_superselected(system, 3), "near"),
+        (random_state(system, "odd", 4), "odd"),
+        (_parity_mixture(system, 5), "mixture"),
     )
     reduction._scan_plan.cache_clear()
     records = []
-    for state, orbits in states + states:
+    for state, sector in states + states:
         signed.append(0)
         records.append(_scan_record(reduction.ordering_scan(state, bp)))
-        assert signed[-1] == _signed_rows(bp, orbits)
-    assert records[4:] == records[:4]
-    assert _signed_rows(bp, True) != _signed_rows(bp, False)
+        assert signed[-1] == _signed_rows(bp, sector)
+    assert records[5:] == records[:5]
+    assert len({_signed_rows(bp, sector) for sector in ("even", "mixture", "any")}) == 3
     info = reduction._scan_plan.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
+    assert (info.misses, info.hits) == (3, 7)
 
 
 def test_scan_plan_arrays_are_read_only():
-    """No array of a cached plan can be written to, whichever grouping it
-    is keyed by."""
-    for orbits in (False, True):
-        plan = reduction._scan_plan(5, (0, 1), (2, 3, 4), orbits)
-        assert len(plan) == 7
-        for array in plan:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+    """No array of a cached plan, whichever grouping it is keyed by, nor of
+    the permutations the plans of one mode count share, can be written to;
+    a plan ends with the orbit of the physical orderings, a number."""
+    arrays = list(reduction._permutations(5))
+    for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
+        plan = reduction._scan_plan(5, (0, 1), (2, 3, 4), parity)
+        assert len(plan) == 10 and isinstance(plan.physical, int)
+        assert (plan.sample_signs is None) == (parity != fock._ONE_PARITY)
+        arrays += [array for array in plan[:-1] if array is not None]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @settings(deadline=None, max_examples=25)

@@ -124,7 +124,12 @@ def test_every_cache_is_bounded():
             maxsize = getattr(cached, "cache_parameters", dict)().get("maxsize")
             if not isinstance(maxsize, int):
                 unbounded.append(name)
-    assert {"ordering.py:_pair_table", "fock.py:_parity_vector", "reduction.py:_scan_plan"} <= set(found)
+    assert {
+        "ordering.py:_pair_table",
+        "fock.py:_parity_vector",
+        "reduction.py:_permutations",
+        "reduction.py:_scan_plan",
+    } <= set(found)
     assert not unbounded, f"caches without a finite maxsize: {unbounded}"
 
 
