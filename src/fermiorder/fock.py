@@ -246,17 +246,34 @@ class FockVector:
         amps[0] = 1.0
         return cls(system, amps)
 
+    def _rescaled(self) -> tuple[np.ndarray, float, float]:
+        """The amplitudes divided by a scale, the scale and their norm. The
+        scale is 1, and the amplitudes are returned as they are, unless the
+        plain norm lies outside [1e-150, 1e150], where squares underflow or
+        overflow; there it is the largest real or imaginary part."""
+        amps = self.amplitudes
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(amps))
+        scale = 1.0
+        if not 1e-150 <= n <= 1e150 and amps.any():
+            parts = amps.view(np.float64)
+            scale = float(np.abs(parts).max())
+            amps = (parts / scale).view(np.complex128)
+            n = float(np.linalg.norm(amps))
+        return amps, scale, n
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        _, scale, n = self._rescaled()
+        return scale * n
 
     def is_normalized(self) -> bool:
         return abs(self.norm() ** 2 - 1.0) < STATE_TOL
 
     def normalized(self) -> "FockVector":
-        n = self.norm()
+        amps, _, n = self._rescaled()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.system, self.amplitudes / n)
+        return FockVector(self.system, amps / n)
 
     def amplitude(self, bits: str) -> complex:
         return complex(self.amplitudes[self.system.index_of_bits(bits)])
@@ -502,10 +519,12 @@ def random_state(system: ModeSystem, sector: str = ANY_SECTOR, seed: int = 0) ->
 def state_from_terms(
     system: ModeSystem, terms: Iterable[tuple[complex, OperatorString]], normalize: bool = True
 ) -> FockVector:
-    """Superpose weighted operator strings applied to the vacuum."""
+    """Superpose weighted operator strings applied to the vacuum; a sum
+    that overflows is refused as not finite."""
     total = np.zeros(system.dim, dtype=np.complex128)
-    for coeff, ops in terms:
-        total = total + complex(coeff) * from_operator_string(ops, system).amplitudes
+    with np.errstate(over="ignore"):
+        for coeff, ops in terms:
+            total = total + complex(coeff) * from_operator_string(ops, system).amplitudes
     state = FockVector(system, total)
     return state.normalized() if normalize else state
 

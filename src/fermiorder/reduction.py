@@ -113,7 +113,7 @@ class NonPhysicalOrderingError(ValueError):
 
 
 class SystemTooLargeError(ValueError):
-    """The exhaustive ordering scan is capped at 8 modes."""
+    """The exhaustive ordering scan is capped at ``MAX_SCAN_MODES`` modes."""
 
 
 def _check_scan_size(system: ModeSystem) -> None:
@@ -421,7 +421,7 @@ class _ScanPlan(NamedTuple):
     derived for; samples are the evaluated orderings. Sign rows are the
     kept-side signs d_R of the rows R a sample or an orbit complements
     relative to its group's first member, one set per total parity p; they
-    exist only for row-and-column orbits, where some R is not empty."""
+    exist only where the verdict frees row flips (``_scan_plan``)."""
 
     prec: np.ndarray  # each permutation's precedence group, by first appearance
     orbit: np.ndarray  # each permutation's orbit; a group's orbits are one run
@@ -437,11 +437,23 @@ class _ScanPlan(NamedTuple):
 
 @lru_cache(maxsize=_SCAN_PLANS)
 def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], parity: int) -> _ScanPlan:
-    """The ``_ScanPlan`` of one split. ``parity`` is ``_exact_parity``'s
-    verdict on the state, which picks the groups: precedence groups for
-    cross-parity states, column orbits for states of both parities and
-    row-and-column orbits for states of one parity. An orbit is a column
-    orbit, or a precedence group when the groups are."""
+    """The ``_ScanPlan`` of one split, for a state of ``_exact_parity``'s
+    verdict ``parity``.
+
+    The flip rule: a verdict frees the flips of the kept x traced
+    precedence matrix M that change the route's reduction by a known sign
+    or not at all, and an ordering's key is its M made canonical under the
+    flips its verdict frees. A cross-parity state frees none, and the key
+    is M. A state of both parities frees column flips, which XOR one mask
+    into every kept row (rule (i) of ``ordering_scan``): the key XORs every
+    row with the first kept mode's row, which fixes the mask. A state of one
+    parity also frees row flips, which complement kept rows R and conjugate
+    the reduction by the kept-side signs d_R (rule (ii)): the key then
+    replaces each row r by min(r, r XOR all-ones). The orderings of one key
+    form a group, which the route runs once for; those that also share its
+    rows before they are complemented form an orbit, whose matrix is its
+    group's first member conjugated by d_R for the rows R the orbit
+    complements relative to it."""
     _, ranks = _permutations(n_modes)
     k, t = len(kept), len(traced)
     # rows[p, a] packs kept mode a's precedence bits: bit c is set when
@@ -452,27 +464,19 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     # prec[p] numbers p's precedence group in order of first appearance;
     # the physical orderings, no traced mode before a kept one, have code 0
     codes = (rows << shifts).sum(axis=1)
-    prec, first = _first_appearance(codes)
-    orbit = group = prec
-    if parity != _CROSS_PARITY:
-        # the column rule: XOR-ing one mask into every kept row leaves the
-        # reduction as it is, so an orbit is keyed by the rows XOR-ed with
-        # the first kept mode's row
-        columns = rows ^ rows[:, :1]
-        group, first = _first_appearance((columns << shifts).sum(axis=1))
-        if parity == _ONE_PARITY:
-            # the row rule: complementing kept rows signs the reduction on
-            # the kept side alone, so a group is keyed by the column key
-            # with each row r replaced by min(r, r XOR all-ones); flipped
-            # marks the rows each permutation's key complements, kept mode a
-            # at bit k - 1 - a as in a kept index
-            ones = (1 << t) - 1
-            flips = (columns ^ ones) < columns
-            flipped = flips @ (1 << np.arange(k)[::-1])
-            group, first = _first_appearance(((columns ^ flips * ones) << shifts).sum(axis=1))
-        # orbits are numbered by group, then by key, so each group's orbits
-        # are one run
-        _, orbit = np.unique(group << k * t | (columns << shifts).sum(axis=1), return_inverse=True)
+    prec, _ = _first_appearance(codes)
+    # the flip rule: columns fixes the column mask where it is free, flips
+    # marks the rows whose complement is lower where rows are free, and the
+    # group key complements them
+    columns = rows ^ rows[:, :1] * (parity != _CROSS_PARITY)
+    ones = (1 << t) - 1
+    flips = ((columns ^ ones) < columns) & (parity == _ONE_PARITY)
+    group, first = _first_appearance(((columns ^ flips * ones) << shifts).sum(axis=1))
+    # orbits are numbered by group, then by column key, so each group's
+    # orbits are one run
+    _, orbit = np.unique(group << k * t | (columns << shifts).sum(axis=1), return_inverse=True)
+    # a plan whose orbits are its precedence groups holds their numbers once
+    orbit = prec if np.array_equal(orbit, prec) else orbit
     # sorted by group and then by a random key that is lowest at the first
     # member, each group's run is its first member, then the others at random
     keys = np.random.default_rng(0).random(len(ranks))
@@ -481,27 +485,26 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     runs = group[by_key]
     samples = by_key[np.arange(len(ranks)) - np.searchsorted(runs, runs) <= SCAN_VERIFY_SAMPLES]
     bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
-    orbit_group = np.zeros(orbit.max() + 1, dtype=np.int64)
-    orbit_group[orbit] = group
+    # one member of each orbit, which shares its group and its flips
+    member = np.zeros(orbit.max() + 1, dtype=np.int64)
+    member[orbit] = np.arange(len(orbit))
+    orbit_group = group[member]
     orbit_bounds = np.searchsorted(orbit_group, np.arange(len(first) + 1))
-    sample_signs = orbit_signs = None
-    if parity == _ONE_PARITY:
-        head_flips = flipped[samples[bounds[:-1]]]
-        orbit_flips = np.zeros(len(orbit_group), dtype=np.int64)
-        orbit_flips[orbit] = flipped ^ head_flips[group]
-        signs = _kept_side_signs(k)
-        sample_signs = signs[:, flipped[samples] ^ head_flips[group[samples]]]
-        orbit_signs = signs[:, orbit_flips]
+    # each permutation's flipped rows relative to its group's first member,
+    # samples[bounds[g]], kept mode a at bit k - 1 - a as in a kept index
+    flipped = flips @ (1 << np.arange(k)[::-1])
+    relative = flipped ^ flipped[samples[bounds[:-1]]][group]
+    signs = _kept_side_signs(k) if parity == _ONE_PARITY else None
     plan = _ScanPlan(
         prec=prec,
         orbit=orbit,
         samples=samples,
         bounds=bounds,
         sample_heads=bounds[group[samples]],
-        sample_signs=sample_signs,
+        sample_signs=None if signs is None else signs[:, relative[samples]],
         orbit_bounds=orbit_bounds,
         orbit_heads=bounds[orbit_group],
-        orbit_signs=orbit_signs,
+        orbit_signs=None if signs is None else signs[:, relative[member]],
         physical=int(orbit[codes.argmin()]),
     )
     for array in plan[:-1]:
@@ -552,39 +555,32 @@ def ordering_scan(
     parities exactly 0, the reduction depends on M only up to XOR-ing one
     common mask into every kept row. Flipping column c multiplies reduced
     entry (x, y) by (-1)^((|x| + |y|) z_c), and |x| and |y| have one
-    parity wherever the state is supported. A column orbit is keyed by M
-    with every row XOR-ed with the first kept mode's row.
+    parity wherever the state is supported.
 
     Rule (ii), the row rule: for a state of one total parity p, also
     complementing the kept rows R of M multiplies amplitude (x, z) by
     d_R(x) = (-1)^((p + |x|) |x & R|), since |z| = p + |x| on the support:
-    a sign on the kept side alone, so the reduction becomes d_R rho d_R. A
-    row-and-column orbit is keyed by the column key with each row r
-    replaced by min(r, r XOR all-ones).
+    a sign on the kept side alone, so the reduction becomes d_R rho d_R.
 
-    ``_exact_parity`` reads, with no tolerance, which rules a state obeys.
-    The route runs once per row-and-column orbit for a state of one parity,
-    even or odd, pure or mixed; once per column orbit for a mixture of both
-    parities with no entry between them; and once per precedence group, one
-    M, for any other state. A class is a column orbit, or a precedence group
-    when the groups are; for a state of one parity each column orbit's
-    matrix is its row-and-column orbit's first member conjugated by d_R for
-    the rows R the orbit complements relative to it. Members are still
-    listed by precedence group, so the result does not depend on the
-    grouping. The orbit of the zero matrix, every ordering that keeps the
-    kept modes contiguous, lands in the class that matches the fermionic
-    trace.
+    ``_exact_parity`` reads, with no tolerance, which rules a state obeys,
+    and the flip rule of ``_scan_plan`` turns that verdict into the groups
+    the route runs once for and the orbits a matrix is derived for, from
+    its group's first member. A class gathers the orbits that land on one
+    reduced matrix. Members are still listed by precedence group, so the
+    result does not depend on the grouping. The orbit of the zero matrix,
+    every ordering that keeps the kept modes contiguous, lands in the class
+    that matches the fermionic trace.
 
     The route is evaluated once per group on its first member, and on up to
     ``SCAN_VERIFY_SAMPLES`` other members of the group picked by one draw of
     random keys; each must equal the first member conjugated by its own
-    d_R, to the bit (d_R is 1 unless the groups are row-and-column orbits).
-    For a state of one parity the samples come from the whole orbit, so
-    that checks both rules on every row-and-column orbit, and for a mixture
-    the column rule on every class. These evaluations run stacked, whole
-    groups at a time, in chunks whose largest stacked array stays within
-    ``_STACK_BYTES`` unless one group alone is larger: each chunk's sign
-    rows come from one ``_inversion_signs`` call and go through
+    d_R, to the bit (d_R is 1 unless the verdict frees row flips). The
+    samples come from the whole group, so for a state of one parity that
+    checks both rules on every group, and for a mixture the column rule on
+    every class. These evaluations run stacked, whole groups at a time, in
+    chunks whose largest stacked array stays within ``_STACK_BYTES`` unless
+    one group alone is larger: each chunk's sign rows come from one
+    ``_inversion_signs`` call and go through
     ``_qubit_reduction``, the route ``theorem_check`` compares. Each
     chunk's evaluated first members are checked as one stack, with the
     checks ``DensityOperator`` makes: d_R moves no diagonal entry and no
@@ -788,13 +784,13 @@ def theorem_sweep(
     and at least one; at 14 modes that is one trial. Every check
     ``theorem_check`` makes runs on each chunk, a failure naming the first
     offending row of its chunk, and every row equals the ``theorem_check``
-    of its state, to the bit.
+    of its state, to the bit. The canonical ordering lists the kept block
+    first, so it is physical. An empty kept block, ``n == 0``, is an
+    ``InvalidBipartitionError``, raised before any state is drawn.
     """
     system = sweep_system(n, m)
     ordering = ModeOrdering.canonical(system)
-    _, kept, traced = _bipartition_positions(system, None)
-    # the canonical ordering lists the kept block first; checked all the same
-    _check_physical(system, kept, traced, ordering, force=False)
+    _, kept, traced = _reduction_positions(system, None)
     label = str(ordering)
     # a trial's largest array, its state or its reduction, is this many
     # complex128 bytes, and a chunk's comparison holds up to eight arrays

@@ -233,6 +233,17 @@ def test_negativity_inline_state():
     assert payload["bipartition"]["kept"] == ["a", "b"]
 
 
+@pytest.mark.parametrize("scale", ["1e-170", "1e200"])
+def test_negativity_of_tiny_and_huge_amplitudes(capsys, scale):
+    """A spec whose amplitudes square to 0 or to infinity gives the report
+    of the same spec at unit scale, exit 0, with warnings as errors."""
+    argv = ["negativity", "--kept", "a", "--traced", "b", "--ordering", "a,b", "--state"]
+    assert main([*argv, "1: a+; 1: b+"]) == 0
+    unit = capsys.readouterr().out
+    assert main([*argv, f"{scale}: a+; {scale}: b+"]) == 0
+    assert capsys.readouterr().out == unit
+
+
 def test_negativity_requires_ordering():
     proc = run_cli("negativity", "--state", ST1_SPEC, "--kept", "a,b", "--traced", "c,d")
     assert proc.returncode == 2

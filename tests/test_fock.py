@@ -11,6 +11,7 @@ from fermiorder.fock import (
     _ONE_PARITY,
     ANNIHILATION,
     CREATION,
+    DensityOperator,
     FockVector,
     ModeSystem,
     OperatorString,
@@ -26,7 +27,12 @@ from fermiorder.fock import (
     state_from_json_str,
     state_to_json_str,
 )
-from fermiorder.states import parity_violating_state, spin_singlet_state, two_delocalized_fermions
+from fermiorder.states import (
+    parity_violating_state,
+    spin_singlet_state,
+    state_from_spec,
+    two_delocalized_fermions,
+)
 from _oracles import jw_matrix
 
 tol = 1e-12
@@ -320,6 +326,48 @@ def test_exact_parity_reads_every_entry_without_tolerance():
         assert _exact_parity(data, system.n_modes) == verdict
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    n_modes=st.integers(min_value=1, max_value=4),
+    pure=st.booleans(),
+    zeroed=st.sampled_from([None, 0, 1]),
+    cross=st.sampled_from([0.0, 1e-300, 1e-13]),
+    seed=st.integers(min_value=0, max_value=2**30),
+)
+def test_exact_parity_short_of_cross_parity_implies_ssr_compliance(n_modes, pure, zeroed, cross, seed):
+    """Whenever ``_exact_parity`` does not call a state cross-parity,
+    ``ssr_compliant`` holds: the scan groups by the first reader and the
+    CLI's violation flag reads the second. The parity block ``zeroed`` is
+    emptied, if any, and one entry joining the two parities is set to
+    ``cross``: an amplitude of the emptied parity for a pure state, an
+    entry and its mirror for a density."""
+    rng = np.random.default_rng(seed)
+    system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+    odd = sector_indices(system, "odd")
+    even = sector_indices(system, "even")
+    vectors = rng.standard_normal((2, system.dim)) + 1j * rng.standard_normal((2, system.dim))
+    if pure:
+        amps = vectors[0]
+        if zeroed is not None:
+            amps[(even, odd)[zeroed]] = 0.0
+            amps[(even, odd)[zeroed][0]] = cross
+        state = FockVector(system, amps / np.linalg.norm(amps))
+    else:
+        rho = vectors.T @ vectors.conj()
+        par = np.isin(np.arange(system.dim), odd)
+        rho[par[:, None] != par[None, :]] = 0.0
+        if zeroed is not None:
+            block = (even, odd)[zeroed]
+            rho[np.ix_(block, block)] = 0.0
+        rho[even[0], odd[0]] = rho[odd[0], even[0]] = cross
+        state = DensityOperator(system, rho / np.trace(rho).real)
+    verdict, _ = _exact_parity(state.amplitudes if pure else state.matrix, n_modes)
+    if verdict != _CROSS_PARITY:
+        assert ssr_compliant(state)
+    if cross == 0.0 and (zeroed is not None or not pure):
+        assert verdict != _CROSS_PARITY
+
+
 def test_random_state_draws_the_two_step_amplitudes():
     """One ``FockVector`` per draw holds, byte for byte, the amplitudes of
     the raw Gaussian vector wrapped and then ``normalized()``, for every
@@ -356,3 +404,21 @@ def test_from_json_rejects_amplitude_beyond_float_range():
     obj = {"modes": ["a"], "amplitudes": {"1": [10**400, 0]}}
     with pytest.raises(ValueError, match=r"^amplitude of '1' must be finite"):
         FockVector.from_json(obj)
+
+
+@pytest.mark.parametrize("scale", ["1e-170", "1e200"])
+def test_normalizing_tiny_and_huge_amplitudes(scale):
+    """Amplitudes whose squares underflow or overflow are divided by the
+    largest first, so the state equals, byte for byte, the same spec at
+    unit scale, and its norm is 1."""
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    unit = state_from_spec("1: a+; 1: b+", system)
+    scaled = state_from_spec(f"{scale}: a+; {scale}: b+", system)
+    assert scaled.amplitudes.tobytes() == unit.amplitudes.tobytes()
+    assert abs(FockVector(system, 2 * unit.amplitudes * float(scale)).norm() / float(scale) - 2) < tol
+
+
+def test_an_overflowing_superposition_is_refused_as_not_finite():
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        state_from_spec("1e308: a+; 1e308: a+", system)

@@ -275,6 +275,24 @@ def test_reductions_refuse_an_empty_kept_block_before_reducing(monkeypatch, entr
         qubit_route_reduction(state, ModeOrdering.canonical(system), bp)
 
 
+def test_sweep_refuses_an_empty_kept_block_before_drawing(monkeypatch):
+    """``theorem_sweep(0, m, trials)`` keeps no mode, so it raises the
+    ``InvalidBipartitionError`` ``theorem_check`` raises on that split,
+    before any state is drawn or reduced."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew or reduced before the bipartition was checked")
+
+    monkeypatch.setattr(reduction, "random_state", forbidden)
+    monkeypatch.setattr(reduction, "_block_partial_trace", forbidden)
+    message = re.escape("bipartition ()|('c1', 'c2') keeps no mode: the kept block is empty")
+    with pytest.raises(InvalidBipartitionError, match=message):
+        theorem_sweep(0, 2, 1)
+    system = sweep_system(0, 2)
+    with pytest.raises(InvalidBipartitionError, match=message):
+        theorem_check(basis_state(system, "00"), ModeOrdering.canonical(system))
+
+
 def test_empty_blocks_where_they_are_answered():
     """Negativity across an empty kept block is 0, and a scan whose traced
     block is empty has one class, every ordering, whose matrix is the

@@ -210,3 +210,21 @@ def test_one_qubit_route_in_reduction():
     assert _callers(tree, "restricted_to") == ["qubit_partial_trace"]
     assert _callers(tree, "_inversion_signs") == ["ordering_scan"]
     assert "ordering_scan" in _callers(tree, "_qubit_reduction")
+
+
+def test_scan_plan_builds_every_grouping_with_one_formula():
+    """``reduction._scan_plan`` has no ``if`` statement on the parity
+    verdict: one flip rule builds the precedence groups, the column orbits
+    and the row-and-column orbits, so a per-grouping branch cannot come
+    back unnoticed."""
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    plan = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_scan_plan"
+    )
+    branches = [
+        node.lineno
+        for node in ast.walk(plan)
+        if isinstance(node, ast.If)
+        and any(isinstance(name, ast.Name) and name.id == "parity" for name in ast.walk(node.test))
+    ]
+    assert not branches, f"_scan_plan branches on parity at lines {branches}"
