@@ -7,7 +7,8 @@ through ``numpy.linalg.eigh``; what it adds on top is the package's input
 contract and a fixed descending order, and ``hermitian_eigenvalues`` adds
 the reconstruction residual that says how far to trust a result. The
 checks and ``_eigh`` also take a stack of matrices along axis 0, which is
-how the route comparison evaluates many states at once.
+how the route comparison evaluates many states at once. A trace distance
+whose difference is exactly zero needs no spectrum and skips ``_eigh``.
 """
 
 from __future__ import annotations
@@ -135,9 +136,17 @@ def trace_norm(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
 def _trace_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Half the trace norm of ``x - y``, for two Hermitian matrices of equal
-    shape or two stacks of them along axis 0, one distance per row, from
-    one eigensolve of the stack."""
+    shape or two stacks of them along axis 0, one distance per row.
+
+    A difference that is exactly zero throughout, which is how the two
+    reduction routes agree, is finite and Hermitian and has the spectrum
+    +0.0, so its distances are +0.0 without an eigensolve; only the
+    dimension cap is checked on it. Any other difference takes one
+    eigensolve of the whole stack, equal and unequal rows alike."""
     d = x - y
+    if not d.any():  # NaN counts as nonzero, so it reaches the finite check
+        _check_eig_dim(d.shape[-1])
+        return np.zeros(d.shape[:-2])
     _check_finite(d)
     # deviations of x and y from Hermiticity can add up in the difference
     w, _ = _eigh(d, 2.0 * DEFAULT_TOL)
@@ -145,7 +154,9 @@ def _trace_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def trace_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Half the trace norm of ``x - y`` for Hermitian operands of equal dimension."""
+    """Half the trace norm of ``x - y`` for Hermitian operands of equal
+    dimension: +0.0 with no eigensolve when ``x - y`` is exactly zero,
+    otherwise from one eigensolve of the difference."""
     x = as_complex_matrix(x)
     y = as_complex_matrix(y)
     if x.shape != y.shape:

@@ -65,10 +65,11 @@ class ModeOrdering:
         return cls(system.modes)
 
     def validate_for(self, system: ModeSystem) -> None:
-        if set(self.labels) != set(system.modes) or len(self.labels) != system.n_modes:
-            raise InvalidOrderingError(
-                f"ordering {self.labels} is not a permutation of {system.modes}"
-            )
+        self._check_permutation_of(system.modes)
+
+    def _check_permutation_of(self, modes: tuple[str, ...]) -> None:
+        if set(self.labels) != set(modes) or len(self.labels) != len(modes):
+            raise InvalidOrderingError(f"ordering {self.labels} is not a permutation of {modes}")
 
     def rank(self, label: str) -> int:
         """Position of a label within the ordering (0 = acts first)."""
@@ -91,12 +92,18 @@ class ModeOrdering:
 
 def is_physical(ordering: ModeOrdering, system: ModeSystem) -> bool:
     """True when every kept mode precedes every traced mode in the ordering."""
-    ordering.validate_for(system)
-    if not system.a_labels or not system.c_labels:
+    return _kept_first(ordering, system.a_labels, system.c_labels)
+
+
+def _kept_first(ordering: ModeOrdering, kept: tuple[str, ...], traced: tuple[str, ...]) -> bool:
+    """The physical-ordering rule on a split given as its two label blocks:
+    ``ordering`` must list exactly their labels, and every kept label must
+    come before every traced one. ``is_physical`` reads the blocks off a
+    system; the route comparison passes them without building one."""
+    ordering._check_permutation_of(kept + traced)
+    if not kept or not traced:
         return True
-    last_kept = max(ordering.rank(l) for l in system.a_labels)
-    first_traced = min(ordering.rank(l) for l in system.c_labels)
-    return last_kept < first_traced
+    return max(map(ordering.rank, kept)) < min(map(ordering.rank, traced))
 
 
 @lru_cache(maxsize=MAX_MODES + 1)

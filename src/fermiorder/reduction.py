@@ -62,8 +62,8 @@ from .ordering import (
     ModeOrdering,
     QubitState,
     _inversion_signs,
+    _kept_first,
     inverse_image_restricted,
-    is_physical,
     ordering_sign_vector,
     qubit_image,
 )
@@ -241,7 +241,10 @@ def _compare_routes(
     """The fermionic trace and the qubit route under ``ordering``, their
     largest entry difference and their trace distance, for one state's
     amplitudes or matrix, or with ``batch`` for each state of a stack along
-    axis 0, from one eigensolve of the stack.
+    axis 0. Where the two routes agree to the bit on every row, as they do
+    for superselected states under physical orderings, the distances are
+    +0.0 with no eigensolve (``_trace_distances``); otherwise they come from
+    one eigensolve of the stack's differences.
 
     Each check the one-state objects make runs once on the whole stack, in
     the order they make it, and a stack's message names the first offending
@@ -249,7 +252,8 @@ def _compare_routes(
     reduced; finite state entries (``FockVector``, ``DensityOperator``);
     each reduction finite, Hermitian within ``DEFAULT_TOL`` and of unit
     trace within ``STATE_TOL`` (``DensityOperator``); and their difference
-    finite and Hermitian within ``2 * DEFAULT_TOL`` (``trace_distance``).
+    finite and Hermitian within ``2 * DEFAULT_TOL`` (``trace_distance``),
+    which an exactly-zero difference passes by construction.
     """
     _check_eig_dim(1 << len(kept))
     finite = np.isfinite(data).reshape(data.shape[:batch] + (-1,)).all(axis=-1)
@@ -269,8 +273,7 @@ def _check_physical(
     """Whether ``ordering`` lists every kept mode before every traced one;
     an ordering that does not is refused unless ``force`` is set."""
     modes = system.modes
-    split = ModeSystem.from_blocks([modes[k] for k in kept], [modes[k] for k in traced])
-    physical = is_physical(ordering, split)
+    physical = _kept_first(ordering, tuple(modes[k] for k in kept), tuple(modes[k] for k in traced))
     if not physical and not force:
         raise NonPhysicalOrderingError(
             f"ordering {ordering} interleaves kept and traced modes; "
@@ -320,7 +323,9 @@ def theorem_check(
     ``theorem_sweep`` runs, with the same checks: the bipartition is read
     once, both routes are reduced from the state's arrays, and the
     reductions, their difference and its eigensolve are checked as
-    ``_compare_routes`` lists. Orderings that interleave kept and traced
+    ``_compare_routes`` lists. When the routes agree to the bit the trace
+    distance is +0.0 and nothing is diagonalized; only a nonzero difference
+    takes an eigensolve. Orderings that interleave kept and traced
     modes are outside the equivalence statement and are rejected unless
     ``force`` is set, which is how the disagreement examples are produced
     on purpose. An empty kept block is an ``InvalidBipartitionError``,
@@ -781,7 +786,10 @@ def theorem_sweep(
     stacked and compared in one evaluation of ``_compare_routes`` per
     chunk, each chunk as many trials as keep the stacked arrays it holds at
     once within ``_STACK_BYTES``, the budget the ordering scan also keeps,
-    and at least one; at 14 modes that is one trial. Every check
+    and at least one; at 14 modes that is one trial. A chunk whose two
+    routes agree to the bit, as superselected states do under the
+    canonical ordering, gets its trace distances with no eigensolve; any
+    other chunk takes one eigensolve of its stacked differences. Every check
     ``theorem_check`` makes runs on each chunk, a failure naming the first
     offending row of its chunk, and every row equals the ``theorem_check``
     of its state, to the bit. The canonical ordering lists the kept block

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermiorder import numerics
 from fermiorder.numerics import (
     DimensionMismatchError,
     NotHermitianError,
@@ -177,3 +178,71 @@ def test_stacked_checks_name_the_first_offending_row():
     stack[1, 3, 3] = np.inf
     with pytest.raises(ValueError, match=r"^row 1: matrix entries must be finite$"):
         _check_finite(stack)
+
+
+def test_equal_operands_have_distance_positive_zero():
+    """Equal operands give +0.0, the bytes an eigensolve of their zero
+    difference gives, as a float for one pair and per row for a stack."""
+    rng = np.random.default_rng(33)
+    for dim in (1, 2, 8, 64):
+        m = random_density(dim, 2, rng)
+        assert np.float64(trace_distance(m, m)).tobytes() == np.float64(0.0).tobytes()
+        assert repr(trace_distance(m, m)) == "0.0"
+        stack = np.stack([m, m.conj()])
+        assert _trace_distances(stack, stack).tobytes() == np.zeros(2).tobytes()
+
+
+def test_stack_of_equal_and_unequal_pairs_equals_one_pair_at_a_time():
+    """A stack with equal rows among unequal ones takes one eigensolve for
+    all of them and still gives each pair's ``trace_distance`` to the bit."""
+    rng = np.random.default_rng(34)
+    for dim in (2, 8, 16):
+        x = np.stack([random_density(dim, 3, rng) for _ in range(5)])
+        y = np.stack([random_density(dim, 2, rng) for _ in range(5)])
+        y[[0, 2, 4]] = x[[0, 2, 4]]
+        stacked = _trace_distances(x, y)
+        assert stacked.tolist() == [trace_distance(a, b) for a, b in zip(x, y)]
+        assert stacked[[0, 2, 4]].tobytes() == np.zeros(3).tobytes()
+
+
+def test_zero_difference_above_the_cap_is_refused(monkeypatch):
+    """The eigensolver cap refuses an exactly-zero difference as it refuses
+    any other, with the same exception and message."""
+    monkeypatch.setattr(numerics, "MAX_EIG_DIM", 2)
+    m = np.eye(4, dtype=complex) / 4
+    message = "^dimension 4 exceeds eigensolver cap 2$"
+    for y in (m, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)):
+        with pytest.raises(DimensionMismatchError, match=message):
+            trace_distance(m, y)
+    stack = np.stack([m, m])
+    with pytest.raises(DimensionMismatchError, match=message):
+        _trace_distances(stack, stack)
+
+
+def test_non_finite_difference_is_refused():
+    """A NaN entry makes the difference NaN even where the operands are
+    otherwise equal: it is refused, not read as zero."""
+    m = np.eye(2, dtype=complex) / 2
+    bad = m.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        _trace_distances(bad, bad)
+    stack = np.stack([m, m, m])
+    other = stack.copy()
+    other[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="^row 1: matrix entries must be finite$"):
+        _trace_distances(stack, other)
+
+
+def test_stacked_difference_off_hermitian_names_its_row():
+    """In a stack whose other rows are equal, the one row whose difference
+    is not Hermitian raises the one-pair exception, led by its row."""
+    rng = np.random.default_rng(35)
+    x = np.stack([random_density(4, 2, rng) for _ in range(4)])
+    y = x.copy()
+    y[2, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError) as one:
+        _trace_distances(x[2], y[2])
+    with pytest.raises(NotHermitianError) as stacked:
+        _trace_distances(x, y)
+    assert str(stacked.value) == f"row 2: {one.value}"

@@ -28,6 +28,7 @@ from fermiorder import fock
 from fermiorder import ordering as ordering_module
 from fermiorder import reduction
 from fermiorder.ordering import (
+    InvalidOrderingError,
     ModeOrdering,
     _inversion_signs,
     inverse_image_restricted,
@@ -1336,6 +1337,98 @@ def test_theorem_check_signs_two_orderings():
     report = theorem_check(state, ModeOrdering(bp.kept + bp.traced), bp)
     assert report.physical and report.agrees
     assert ordering_module.ordering_sign_vector.cache_info().currsize == 2
+
+
+def _count_eigh(monkeypatch):
+    """Replace ``np.linalg.eigh`` with a wrapper that records each call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_agreeing_routes_take_no_eigensolve(monkeypatch):
+    """Superselected states under physical orderings, with the kept set
+    first and not first, reduce to the same bits on both routes, so neither
+    ``theorem_check`` nor ``theorem_sweep`` diagonalizes anything."""
+    rng = np.random.default_rng(2029)
+    checks = []
+    for n_modes in range(2, 7):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        half = n_modes // 2
+        first = BipartitionSpec(kept=system.modes[:half], traced=system.modes[half:])
+        for bp in (first, _split_not_first(rng, system)):
+            for sector in ("even", "odd"):
+                state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+                kept = tuple(str(m) for m in rng.permutation(bp.kept))
+                traced = tuple(str(m) for m in rng.permutation(bp.traced))
+                checks.append((state, ModeOrdering(kept + traced), bp))
+                checks.append((state.to_density(), ModeOrdering(kept + traced), bp))
+    calls = _count_eigh(monkeypatch)
+    for state, ordering, bp in checks:
+        report = theorem_check(state, ordering, bp)
+        assert report.physical and report.max_entry_diff == 0.0
+        assert np.float64(report.trace_distance).tobytes() == np.float64(0.0).tobytes()
+    sweep = theorem_sweep(3, 3, 5)
+    assert [row.trace_distance for row in sweep.rows] == [0.0] * 10
+    assert calls == []
+
+
+def test_disagreeing_routes_take_one_eigensolve(monkeypatch):
+    """The parity-violating witness under the kept-first ordering has routes
+    half a trace distance apart: one eigensolve, whose distance is the
+    public ``trace_distance`` of the report's two matrices, to the bit.
+    Forced to the traced-first ordering, its qubit route is the operator
+    sandwich itself, and nothing is diagonalized."""
+    state = parity_violating_state()
+    calls = _count_eigh(monkeypatch)
+    report = theorem_check(state, ModeOrdering(("a", "b")), force=True)
+    assert calls == [(2, 2)]
+    assert report.trace_distance == trace_distance(report.fermionic.matrix, report.qubit_route.matrix)
+    assert abs(report.trace_distance - 0.5) < 1e-10
+    calls.clear()
+    forced = theorem_check(state, ModeOrdering(("b", "a")), force=True)
+    assert not forced.physical and forced.trace_distance == 0.0
+    assert calls == []
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n_modes=st.sampled_from(range(2, 8)),
+    kept_first=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_report_physical_is_the_physical_rule_of_the_split(n_modes, kept_first, seed):
+    """``theorem_check`` decides physicality as ``is_physical`` does on the
+    split's own system, on random splits and orderings, kept-first or
+    drawn at random, and refuses an ordering of the wrong labels with the
+    message ``is_physical`` gives on the split's blocks in canonical order."""
+    rng = np.random.default_rng(seed)
+    system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+    bp = _random_split(rng, system)
+    split = ModeSystem.from_blocks(bp.kept, bp.traced)
+    if kept_first:
+        labels = tuple(str(m) for m in rng.permutation(bp.kept)) + tuple(str(m) for m in rng.permutation(bp.traced))
+    else:
+        labels = tuple(str(m) for m in rng.permutation(system.modes))
+    ordering = ModeOrdering(labels)
+    state = random_state(system, sector="even", seed=seed)
+    report = theorem_check(state, ordering, bp, force=True)
+    assert report.physical == is_physical(ordering, split)
+    assert report.physical or not kept_first
+    wrong = ModeOrdering(labels[:-1] + ("x",))
+    in_canonical_order = ModeSystem.from_blocks(
+        [m for m in system.modes if m in bp.kept], [m for m in system.modes if m in bp.traced]
+    )
+    with pytest.raises(InvalidOrderingError) as expected:
+        is_physical(wrong, in_canonical_order)
+    with pytest.raises(InvalidOrderingError, match=f"^{re.escape(str(expected.value))}$"):
+        theorem_check(state, wrong, bp, force=True)
 
 
 def _sweep_stack(rows):

@@ -228,3 +228,20 @@ def test_scan_plan_builds_every_grouping_with_one_formula():
         and any(isinstance(name, ast.Name) and name.id == "parity" for name in ast.walk(node.test))
     ]
     assert not branches, f"_scan_plan branches on parity at lines {branches}"
+
+
+EIGENSOLVERS = ("eigh", "eigvalsh", "_eigh", "hermitian_eigenvalues", "trace_norm")
+
+
+def test_route_comparison_diagonalizes_only_through_trace_distances():
+    """``reduction.py`` reaches an eigensolver only through
+    ``_trace_distances``, called once in ``_compare_routes``, so the
+    exactly-zero difference of agreeing routes skips the eigensolve on
+    every path; and ``_check_physical`` applies the physical rule to the
+    split's label blocks without building a ``ModeSystem`` for them."""
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    solved = [f"{name} in {caller}" for name in EIGENSOLVERS for caller in _callers(tree, name)]
+    assert not solved, f"reduction.py calls an eigensolver directly: {solved}"
+    assert _callers(tree, "_trace_distances") == ["_compare_routes"]
+    assert "_check_physical" not in _callers(tree, "from_blocks")
+    assert "_check_physical" in _callers(tree, "_kept_first")
