@@ -354,9 +354,13 @@ class DensityOperator:
 FockState = Union[FockVector, DensityOperator]
 
 
-def _state_data(state: FockState) -> np.ndarray:
-    """A state's amplitudes if it is pure, else its matrix."""
-    return state.amplitudes if isinstance(state, FockVector) else state.matrix
+def _state_data(state: FockState) -> tuple[ModeSystem, np.ndarray]:
+    """A state's system, and its amplitudes if it is pure, else its matrix.
+    The entry points read a state through it, so any other input is a
+    ``TypeError`` before anything of it is read."""
+    if not isinstance(state, (FockVector, DensityOperator)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    return state.system, state.amplitudes if isinstance(state, FockVector) else state.matrix
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -445,10 +449,11 @@ def ssr_compliant(state: FockState) -> bool:
     entry of psi psi^dagger is its largest even amplitude times its largest
     odd one, so the density is never formed.
     """
-    if isinstance(state, FockVector):
-        return bool(_ssr_compliant_amplitudes(state.amplitudes, state.system.n_modes))
-    par = _parity_vector(state.system.n_modes)
-    cross = np.abs(state.matrix[par[:, None] != par[None, :]]).max(initial=0.0)
+    system, data = _state_data(state)
+    if data.ndim == 1:
+        return bool(_ssr_compliant_amplitudes(data, system.n_modes))
+    par = _parity_vector(system.n_modes)
+    cross = np.abs(data[par[:, None] != par[None, :]]).max(initial=0.0)
     return bool(cross <= DEFAULT_TOL)
 
 

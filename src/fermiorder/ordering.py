@@ -185,8 +185,9 @@ def qubit_image(state: FockState, ordering: ModeOrdering) -> QubitState:
     contributes a diagonal sign on each occupation pattern. For a density
     operator the sign matrix acts on both sides.
     """
-    signs = ordering_sign_vector(state.system, ordering)
-    return QubitState(state.system, ordering, _sign_conjugate(signs, _state_data(state)))
+    system, data = _state_data(state)
+    signs = ordering_sign_vector(system, ordering)
+    return QubitState(system, ordering, _sign_conjugate(signs, data))
 
 
 def inverse_image_restricted(q: QubitState) -> FockState:

@@ -71,13 +71,13 @@ from .ordering import (
 #: Orderings are enumerated exhaustively. At the cap, the permutations and
 #: their ranks (``_permutations``), two 8! x 8 int8 matrices of 315 KiB,
 #: are shared by every 8-mode plan; a split's scan plan (``_scan_plan``)
-#: holds one or two int64 arrays of 8! entries (315 KiB each) and its
-#: samples, 0.31-0.80 MiB in all (``nbytes``), and both outlive the call
-#: in their caches. Each call adds a few int64 arrays of 8! entries and an
-#: int8 copy of the permutations in class order, which the returned classes
-#: keep. It builds no ``ModeOrdering`` but its fermionic trace's:
-#: ``OrderingClass`` builds its representative and its members from their
-#: int8 rows when read.
+#: holds one int64 array of 8! entries (315 KiB), each permutation's orbit,
+#: and its samples, 0.31-0.57 MiB in all (``nbytes``; 2.77-4.43 MiB at 9
+#: modes), and both outlive the call in their caches. Each call adds a few
+#: int64 arrays of 8! entries and an int8 copy of the permutations in class
+#: order, which the returned classes keep. It builds no ``ModeOrdering``
+#: but its fermionic trace's: ``OrderingClass`` builds its representative
+#: and its members from their int8 rows when read.
 MAX_SCAN_MODES = 8
 
 #: Bytes for stacked evaluations. The ordering scan gives one stacked array,
@@ -201,9 +201,10 @@ def fermionic_partial_trace(
     trace is preserved exactly, and the result is Hermitian and positive.
     An empty kept block is an ``InvalidBipartitionError``.
     """
-    _, kept, traced = _reduction_positions(rho.system, bp)
-    reduced = _fermionic_reduction(rho.system, _state_data(rho), kept, traced)
-    return DensityOperator(_kept_system(rho.system, kept), reduced)
+    system, data = _state_data(rho)
+    _, kept, traced = _reduction_positions(system, bp)
+    reduced = _fermionic_reduction(system, data, kept, traced)
+    return DensityOperator(_kept_system(system, kept), reduced)
 
 
 def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) -> QubitState:
@@ -331,10 +332,10 @@ def theorem_check(
     on purpose. An empty kept block is an ``InvalidBipartitionError``,
     raised before anything is reduced or diagonalized.
     """
-    system = rho.system
+    system, data = _state_data(rho)
     _, kept, traced = _reduction_positions(system, bp)
     physical = _check_physical(system, kept, traced, ordering, force)
-    fermionic, qubit_side, diff, dist = _compare_routes(system, _state_data(rho), kept, traced, ordering)
+    fermionic, qubit_side, diff, dist = _compare_routes(system, data, kept, traced, ordering)
     kept_system = _kept_system(system, kept)
     return TheoremReport(
         ordering=ordering,
@@ -354,9 +355,10 @@ def theorem_check(
 @dataclass(frozen=True, eq=False)
 class OrderingClass:
     """All orderings whose qubit-route reduced state is one and the same,
-    held as int8 rows of indices into ``_modes``, the system's labels. The
-    first row is the representative, built as a ``ModeOrdering`` when first
-    read and kept from then on."""
+    held as int8 rows of indices into ``_modes``, the system's labels, in
+    permutation order. The first row, the class's earliest permutation, is
+    the representative, built as a ``ModeOrdering`` when first read and
+    kept from then on."""
 
     _modes: np.ndarray
     _members: np.ndarray
@@ -387,13 +389,6 @@ class OrderingClass:
         }
 
 
-def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's distinct code numbered in order of first appearance, and
-    the index where each code first appears, in order of code."""
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse], first
-
-
 @lru_cache(maxsize=MAX_SCAN_MODES)
 def _permutations(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of n modes as read-only int8 rows: ``perms[p]``
@@ -411,11 +406,10 @@ def _permutations(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Plans ``_scan_plan`` keeps. An 8-mode plan, at the ``MAX_SCAN_MODES``
-#: cap, holds 0.31-0.80 MiB besides the permutations it shares (0.80 MiB
-#: for a (5,3) split keyed by row-and-column orbit, 0.78 MiB for a (4,4)
-#: split keyed by precedence group), so a full cache holds at most
-#: 6.4 MiB, and 7.1 MiB with the permutations of every mode count up to
-#: the cap.
+#: cap, holds 0.31-0.57 MiB besides the permutations it shares, at most
+#: 585 KiB (a (4,4) split keyed by precedence group), so a full cache holds
+#: at most 4.6 MiB, and 5.3 MiB with the permutations of every mode count
+#: up to the cap. A 9-mode plan would hold 2.77-4.43 MiB.
 _SCAN_PLANS = 8
 
 
@@ -423,19 +417,17 @@ class _ScanPlan(NamedTuple):
     """What the ordering scan of one split needs and no state changes, as
     read-only arrays, and the orbit of the physical orderings. Groups are
     the orderings the route runs once for, orbits those a class matrix is
-    derived for; samples are the evaluated orderings. Sign rows are the
-    kept-side signs d_R of the rows R a sample or an orbit complements
-    relative to its group's first member, one set per total parity p; they
-    exist only where the verdict frees row flips (``_scan_plan``)."""
+    derived for; samples are the evaluated orderings, and each group's run
+    of them starts at its first member. Sign rows are the kept-side signs
+    d_R of the rows R a sample or an orbit complements relative to its
+    group's first member, one set per total parity p; they exist only where
+    the verdict frees row flips (``_scan_plan``)."""
 
-    prec: np.ndarray  # each permutation's precedence group, by first appearance
     orbit: np.ndarray  # each permutation's orbit; a group's orbits are one run
     samples: np.ndarray  # group g's are samples[bounds[g] : bounds[g + 1]]
     bounds: np.ndarray
-    sample_heads: np.ndarray  # where each sample's group starts in samples
     sample_signs: Union[np.ndarray, None]  # [p, i]: sample i's for parity p
     orbit_bounds: np.ndarray  # group g's orbits are orbit_bounds[g] to [g + 1]
-    orbit_heads: np.ndarray  # where each orbit's group starts in samples
     orbit_signs: Union[np.ndarray, None]  # [p, o]: orbit o's for parity p
     physical: int
 
@@ -463,25 +455,24 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     k, t = len(kept), len(traced)
     # rows[p, a] packs kept mode a's precedence bits: bit c is set when
     # traced[c] precedes it; a permutation's code packs all its rows, at
-    # most 16 bits
+    # most 16 bits. The physical orderings, no traced mode before a kept
+    # one, have every row 0
     rows = (ranks[:, None, traced] < ranks[:, kept, None]) @ (1 << np.arange(t))
     shifts = t * np.arange(k)
-    # prec[p] numbers p's precedence group in order of first appearance;
-    # the physical orderings, no traced mode before a kept one, have code 0
-    codes = (rows << shifts).sum(axis=1)
-    prec, _ = _first_appearance(codes)
     # the flip rule: columns fixes the column mask where it is free, flips
     # marks the rows whose complement is lower where rows are free, and the
     # group key complements them
     columns = rows ^ rows[:, :1] * (parity != _CROSS_PARITY)
     ones = (1 << t) - 1
     flips = ((columns ^ ones) < columns) & (parity == _ONE_PARITY)
-    group, first = _first_appearance(((columns ^ flips * ones) << shifts).sum(axis=1))
+    # groups are numbered in order of first appearance; first holds where
+    # each group's code first appears
+    codes = ((columns ^ flips * ones) << shifts).sum(axis=1)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(first))[inverse]
     # orbits are numbered by group, then by column key, so each group's
     # orbits are one run
     _, orbit = np.unique(group << k * t | (columns << shifts).sum(axis=1), return_inverse=True)
-    # a plan whose orbits are its precedence groups holds their numbers once
-    orbit = prec if np.array_equal(orbit, prec) else orbit
     # sorted by group and then by a random key that is lowest at the first
     # member, each group's run is its first member, then the others at random
     keys = np.random.default_rng(0).random(len(ranks))
@@ -493,24 +484,20 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     # one member of each orbit, which shares its group and its flips
     member = np.zeros(orbit.max() + 1, dtype=np.int64)
     member[orbit] = np.arange(len(orbit))
-    orbit_group = group[member]
-    orbit_bounds = np.searchsorted(orbit_group, np.arange(len(first) + 1))
+    orbit_bounds = np.searchsorted(group[member], np.arange(len(first) + 1))
     # each permutation's flipped rows relative to its group's first member,
     # samples[bounds[g]], kept mode a at bit k - 1 - a as in a kept index
     flipped = flips @ (1 << np.arange(k)[::-1])
     relative = flipped ^ flipped[samples[bounds[:-1]]][group]
     signs = _kept_side_signs(k) if parity == _ONE_PARITY else None
     plan = _ScanPlan(
-        prec=prec,
         orbit=orbit,
         samples=samples,
         bounds=bounds,
-        sample_heads=bounds[group[samples]],
         sample_signs=None if signs is None else signs[:, relative[samples]],
         orbit_bounds=orbit_bounds,
-        orbit_heads=bounds[orbit_group],
         orbit_signs=None if signs is None else signs[:, relative[member]],
-        physical=int(orbit[codes.argmin()]),
+        physical=int(orbit[rows.any(axis=1).argmin()]),
     )
     for array in plan[:-1]:
         if array is not None:
@@ -571,10 +558,9 @@ def ordering_scan(
     and the flip rule of ``_scan_plan`` turns that verdict into the groups
     the route runs once for and the orbits a matrix is derived for, from
     its group's first member. A class gathers the orbits that land on one
-    reduced matrix. Members are still listed by precedence group, so the
-    result does not depend on the grouping. The orbit of the zero matrix,
-    every ordering that keeps the kept modes contiguous, lands in the class
-    that matches the fermionic trace.
+    reduced matrix. The orbit of the zero matrix, every ordering that keeps
+    the kept modes contiguous, lands in the class that matches the
+    fermionic trace.
 
     The route is evaluated once per group on its first member, and on up to
     ``SCAN_VERIFY_SAMPLES`` other members of the group picked by one draw of
@@ -597,13 +583,15 @@ def ordering_scan(
     the flushed bytes of the orbit that opens a class are its merge key
     and its matrix, held once. The classes a stack opens are compared
     against the fermionic trace in one array operation. Each class lists
-    its members by precedence group in order of first appearance, then in
-    permutation order. Classes are returned largest first, ties broken by
+    its members in permutation order, the order of
+    ``itertools.permutations`` over the system's modes, so the result does
+    not depend on the grouping, and its representative is its earliest
+    permutation. Classes are returned largest first, ties broken by
     representative labels. ``contains_physical`` flags only the class of
     the kept-before-traced orderings.
 
-    What no state changes is the split's plan, ``_scan_plan``: the
-    precedence and orbit numbers, the sampled members, where each group's
+    What no state changes is the split's plan, ``_scan_plan``: each
+    permutation's orbit number, the sampled members, where each group's
     run of them and of its orbits starts, and the kept-side signs of each
     sample and orbit. It is keyed by the mode count, the kept and traced
     positions and ``_exact_parity``'s verdict, so a plan never serves a
@@ -616,11 +604,10 @@ def ordering_scan(
     its own. An empty kept block is an ``InvalidBipartitionError``; an
     empty traced block gives one class.
     """
-    system = rho.system
+    system, data = _state_data(rho)
     _check_scan_size(system)
     bp, kept, traced = _reduction_positions(system, bp)
     fermionic = fermionic_partial_trace(rho, bp)
-    data = _state_data(rho)
 
     parity, p = _exact_parity(data, system.n_modes)
     plan = _scan_plan(system.n_modes, tuple(kept), tuple(traced), parity)
@@ -636,15 +623,17 @@ def ordering_scan(
     # a class's key is its matrix's bytes, the one copy of it the scan keeps
     classes: dict[bytes, int] = {}
     diffs = []
-    orbit_class = np.empty(len(plan.orbit_heads), dtype=np.int64)
+    orbit_class = np.empty(plan.orbit_bounds[-1], dtype=np.int64)
     for g in range(0, len(plan.bounds) - 1, per_chunk):
         end = min(g + per_chunk, len(plan.bounds) - 1)
         lo, hi = plan.bounds[g], plan.bounds[end]
         rows = plan.samples[lo:hi]
         reduced = _qubit_reduction(data, _inversion_signs(ranks[rows]), kept, traced)
-        # each sample must be its group's first member conjugated by the
-        # kept-side signs of the rows it complements relative to it
-        heads = plan.sample_heads[lo:hi] - lo
+        # each sample must be its group's first member, where the group's
+        # run starts, conjugated by the kept-side signs of the rows it
+        # complements relative to it
+        starts = plan.bounds[g:end] - lo
+        heads = np.repeat(starts, np.diff(plan.bounds[g : end + 1]))
         derived = reduced[heads]
         if parity == _ONE_PARITY:
             _conjugate_stack(derived, plan.sample_signs[p, lo:hi])
@@ -656,16 +645,17 @@ def ordering_scan(
         # one stack: a sign conjugation moves no diagonal entry and no
         # deviation size, so each derived matrix passes them as its first
         # member does
-        starts = plan.bounds[g:end] - lo
         _check_finite(reduced[starts])
         _check_density(reduced[starts])
         # the same rule gives each orbit of the chunk's groups its matrix
         # from its group's first member; adding 0.0 flushes negative zeros
         # left behind by sign flips, which would otherwise split
         # byte-identical classes
-        for o in range(plan.orbit_bounds[g], plan.orbit_bounds[end], per_stack):
-            o_end = min(o + per_stack, plan.orbit_bounds[end])
-            flushed = reduced[plan.orbit_heads[o:o_end] - lo]
+        o_lo, o_hi = plan.orbit_bounds[g], plan.orbit_bounds[end]
+        orbit_heads = np.repeat(starts, np.diff(plan.orbit_bounds[g : end + 1]))
+        for o in range(o_lo, o_hi, per_stack):
+            o_end = min(o + per_stack, o_hi)
+            flushed = reduced[orbit_heads[o - o_lo : o_end - o_lo]]
             if parity == _ONE_PARITY:
                 _conjugate_stack(flushed, plan.orbit_signs[p, o:o_end])
             flushed += 0.0
@@ -683,11 +673,10 @@ def ordering_scan(
 
     # the last chunk's stacks are not held while the members are sorted
     del reduced, derived, flushed
-    # each class lists its precedence groups in order of first appearance,
-    # each group in permutation order; class c's members are
-    # ordered[starts[c] : ends[c]], its representative ordered[starts[c]]
+    # each class lists its members in permutation order; class c's members
+    # are ordered[starts[c] : ends[c]], its representative ordered[starts[c]]
     perm_class = orbit_class[plan.orbit]
-    ordered = perms[np.lexsort((plan.prec, perm_class))]
+    ordered = perms[np.argsort(perm_class, kind="stable")]
     ordered.setflags(write=False)
     ends = np.cumsum(np.bincount(perm_class)).tolist()
     starts = [0, *ends[:-1]]
@@ -761,7 +750,10 @@ class SweepResult:
 
 
 def sweep_system(n: int, m: int) -> ModeSystem:
-    """The standard labelled system with n kept and m traced modes."""
+    """The standard labelled system with n kept and m traced modes; a
+    negative count is a ``ValueError``."""
+    if n < 0 or m < 0:
+        raise ValueError(f"mode counts must be non-negative, got ({n},{m})")
     return ModeSystem.from_blocks(
         tuple(f"a{i}" for i in range(1, n + 1)),
         tuple(f"c{j}" for j in range(1, m + 1)),
@@ -793,9 +785,12 @@ def theorem_sweep(
     ``theorem_check`` makes runs on each chunk, a failure naming the first
     offending row of its chunk, and every row equals the ``theorem_check``
     of its state, to the bit. The canonical ordering lists the kept block
-    first, so it is physical. An empty kept block, ``n == 0``, is an
-    ``InvalidBipartitionError``, raised before any state is drawn.
+    first, so it is physical. A negative ``trials`` or mode count is a
+    ``ValueError`` and an empty kept block, ``n == 0``, an
+    ``InvalidBipartitionError``, each raised before any state is drawn.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     system = sweep_system(n, m)
     ordering = ModeOrdering.canonical(system)
     _, kept, traced = _reduction_positions(system, None)

@@ -294,6 +294,43 @@ def test_sweep_refuses_an_empty_kept_block_before_drawing(monkeypatch):
         theorem_check(basis_state(system, "00"), ModeOrdering.canonical(system))
 
 
+def test_sweep_refuses_negative_counts_before_drawing(monkeypatch):
+    """A negative mode count or trial count is refused before any state is
+    drawn, instead of running a smaller sweep or an empty one that
+    passes; ``sweep_system`` refuses a negative mode count on its own."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew a state before the counts were checked")
+
+    monkeypatch.setattr(reduction, "random_state", forbidden)
+    for n, m in ((2, -3), (-1, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"mode counts must be non-negative, got ({n},{m})")):
+            theorem_sweep(n, m, 1)
+        with pytest.raises(ValueError, match="mode counts must be non-negative"):
+            sweep_system(n, m)
+    with pytest.raises(ValueError, match="trials must be non-negative, got -1"):
+        theorem_sweep(2, 2, -1)
+
+
+def test_entry_points_refuse_a_state_of_another_type():
+    """A ``QubitState`` or a bare array given where a fermionic state is
+    expected is a ``TypeError`` naming its type, raised before its
+    ``system`` is read, at each entry point that reads a state's data."""
+    system = sweep_system(1, 1)
+    state = random_state(system, sector="even", seed=1)
+    canonical = ModeOrdering.canonical(system)
+    for given in (qubit_image(state, canonical), state.amplitudes):
+        for call in (
+            lambda: fermionic_partial_trace(given),
+            lambda: theorem_check(given, canonical),
+            lambda: reduction.ordering_scan(given),
+            lambda: qubit_image(given, canonical),
+            lambda: ssr_compliant(given),
+        ):
+            with pytest.raises(TypeError, match=f"unsupported state type {type(given).__name__}"):
+                call()
+
+
 def test_empty_blocks_where_they_are_answered():
     """Negativity across an empty kept block is 0, and a scan whose traced
     block is empty has one class, every ordering, whose matrix is the
@@ -654,9 +691,9 @@ def test_scan_size_guard():
 def test_scan_builds_orderings_only_for_representatives(monkeypatch):
     """A (3,3) scan constructs one ``ModeOrdering`` per class representative
     and one for its fermionic trace, not one per permutation. Read back,
-    ``orderings`` lists all 6! permutations once: within a class, by
-    precedence group in order of first appearance, then in permutation
-    order, with the representative first."""
+    ``orderings`` lists all 6! permutations once: within a class, in
+    permutation order, so the representative is the class's earliest
+    permutation."""
     system = sweep_system(3, 3)
     kept = ("a2", "c1", "c3")
     traced = tuple(m for m in system.modes if m not in kept)
@@ -678,16 +715,13 @@ def test_scan_builds_orderings_only_for_representatives(monkeypatch):
     def precedence(p):
         return tuple(p.index(c) < p.index(a) for a in kept for c in traced)
 
-    first_seen = {}
-    for i, p in enumerate(perms):
-        first_seen.setdefault(precedence(p), i)
     members = [[o.labels for o in c.orderings] for c in classes]
     assert sorted(p for labels in members for p in labels) == perms
     assert any(len({precedence(p) for p in labels}) > 1 for labels in members)
     for c, labels in zip(classes, members):
         assert c.size == len(labels)
         assert c.representative.labels == labels[0]
-        assert labels == sorted(labels, key=lambda p: (first_seen[precedence(p)], perms.index(p)))
+        assert labels == sorted(labels, key=perms.index)
 
 
 def _split_not_first(rng, system):
@@ -716,9 +750,10 @@ def test_scan_classes_match_qubit_route(monkeypatch):
     """Each class's reduced matrix is exactly what the per-ordering route
     gives its representative and three random members, on kept sets that
     are not first, for even, odd and any-sector states, pure and as
-    densities. For even and odd states most class matrices are derived
-    from another orbit's by the row rule, and each is compared here. The
-    scan itself neither calls the route nor the cached sign vectors."""
+    densities, and for 30/70 mixtures of both parities. For even and odd
+    states most class matrices are derived from another orbit's by the row
+    rule, and each is compared here. The scan itself neither calls the
+    route nor the cached sign vectors."""
 
     def forbidden(*args):
         raise AssertionError("the scan called the per-ordering route")
@@ -726,10 +761,15 @@ def test_scan_classes_match_qubit_route(monkeypatch):
     rng = np.random.default_rng(2020)
     for n_modes in range(3, 7):
         system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
-        for sector in ("even", "odd", "any"):
+        for sector in ("even", "odd", "any", "mixture"):
             bp = _split_not_first(rng, system)
-            state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
-            for given in (state, state.to_density()):
+            seed = int(rng.integers(1 << 30))
+            if sector == "mixture":
+                inputs = (_parity_mixture(system, seed),)
+            else:
+                state = random_state(system, sector=sector, seed=seed)
+                inputs = (state, state.to_density())
+            for given in inputs:
                 with monkeypatch.context() as patched:
                     patched.setattr(reduction, "qubit_route_reduction", forbidden)
                     patched.setattr(ordering_module, "ordering_sign_vector", forbidden)
@@ -1004,12 +1044,28 @@ def test_scan_plan_arrays_are_read_only():
     arrays = list(reduction._permutations(5))
     for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
         plan = reduction._scan_plan(5, (0, 1), (2, 3, 4), parity)
-        assert len(plan) == 10 and isinstance(plan.physical, int)
+        assert len(plan) == 7 and isinstance(plan.physical, int)
         assert (plan.sample_signs is None) == (parity != fock._ONE_PARITY)
         arrays += [array for array in plan[:-1] if array is not None]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+def test_scan_plans_at_the_cap_stay_within_their_stated_bound():
+    """Every 8-mode plan of a (5,3), (4,4) or (3,5) split, under each
+    parity verdict, holds at most the 585 KiB the ``_SCAN_PLANS`` comment
+    states, and exactly one array with an 8!-entry axis, its orbit
+    numbers."""
+    try:
+        for k in (5, 4, 3):
+            for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
+                plan = reduction._scan_plan(8, tuple(range(k)), tuple(range(k, 8)), parity)
+                arrays = [array for array in plan[:-1] if array is not None]
+                assert sum(array.nbytes for array in arrays) <= 585 * 1024
+                assert [array.shape[-1] == factorial(8) for array in arrays].count(True) == 1
+    finally:
+        reduction._scan_plan.cache_clear()
 
 
 @settings(deadline=None, max_examples=25)
