@@ -24,11 +24,10 @@ from .fock import (
     FockVector,
     ModeSystem,
     OperatorString,
-    _hermitized_outer,
     _kept_traced_view,
     from_operator_string,
 )
-from .numerics import DEFAULT_TOL, STATE_TOL, _check_eig_dim, hermitian_eigenvalues, trace_norm
+from .numerics import DEFAULT_TOL, STATE_TOL, _check_eig_dim, _hermitize, hermitian_eigenvalues, trace_norm
 from .ordering import ModeOrdering, QubitState, qubit_image
 from .reduction import _bipartition_positions
 
@@ -108,7 +107,8 @@ def _as_qubit_matrix(
     its system and ordering. A pure register gives its outer product,
     Hermitized as its density is."""
     register = _qubit_register(state, ordering)
-    matrix = _hermitized_outer(register.data) if register.is_pure else register.data
+    data = register.data
+    matrix = _hermitize(np.outer(data, data.conj())) if register.is_pure else data
     return matrix, register.system, register.ordering
 
 

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, STATE_TOL, _check_hermitian, _first_failure, as_complex_matrix
+from .numerics import DEFAULT_TOL, STATE_TOL, _check_hermitian, _first_failure, _hermitize, as_complex_matrix
 
 #: Operator kinds, matching the operator-string grammar tokens.
 CREATION = "+"
@@ -210,18 +210,8 @@ def _block_partial_trace(
     """
     view = _kept_traced_view(data, kept, traced, batch)
     if view.ndim == 2 + batch:
-        reduced = view @ view.conj().mT
-        return 0.5 * (reduced + reduced.conj().mT)
+        return _hermitize(view @ view.conj().mT)
     return np.einsum("...ajbj->...ab", view)
-
-
-def _hermitized_outer(psi: np.ndarray) -> np.ndarray:
-    """The density psi psi^dag of an amplitude vector, made exactly
-    Hermitian: fused multiply-add lanes can leave the outer product a few
-    ulp off conjugate symmetry, and reductions, which preserve Hermiticity
-    exactly, then hand back exactly Hermitian matrices."""
-    m = np.outer(psi, psi.conj())
-    return 0.5 * (m + m.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +271,8 @@ class FockVector:
     def to_density(self) -> "DensityOperator":
         if not self.is_normalized():
             raise ValueError("state must be normalized before forming a density operator")
-        return DensityOperator(self.system, _hermitized_outer(self.amplitudes))
+        amps = self.amplitudes
+        return DensityOperator(self.system, _hermitize(np.outer(amps, amps.conj())))
 
     def to_json(self) -> dict:
         amps = {}

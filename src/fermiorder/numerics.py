@@ -105,6 +105,15 @@ class EigenResult:
         return float(np.abs(self._input - (v * w) @ v.conj().T).max())
 
 
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 for a matrix or each matrix of a stack along axis 0,
+    exactly Hermitian: fused multiply-add lanes can leave a product such as
+    psi psi^dag a few ulp off conjugate symmetry, and reductions, which
+    preserve Hermiticity exactly, then hand back exactly Hermitian
+    matrices."""
+    return 0.5 * (m + m.conj().mT)
+
+
 def _eigh(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, descending, and eigenvectors of a matrix or of each
     matrix of a stack along axis 0, checked against the dimension cap and
@@ -112,8 +121,7 @@ def _eigh(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     matrix whose upper and lower triangles agree."""
     _check_eig_dim(m.shape[-1])
     _check_hermitian(m, tol)
-    a = 0.5 * (m + m.conj().mT)  # exact Hermitization; deviation is < tol by the check above
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(_hermitize(m))  # the deviation is < tol by the check above
     return w[..., ::-1], v[..., ::-1]  # eigh sorts ascending
 
 

@@ -197,8 +197,11 @@ def inverse_image_restricted(q: QubitState) -> FockState:
     from ``q.ordering`` on ``q.system``; for a register that came from a
     partial trace, that ordering must be the original one restricted to the
     surviving modes. Pure data returns a Fock vector; matrices return a
-    density operator.
+    density operator. Any input other than a ``QubitState`` is a
+    ``TypeError``.
     """
+    if not isinstance(q, QubitState):
+        raise TypeError(f"unsupported state type {type(q).__name__}")
     data = _sign_conjugate(ordering_sign_vector(q.system, q.ordering), q.data)
     if q.is_pure:
         return FockVector(q.system, data)

@@ -72,10 +72,11 @@ from .ordering import (
 #: their ranks (``_permutations``), two 8! x 8 int8 matrices of 315 KiB,
 #: are shared by every 8-mode plan; a split's scan plan (``_scan_plan``)
 #: holds one int64 array of 8! entries (315 KiB), each permutation's orbit,
-#: and its samples, 0.31-0.57 MiB in all (``nbytes``; 2.77-4.43 MiB at 9
-#: modes), and both outlive the call in their caches. Each call adds a few
-#: int64 arrays of 8! entries and an int8 copy of the permutations in class
-#: order, which the returned classes keep. It builds no ``ModeOrdering``
+#: then its samples and its orbits' bounds and signs, 0.31-0.57 MiB in all
+#: (``nbytes``; 2.77-4.43 MiB at 9 modes), and both outlive the call in
+#: their caches. Each call adds a few int64 arrays of 8! entries and an
+#: int8 copy of the permutations in class order, which the returned
+#: classes keep. It builds no ``ModeOrdering``
 #: but its fermionic trace's: ``OrderingClass`` builds its representative
 #: and its members from their int8 rows when read.
 MAX_SCAN_MODES = 8
@@ -85,17 +86,10 @@ MAX_SCAN_MODES = 8
 #: each stack of orbit matrices it derives from them as much; the sweep
 #: keeps every stacked array one chunk of trials holds at once within it.
 #: 256 KiB is the knee of a sweep from 64 KiB to 1 MiB on a 2-core machine
-#: (``BENCH_14.json``): below it the scan spends its time on
-#: per-chunk work, and it was the largest budget at which the (4,4) scan's
-#: tracemalloc peak (19.0 MiB) stayed below that of the 64 KiB scan that
-#: checked each class on its own (19.5 MiB); 512 KiB peaked at 20.3 MiB.
-#: With each class matrix held once, the even (4,4) scan peaks at 13.0,
-#: 13.0 and 13.2 MiB at 64, 256 and 512 KiB. The budget bounds the stacks
-#: alone, not the scan plan, which outlives the call: at 256 KiB the even
-#: (4,4) scan peaks at 10.7 MiB when it builds its 1.3 MiB plan, whose
-#: scratch arrays are freed before the first chunk, and at 9.3 MiB when
-#: the plan is cached (``BENCH_17.json``); run once per row-and-column
-#: orbit, it peaks at 10.4 and 9.0 MiB (``BENCH_18.json``).
+#: (``BENCH_14.json``): below it the scan spends its time on per-chunk
+#: work, and above it larger stacks raise the (4,4) scan's tracemalloc
+#: peak. The budget bounds the stacks alone, not the scan plan, which
+#: outlives the call.
 _STACK_BYTES = 256 * 1024
 
 #: Non-representative members per scan group that the scan recomputes to
@@ -215,8 +209,11 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
     inverse map needs to return to the fermionic picture. The reduced
     register is a matrix, also when a pure register is reduced. An empty
     kept block is an ``InvalidBipartitionError``, raised before anything is
-    traced, so ``qubit_route_reduction`` refuses it too.
+    traced, so ``qubit_route_reduction`` refuses it too. Any input other
+    than a ``QubitState`` is a ``TypeError``.
     """
+    if not isinstance(q, QubitState):
+        raise TypeError(f"unsupported state type {type(q).__name__}")
     _, kept, traced = _reduction_positions(q.system, bp)
     labels = [q.system.modes[k] for k in kept]
     reduced = _block_partial_trace(q.data, kept, traced)
@@ -406,10 +403,11 @@ def _permutations(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Plans ``_scan_plan`` keeps. An 8-mode plan, at the ``MAX_SCAN_MODES``
-#: cap, holds 0.31-0.57 MiB besides the permutations it shares, at most
-#: 585 KiB (a (4,4) split keyed by precedence group), so a full cache holds
-#: at most 4.6 MiB, and 5.3 MiB with the permutations of every mode count
-#: up to the cap. A 9-mode plan would hold 2.77-4.43 MiB.
+#: cap, holds 0.31-0.57 MiB besides the permutations it shares (``nbytes``),
+#: at most 585 KiB (a (4,4) split keyed by precedence group), and a plan
+#: for a state of one parity at most 440 KiB (432 KiB at (5,3)), so a full
+#: cache holds at most 4.6 MiB, and 5.3 MiB with the permutations of every
+#: mode count up to the cap. A 9-mode plan would hold 2.77-4.43 MiB.
 _SCAN_PLANS = 8
 
 
@@ -419,14 +417,14 @@ class _ScanPlan(NamedTuple):
     the orderings the route runs once for, orbits those a class matrix is
     derived for; samples are the evaluated orderings, and each group's run
     of them starts at its first member. Sign rows are the kept-side signs
-    d_R of the rows R a sample or an orbit complements relative to its
-    group's first member, one set per total parity p; they exist only where
-    the verdict frees row flips (``_scan_plan``)."""
+    d_R of the rows R an orbit complements relative to its group's first
+    member, one set per total parity p; a sample's are its orbit's, since
+    the rows an ordering complements depend on its orbit alone, and they
+    exist only where the verdict frees row flips (``_scan_plan``)."""
 
     orbit: np.ndarray  # each permutation's orbit; a group's orbits are one run
     samples: np.ndarray  # group g's are samples[bounds[g] : bounds[g + 1]]
     bounds: np.ndarray
-    sample_signs: Union[np.ndarray, None]  # [p, i]: sample i's for parity p
     orbit_bounds: np.ndarray  # group g's orbits are orbit_bounds[g] to [g + 1]
     orbit_signs: Union[np.ndarray, None]  # [p, o]: orbit o's for parity p
     physical: int
@@ -485,18 +483,17 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     member = np.zeros(orbit.max() + 1, dtype=np.int64)
     member[orbit] = np.arange(len(orbit))
     orbit_bounds = np.searchsorted(group[member], np.arange(len(first) + 1))
-    # each permutation's flipped rows relative to its group's first member,
-    # samples[bounds[g]], kept mode a at bit k - 1 - a as in a kept index
-    flipped = flips @ (1 << np.arange(k)[::-1])
-    relative = flipped ^ flipped[samples[bounds[:-1]]][group]
-    signs = _kept_side_signs(k) if parity == _ONE_PARITY else None
+    # each orbit's flipped rows relative to the orbit of its group's first
+    # member, samples[bounds[g]], kept mode a at bit k - 1 - a as in a kept
+    # index
+    flipped = flips[member] @ (1 << np.arange(k)[::-1])
+    relative = flipped ^ flipped[orbit[samples[bounds[:-1]]]][group[member]]
     plan = _ScanPlan(
         orbit=orbit,
         samples=samples,
         bounds=bounds,
-        sample_signs=None if signs is None else signs[:, relative[samples]],
         orbit_bounds=orbit_bounds,
-        orbit_signs=None if signs is None else signs[:, relative[member]],
+        orbit_signs=_kept_side_signs(k)[:, relative] if parity == _ONE_PARITY else None,
         physical=int(orbit[rows.any(axis=1).argmin()]),
     )
     for array in plan[:-1]:
@@ -516,13 +513,6 @@ def _kept_side_signs(n_kept: int) -> np.ndarray:
     overlap = np.bitwise_count(x[:, None] & x)
     exponent = (np.arange(2)[:, None, None] + np.bitwise_count(x).astype(np.int64)) * overlap
     return np.where(exponent % 2, -1, 1).astype(np.int8)
-
-
-def _conjugate_stack(stack: np.ndarray, signs: np.ndarray) -> None:
-    """Conjugate each matrix of a stack by its own row of ``signs``, d m d,
-    in place: the scan passes a fresh gather, so one stack is held."""
-    stack *= signs[:, :, None]
-    stack *= signs[:, None, :]
 
 
 def ordering_scan(
@@ -577,12 +567,15 @@ def ordering_scan(
     checks ``DensityOperator`` makes: d_R moves no diagonal entry and no
     deviation size, so a derived matrix passes them as its first member
     does. The chunk then derives the matrix of each orbit of its groups,
-    at most ``_STACK_BYTES`` of them at a time and conjugated in place on
-    one gathered copy, and orbits are merged whenever they land on the
-    identical reduced matrix, with negative zeros flushed to +0.0 first;
-    the flushed bytes of the orbit that opens a class are its merge key
-    and its matrix, held once. The classes a stack opens are compared
-    against the fermionic trace in one array operation. Each class lists
+    at most ``_STACK_BYTES`` of them at a time, by the one conjugation
+    ``_sign_conjugate`` that also derives the samples, and orbits are
+    merged whenever they land on the identical reduced matrix, with
+    negative zeros flushed to +0.0 first; the flushed bytes of the orbit
+    that opens a class are its merge key and its matrix, held once. Each
+    stack's orbits are compared against the fermionic trace in one array
+    operation, and each writes its largest entry difference as its class's:
+    the orbits of a class share its bytes, so they write the same value,
+    with no search for the orbit that opened it. Each class lists
     its members in permutation order, the order of
     ``itertools.permutations`` over the system's modes, so the result does
     not depend on the grouping, and its representative is its earliest
@@ -593,13 +586,13 @@ def ordering_scan(
     What no state changes is the split's plan, ``_scan_plan``: each
     permutation's orbit number, the sampled members, where each group's
     run of them and of its orbits starts, and the kept-side signs of each
-    sample and orbit. It is keyed by the mode count, the kept and traced
-    positions and ``_exact_parity``'s verdict, so a plan never serves a
-    state whose grouping it does not fit, and the cache keeps the last
-    ``_SCAN_PLANS`` plans, read-only. The permutation rows and their ranks
-    depend on the mode count alone and are shared by its plans
-    (``_permutations``). Scanning many states on one split pays for the
-    plan once; a process that runs one scan, as the CLI does, gains
+    orbit, which its samples share. It is keyed by the mode count, the
+    kept and traced positions and ``_exact_parity``'s verdict, so a plan
+    never serves a state whose grouping it does not fit, and the cache
+    keeps the last ``_SCAN_PLANS`` plans, read-only. The permutation rows
+    and their ranks depend on the mode count alone and are shared by its
+    plans (``_permutations``). Scanning many states on one split pays for
+    the plan once; a process that runs one scan, as the CLI does, gains
     nothing. The orderings' own sign rows are not kept: each chunk signs
     its own. An empty kept block is an ``InvalidBipartitionError``; an
     empty traced block gives one class.
@@ -607,7 +600,7 @@ def ordering_scan(
     system, data = _state_data(rho)
     _check_scan_size(system)
     bp, kept, traced = _reduction_positions(system, bp)
-    fermionic = fermionic_partial_trace(rho, bp)
+    fermionic = fermionic_partial_trace(rho, bp).matrix.ravel()
 
     parity, p = _exact_parity(data, system.n_modes)
     plan = _scan_plan(system.n_modes, tuple(kept), tuple(traced), parity)
@@ -622,7 +615,9 @@ def ordering_scan(
     per_stack = max(1, _STACK_BYTES // (data.itemsize * dk * dk))
     # a class's key is its matrix's bytes, the one copy of it the scan keeps
     classes: dict[bytes, int] = {}
-    diffs = []
+    # each class's largest entry difference from the fermionic trace; a
+    # scan has at most one class per orbit
+    diffs = np.empty(plan.orbit_bounds[-1])
     orbit_class = np.empty(plan.orbit_bounds[-1], dtype=np.int64)
     for g in range(0, len(plan.bounds) - 1, per_chunk):
         end = min(g + per_chunk, len(plan.bounds) - 1)
@@ -630,13 +625,13 @@ def ordering_scan(
         rows = plan.samples[lo:hi]
         reduced = _qubit_reduction(data, _inversion_signs(ranks[rows]), kept, traced)
         # each sample must be its group's first member, where the group's
-        # run starts, conjugated by the kept-side signs of the rows it
-        # complements relative to it
+        # run starts, conjugated by the kept-side signs of the rows its
+        # orbit complements relative to it
         starts = plan.bounds[g:end] - lo
         heads = np.repeat(starts, np.diff(plan.bounds[g : end + 1]))
         derived = reduced[heads]
         if parity == _ONE_PARITY:
-            _conjugate_stack(derived, plan.sample_signs[p, lo:hi])
+            derived = _sign_conjugate(plan.orbit_signs[p, plan.orbit[rows]], derived)
         bad = np.flatnonzero((reduced != derived).any(axis=(1, 2)))
         if bad.size:
             head, other = names[perms[rows[[heads[bad[0]], bad[0]]]]].tolist()
@@ -657,28 +652,26 @@ def ordering_scan(
             o_end = min(o + per_stack, o_hi)
             flushed = reduced[orbit_heads[o - o_lo : o_end - o_lo]]
             if parity == _ONE_PARITY:
-                _conjugate_stack(flushed, plan.orbit_signs[p, o:o_end])
+                flushed = _sign_conjugate(plan.orbit_signs[p, o:o_end], flushed)
             flushed += 0.0
             flushed = flushed.reshape(o_end - o, -1)
-            opened = len(classes)
             stack_class = [
                 classes.setdefault(key, len(classes))
                 for key in flushed.view(f"V{flushed[0].nbytes}").ravel().tolist()
             ]
             orbit_class[o:o_end] = stack_class
-            if len(classes) > opened:
-                openers = [stack_class.index(c) for c in range(opened, len(classes))]
-                matrices = flushed[openers].reshape(-1, dk, dk)
-                diffs += np.abs(matrices - fermionic.matrix).max(axis=(1, 2)).tolist()
+            # every orbit of a class has its bytes, so its diff, too
+            diffs[stack_class] = np.abs(flushed - fermionic).max(axis=1)
 
     # the last chunk's stacks are not held while the members are sorted
     del reduced, derived, flushed
     # each class lists its members in permutation order; class c's members
-    # are ordered[starts[c] : ends[c]], its representative ordered[starts[c]]
-    perm_class = orbit_class[plan.orbit]
-    ordered = perms[np.argsort(perm_class, kind="stable")]
+    # are ordered[starts[c] : ends[c]], its representative ordered[starts[c]].
+    # Each permutation's class, 315 KiB at 8 modes, is gathered for each of
+    # its two uses, so it is not held while the classes are built
+    ordered = perms[np.argsort(orbit_class[plan.orbit], kind="stable")]
     ordered.setflags(write=False)
-    ends = np.cumsum(np.bincount(perm_class)).tolist()
+    ends = np.cumsum(np.bincount(orbit_class[plan.orbit])).tolist()
     starts = [0, *ends[:-1]]
     # classes go largest first, ties broken by representative labels, read
     # as each mode's rank in label order
@@ -691,8 +684,8 @@ def ordering_scan(
             _members=ordered[starts[c] : ends[c]],
             reduced=DensityOperator._checked(kept_system, np.frombuffer(keys[c], np.complex128).reshape(dk, dk)),
             contains_physical=bool(c == orbit_class[plan.physical]),
-            matches_fermionic=diffs[c] < tol,
-            max_entry_diff=diffs[c],
+            matches_fermionic=bool(diffs[c] < tol),
+            max_entry_diff=float(diffs[c]),
         )
         for c in sorted(range(len(keys)), key=lambda c: (starts[c] - ends[c], heads[c]))
     ]

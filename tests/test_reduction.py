@@ -331,6 +331,18 @@ def test_entry_points_refuse_a_state_of_another_type():
                 call()
 
 
+def test_qubit_entry_points_refuse_a_state_of_another_type():
+    """A ``FockVector``, a ``DensityOperator`` or a bare array given where a
+    qubit register is expected is a ``TypeError`` naming its type, raised
+    before its ``data`` or ``system`` is read."""
+    system = sweep_system(1, 1)
+    state = random_state(system, sector="even", seed=1)
+    for given in (state, state.to_density(), state.amplitudes):
+        for call in (lambda: qubit_partial_trace(given), lambda: inverse_image_restricted(given)):
+            with pytest.raises(TypeError, match=f"unsupported state type {type(given).__name__}"):
+                call()
+
+
 def test_empty_blocks_where_they_are_answered():
     """Negativity across an empty kept block is 0, and a scan whose traced
     block is empty has one class, every ordering, whose matrix is the
@@ -855,6 +867,34 @@ def test_scan_constructs_only_the_fermionic_reference(monkeypatch):
             assert constructed == [1 << len(bp.kept)]
 
 
+def test_scan_class_diffs_are_those_of_their_own_matrices(monkeypatch):
+    """Each class's ``max_entry_diff`` is, to the bit, the largest entry
+    difference between its own reduced matrix and the fermionic trace, and
+    it matches exactly when that is below the tolerance: for even and odd
+    states, a mixture of both parities and any-sector states, pure and as
+    densities, on kept sets that are not first. A budget of one byte puts
+    each orbit in a stack of its own, so the orbits of one class land in
+    different stacks."""
+    rng = np.random.default_rng(2031)
+    inputs = []
+    for n_modes in (4, 5):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for sector in ("even", "odd", "any"):
+            state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
+            inputs += [(given, _split_not_first(rng, system)) for given in (state, state.to_density())]
+        inputs.append((_parity_mixture(system, n_modes), _split_not_first(rng, system)))
+    for budget in (1, reduction._STACK_BYTES):
+        monkeypatch.setattr(reduction, "_STACK_BYTES", budget)
+        for given, bp in inputs:
+            fermionic = fermionic_partial_trace(given, bp).matrix
+            classes = reduction.ordering_scan(given, bp)
+            assert any(c.matches_fermionic for c in classes)
+            for c in classes:
+                diff = float(np.abs(c.reduced.matrix - fermionic).max())
+                assert type(c.max_entry_diff) is float and c.max_entry_diff == diff
+                assert c.matches_fermionic is (diff < tol)
+
+
 def test_scan_holds_each_class_matrix_once():
     """A (4,3) scan of a state mixing parities, on a kept set that is not
     first, peaks under twice the bytes of the class matrices it returns
@@ -1044,8 +1084,8 @@ def test_scan_plan_arrays_are_read_only():
     arrays = list(reduction._permutations(5))
     for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
         plan = reduction._scan_plan(5, (0, 1), (2, 3, 4), parity)
-        assert len(plan) == 7 and isinstance(plan.physical, int)
-        assert (plan.sample_signs is None) == (parity != fock._ONE_PARITY)
+        assert len(plan) == 6 and isinstance(plan.physical, int)
+        assert (plan.orbit_signs is None) == (parity != fock._ONE_PARITY)
         arrays += [array for array in plan[:-1] if array is not None]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -1055,14 +1095,16 @@ def test_scan_plan_arrays_are_read_only():
 def test_scan_plans_at_the_cap_stay_within_their_stated_bound():
     """Every 8-mode plan of a (5,3), (4,4) or (3,5) split, under each
     parity verdict, holds at most the 585 KiB the ``_SCAN_PLANS`` comment
-    states, and exactly one array with an 8!-entry axis, its orbit
-    numbers."""
+    states, a plan for a state of one parity at most the 440 KiB it states
+    for those, and each plan exactly one array with an 8!-entry axis, its
+    orbit numbers."""
     try:
         for k in (5, 4, 3):
             for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
                 plan = reduction._scan_plan(8, tuple(range(k)), tuple(range(k, 8)), parity)
                 arrays = [array for array in plan[:-1] if array is not None]
-                assert sum(array.nbytes for array in arrays) <= 585 * 1024
+                held = sum(array.nbytes for array in arrays)
+                assert held <= (440 if parity == fock._ONE_PARITY else 585) * 1024
                 assert [array.shape[-1] == factorial(8) for array in arrays].count(True) == 1
     finally:
         reduction._scan_plan.cache_clear()

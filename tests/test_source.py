@@ -245,3 +245,44 @@ def test_route_comparison_diagonalizes_only_through_trace_distances():
     assert _callers(tree, "_trace_distances") == ["_compare_routes"]
     assert "_check_physical" not in _callers(tree, "from_blocks")
     assert "_check_physical" in _callers(tree, "_kept_first")
+
+
+def test_no_module_multiplies_in_place():
+    """No package module multiplies an array in place (``*=``), so every
+    sign conjugation goes through ``fock._sign_conjugate`` and a second,
+    in-place copy of it cannot come back unnoticed."""
+    offending = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+    ]
+    assert not offending, f"in-place multiplication at {offending}"
+
+
+def _is_hermitization(node: ast.AST) -> bool:
+    """Whether ``node`` is ``0.5 * (x + <something of x.conj()>)``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 0.5
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Add)
+        and any(isinstance(inner, ast.Attribute) and inner.attr == "conj" for inner in ast.walk(node.right))
+    )
+
+
+def test_one_exact_hermitization():
+    """The exact Hermitization ``0.5 * (m + m.conj()...)`` is written once,
+    as the body of ``numerics._hermitize``, which every caller that
+    Hermitizes goes through."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_hermitization(node)
+    ]
+    tree = ast.parse((PACKAGE_DIR / "numerics.py").read_text())
+    (hermitize,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_hermitize"]
+    assert found == [f"numerics.py:{hermitize.body[-1].lineno}"]
