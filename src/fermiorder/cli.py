@@ -32,7 +32,7 @@ from .fock import (
     ssr_compliant,
     state_from_json_str,
 )
-from .numerics import DEFAULT_TOL, trace_distance
+from .numerics import DEFAULT_TOL, _check_tol, trace_distance
 from .ordering import ModeOrdering
 from .reduction import (
     _check_scan_size,
@@ -68,8 +68,7 @@ def _tolerance() -> float:
         value = float(raw)
     except ValueError:
         raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{TOL_ENV_VAR} must be in (0, 1), got {value}")
+    _check_tol(value, TOL_ENV_VAR)
     return value
 
 

@@ -161,15 +161,15 @@ def _parity_vector(n_modes: int) -> np.ndarray:
     return par
 
 
-def _sign_conjugate(signs: np.ndarray, data: np.ndarray, batch: bool = False) -> np.ndarray:
+def _sign_conjugate(signs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Apply a diagonal sign matrix S to a state: S psi for an amplitude
     vector, S rho S for a matrix. Callers build the signs by their own rule.
 
     A stack of sign rows, one per leading index, gives a stack of results:
     each row conjugates the one state ``data``, or its own matrix of a
-    stack of matrices. With ``batch``, axis 0 of ``data`` stacks states,
-    which one sign row conjugates alike."""
-    if data.ndim == 1 + batch:
+    stack of matrices. A state that is reduced is signed inside
+    ``_block_partial_trace`` instead."""
+    if data.ndim == 1:
         return signs * data
     return signs[..., :, None] * data * signs[..., None, :]
 
@@ -196,22 +196,41 @@ def _kept_traced_view(
 
 
 def _block_partial_trace(
-    data: np.ndarray, kept: Sequence[int], traced: Sequence[int], batch: bool = False
+    data: np.ndarray,
+    kept: Sequence[int],
+    traced: Sequence[int],
+    batch: bool = False,
+    signs: Union[np.ndarray, None] = None,
 ) -> np.ndarray:
     """Sum a mode-indexed vector psi or matrix rho over the occupations of
-    the modes at the ``traced`` positions, keeping those at ``kept``.
+    the modes at the ``traced`` positions, keeping those at ``kept``, after
+    conjugating it by the diagonal sign matrix S of ``signs``, if given:
+    the reduction of S psi or of S rho S. Callers build the signs by their
+    own rule.
 
     The sum runs over the ``_kept_traced_view`` of the state, so the kept
-    modes stay in the order ``kept`` lists them. psi is reduced as an
-    exactly Hermitized psi psi^dag of its dk x dt view, never forming its
-    2^N x 2^N density. No signs are applied: callers conjugate the state by
-    their own sign rule first. With ``batch``, axis 0 stacks states that
-    are reduced one by one, and the result stacks their dk x dk reductions.
+    modes stay in the order ``kept`` lists them. psi is multiplied by its
+    signs and reduced as an exactly Hermitized psi psi^dag of its dk x dt
+    view, never forming its 2^N x 2^N density. rho is reduced from its
+    traced-diagonal slab, the view of its dk^2 dt entries rho(aj, bj), and
+    only the slab is conjugated, by the ``_kept_traced_view`` of the signs,
+    in the order ``_sign_conjugate`` multiplies, so no array of the
+    density's size is made and the result is the bytes a conjugation of
+    the whole density followed by the trace gives. With ``batch``, axis 0
+    stacks states that are reduced one by one; a stack of sign rows reduces
+    the one state once per row, as ``_sign_conjugate`` conjugates it. Either
+    way the result stacks their dk x dk reductions.
     """
-    view = _kept_traced_view(data, kept, traced, batch)
-    if view.ndim == 2 + batch:
+    if data.ndim == 1 + batch:
+        if signs is not None:
+            data = signs * data
+        view = _kept_traced_view(data, kept, traced, data.ndim > 1)
         return _hermitize(view @ view.conj().mT)
-    return np.einsum("...ajbj->...ab", view)
+    slab = np.einsum("...ajbj->...ajb", _kept_traced_view(data, kept, traced, batch))
+    if signs is not None:
+        sv = _kept_traced_view(signs, kept, traced, signs.ndim > 1)
+        slab = sv[..., :, :, None] * slab * sv.swapaxes(-1, -2)[..., None, :, :]
+    return np.einsum("...ajb->...ab", slab)
 
 
 @dataclass(frozen=True, eq=False)

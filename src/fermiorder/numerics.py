@@ -70,6 +70,15 @@ def _check_finite(m: np.ndarray) -> None:
     _first_failure(~np.isfinite(m).all(axis=(-2, -1)), ValueError, lambda i: "matrix entries must be finite")
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a comparison tolerance outside (0, 1): at 0 or below, or NaN,
+    no difference passes and even agreeing routes read as disagreeing, and
+    at 1 or above it passes differences larger than any entry of a density
+    matrix."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {tol}")
+
+
 def _check_eig_dim(dim: int) -> None:
     """Reject a dimension above the eigensolver cap, before anything that size exists."""
     if dim > MAX_EIG_DIM:

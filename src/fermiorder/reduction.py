@@ -57,7 +57,7 @@ from .fock import (
     random_state,
     ssr_compliant,
 )
-from .numerics import DEFAULT_TOL, _check_eig_dim, _check_finite, _first_failure, _trace_distances
+from .numerics import DEFAULT_TOL, _check_eig_dim, _check_finite, _check_tol, _first_failure, _trace_distances
 from .ordering import (
     ModeOrdering,
     QubitState,
@@ -77,12 +77,16 @@ from .ordering import (
 #: their caches. Each call adds a few int64 arrays of 8! entries and an
 #: int8 copy of the permutations in class order, which the returned
 #: classes keep. It builds no ``ModeOrdering``
-#: but its fermionic trace's: ``OrderingClass`` builds its representative
-#: and its members from their int8 rows when read.
+#: but its fermionic trace's, and no ``DensityOperator``:
+#: ``OrderingClass`` builds its representative and its members from their
+#: int8 rows, and wraps its matrix's bytes, when read. A density's samples
+#: are signed on their traced-diagonal slab, dk^2 dt entries, which the
+#: group budget of ``_STACK_BYTES`` counts, not on the whole density.
 MAX_SCAN_MODES = 8
 
 #: Bytes for stacked evaluations. The ordering scan gives one stacked array,
-#: a state or a dk x dk reduction per evaluated ordering, this much, and
+#: a signed state, a density's signed traced-diagonal slab of dk^2 dt
+#: entries or a dk x dk reduction per evaluated ordering, this much, and
 #: each stack of orbit matrices it derives from them as much; the sweep
 #: keeps every stacked array one chunk of trials holds at once within it.
 #: 256 KiB is the knee of a sweep from 64 KiB to 1 MiB on a 2-core machine
@@ -154,11 +158,12 @@ def _fermionic_reduction(
     system: ModeSystem, data: np.ndarray, kept: list[int], traced: list[int], batch: bool = False
 ) -> np.ndarray:
     """The fermionic trace of a state's amplitudes or matrix, or with
-    ``batch`` of each state of a stack along axis 0: the sign conjugation
-    of the traced-first ordering, then the block trace."""
+    ``batch`` of each state of a stack along axis 0: the block trace of its
+    sign conjugation by the traced-first ordering, which a density takes on
+    its traced-diagonal slab alone."""
     labels = [system.modes[k] for k in traced + kept]
     signs = ordering_sign_vector(system, ModeOrdering(labels))
-    return _block_partial_trace(_sign_conjugate(signs, data, batch), kept, traced, batch)
+    return _block_partial_trace(data, kept, traced, batch, signs)
 
 
 def _qubit_reduction(
@@ -174,9 +179,8 @@ def _qubit_reduction(
     read off the ``_kept_traced_view`` of ``signs``: the occupied pairs the
     ordering inverts are then kept pairs, inverted exactly when the
     ordering restricted to the kept modes inverts them."""
-    rows = signs.ndim > 1
-    reduced = _block_partial_trace(_sign_conjugate(signs, data, batch), kept, traced, batch or rows)
-    return _sign_conjugate(_kept_traced_view(signs, kept, traced, rows)[..., 0], reduced)
+    reduced = _block_partial_trace(data, kept, traced, batch, signs)
+    return _sign_conjugate(_kept_traced_view(signs, kept, traced, signs.ndim > 1)[..., 0], reduced)
 
 
 def fermionic_partial_trace(
@@ -191,9 +195,14 @@ def fermionic_partial_trace(
     sum is that ordering's sign conjugation followed by a block trace over
     the traced occupations: the fermionic trace is ``qubit_route_reduction``
     under the traced-first ordering. A pure state is conjugated as s * psi
-    and reduced without forming its density; it must be normalized. The
-    trace is preserved exactly, and the result is Hermitian and positive.
-    An empty kept block is an ``InvalidBipartitionError``.
+    and reduced without forming its density; it must be normalized. A
+    density is reduced from its traced-diagonal slab, the dk^2 dt entries
+    rho(xz, yz) the trace reads, and only the slab is conjugated, so no
+    array of the density's size is made: at (5,5) the tracemalloc peak is
+    under 1/8 of the density's bytes, where conjugating the whole density
+    peaked at twice them. The bytes are those of that whole conjugation.
+    The trace is preserved exactly, and the result is Hermitian and
+    positive. An empty kept block is an ``InvalidBipartitionError``.
     """
     system, data = _state_data(rho)
     _, kept, traced = _reduction_positions(system, bp)
@@ -327,8 +336,10 @@ def theorem_check(
     modes are outside the equivalence statement and are rejected unless
     ``force`` is set, which is how the disagreement examples are produced
     on purpose. An empty kept block is an ``InvalidBipartitionError``,
-    raised before anything is reduced or diagonalized.
+    raised before anything is reduced or diagonalized. A ``tol`` outside
+    (0, 1), or NaN, is a ``ValueError`` before the state is read.
     """
+    _check_tol(tol)
     system, data = _state_data(rho)
     _, kept, traced = _reduction_positions(system, bp)
     physical = _check_physical(system, kept, traced, ordering, force)
@@ -355,14 +366,34 @@ class OrderingClass:
     held as int8 rows of indices into ``_modes``, the system's labels, in
     permutation order. The first row, the class's earliest permutation, is
     the representative, built as a ``ModeOrdering`` when first read and
-    kept from then on."""
+    kept from then on. The reduced state is held as ``_matrix``, the bytes
+    of its matrix on the kept system ``_system``, already checked as a row
+    of its scan's stack, and ``reduced`` wraps them as a
+    ``DensityOperator`` when first read, without checking or copying them
+    again."""
 
     _modes: np.ndarray
     _members: np.ndarray
-    reduced: DensityOperator
+    _system: ModeSystem
+    _matrix: bytes
     contains_physical: bool
     matches_fermionic: bool
     max_entry_diff: float
+
+    @classmethod
+    def _wrap(cls, **fields) -> "OrderingClass":
+        """A class from its fields, set as they are, as
+        ``DensityOperator._checked`` does, without the dataclass
+        ``__init__``."""
+        c = object.__new__(cls)
+        c.__dict__.update(fields)
+        return c
+
+    @cached_property
+    def reduced(self) -> DensityOperator:
+        dk = self._system.dim
+        matrix = np.frombuffer(self._matrix, np.complex128).reshape(dk, dk)
+        return DensityOperator._checked(self._system, matrix)
 
     @cached_property
     def representative(self) -> ModeOrdering:
@@ -562,7 +593,10 @@ def ordering_scan(
     chunks whose largest stacked array stays within ``_STACK_BYTES`` unless
     one group alone is larger: each chunk's sign rows come from one
     ``_inversion_signs`` call and go through
-    ``_qubit_reduction``, the route ``theorem_check`` compares. Each
+    ``_qubit_reduction``, the route ``theorem_check`` compares. A density
+    is signed on its traced-diagonal slab alone, so a sample costs dk^2 dt
+    entries, not the density's 4^N, and an even (3,3) density scan runs its
+    16 groups in two chunks, not one chunk per group. Each
     chunk's evaluated first members are checked as one stack, with the
     checks ``DensityOperator`` makes: d_R moves no diagonal entry and no
     deviation size, so a derived matrix passes them as its first member
@@ -571,7 +605,9 @@ def ordering_scan(
     ``_sign_conjugate`` that also derives the samples, and orbits are
     merged whenever they land on the identical reduced matrix, with
     negative zeros flushed to +0.0 first; the flushed bytes of the orbit
-    that opens a class are its merge key and its matrix, held once. Each
+    that opens a class are its merge key and its matrix, held once, and
+    its ``reduced`` wraps them as a ``DensityOperator`` only when a caller
+    first reads it. Each
     stack's orbits are compared against the fermionic trace in one array
     operation, and each writes its largest entry difference as its class's:
     the orbits of a class share its bytes, so they write the same value,
@@ -594,13 +630,22 @@ def ordering_scan(
     plans (``_permutations``). Scanning many states on one split pays for
     the plan once; a process that runs one scan, as the CLI does, gains
     nothing. The orderings' own sign rows are not kept: each chunk signs
-    its own. An empty kept block is an ``InvalidBipartitionError``; an
-    empty traced block gives one class.
+    its own. The fermionic trace the classes are compared against is
+    reduced from the positions already read and given the checks
+    ``DensityOperator`` makes, so a scan constructs no ``DensityOperator``.
+    An empty kept block is an ``InvalidBipartitionError``; an empty traced
+    block gives one class. A ``tol`` outside (0, 1), or NaN, is a
+    ``ValueError`` before the state is read.
     """
+    _check_tol(tol)
     system, data = _state_data(rho)
     _check_scan_size(system)
-    bp, kept, traced = _reduction_positions(system, bp)
-    fermionic = fermionic_partial_trace(rho, bp).matrix.ravel()
+    _, kept, traced = _reduction_positions(system, bp)
+    # the fermionic trace, with the checks ``DensityOperator`` makes
+    fermionic = _fermionic_reduction(system, data, kept, traced)
+    _check_finite(fermionic)
+    _check_density(fermionic)
+    fermionic = fermionic.ravel()
 
     parity, p = _exact_parity(data, system.n_modes)
     plan = _scan_plan(system.n_modes, tuple(kept), tuple(traced), parity)
@@ -608,7 +653,11 @@ def ordering_scan(
     names = np.array(system.modes)
     kept_system = _kept_system(system, kept)
     dk = kept_system.dim
-    group_bytes = data.itemsize * max(data.size, dk * dk) * (1 + SCAN_VERIFY_SAMPLES)
+    # a sample's largest stacked array is its signed state, its signed
+    # traced-diagonal slab of dk * dk * dt entries for a density, or its
+    # reduction
+    state_size = data.size if data.ndim == 1 else dk * data.shape[0]
+    group_bytes = data.itemsize * max(state_size, dk * dk) * (1 + SCAN_VERIFY_SAMPLES)
     per_chunk = max(1, _STACK_BYTES // group_bytes)
     # a group of a state of one parity may have more orbits than samples,
     # so a chunk derives its orbits' matrices this many at a time
@@ -667,25 +716,30 @@ def ordering_scan(
     del reduced, derived, flushed
     # each class lists its members in permutation order; class c's members
     # are ordered[starts[c] : ends[c]], its representative ordered[starts[c]].
-    # Each permutation's class, 315 KiB at 8 modes, is gathered for each of
-    # its two uses, so it is not held while the classes are built
-    ordered = perms[np.argsort(orbit_class[plan.orbit], kind="stable")]
+    # Each permutation's class, 315 KiB at 8 modes, is not held while the
+    # classes are built
+    member_class = orbit_class[plan.orbit]
+    ordered = perms[np.argsort(member_class, kind="stable")]
     ordered.setflags(write=False)
-    ends = np.cumsum(np.bincount(orbit_class[plan.orbit])).tolist()
+    ends = np.cumsum(np.bincount(member_class)).tolist()
+    del member_class
     starts = [0, *ends[:-1]]
     # classes go largest first, ties broken by representative labels, read
     # as each mode's rank in label order
     label_rank = np.argsort(sorted(range(system.n_modes), key=system.modes.__getitem__))
     heads = label_rank[ordered[starts]].tolist()
     keys = list(classes)
+    class_diffs = diffs[: len(keys)].tolist()
+    physical = int(orbit_class[plan.physical])
     return [
-        OrderingClass(
+        OrderingClass._wrap(
             _modes=names,
             _members=ordered[starts[c] : ends[c]],
-            reduced=DensityOperator._checked(kept_system, np.frombuffer(keys[c], np.complex128).reshape(dk, dk)),
-            contains_physical=bool(c == orbit_class[plan.physical]),
-            matches_fermionic=bool(diffs[c] < tol),
-            max_entry_diff=float(diffs[c]),
+            _system=kept_system,
+            _matrix=keys[c],
+            contains_physical=c == physical,
+            matches_fermionic=class_diffs[c] < tol,
+            max_entry_diff=class_diffs[c],
         )
         for c in sorted(range(len(keys)), key=lambda c: (starts[c] - ends[c], heads[c]))
     ]
@@ -780,8 +834,10 @@ def theorem_sweep(
     of its state, to the bit. The canonical ordering lists the kept block
     first, so it is physical. A negative ``trials`` or mode count is a
     ``ValueError`` and an empty kept block, ``n == 0``, an
-    ``InvalidBipartitionError``, each raised before any state is drawn.
+    ``InvalidBipartitionError``, each raised before any state is drawn, as
+    is the ``ValueError`` of a ``tol`` outside (0, 1), or NaN.
     """
+    _check_tol(tol)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     system = sweep_system(n, m)

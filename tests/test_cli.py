@@ -437,6 +437,15 @@ def test_tolerance_env_var_validation():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1", "1"])
+def test_tolerance_env_var_outside_the_open_unit_interval(monkeypatch, raw):
+    """The CLI refuses the tolerances the library refuses, with its own
+    message naming the variable."""
+    monkeypatch.setenv("FERMIORDER_TOL", raw)
+    with pytest.raises(ValueError, match=rf"^FERMIORDER_TOL must be in \(0, 1\), got {float(raw)}$"):
+        cli._tolerance()
+
+
 def test_tolerance_env_var_applies():
     # an absurdly loose tolerance still passes; a crankily tight one is honored
     proc = run_cli(

@@ -822,9 +822,10 @@ def test_scan_chunk_size_does_not_change_results(monkeypatch):
     system = ModeSystem(tuple(f"m{k}" for k in range(6)), a_count=6)
     chunks = []
 
-    def counting(data, kept, traced, batch=False):
-        chunks.append(batch)
-        return block_trace(data, kept, traced, batch)
+    def counting(data, kept, traced, batch=False, signs=None):
+        reduced = block_trace(data, kept, traced, batch, signs)
+        chunks.append(reduced.ndim == 3)
+        return reduced
 
     block_trace = reduction._block_partial_trace
     for sector in ("even", "any"):
@@ -842,10 +843,12 @@ def test_scan_chunk_size_does_not_change_results(monkeypatch):
                     assert chunks.count(True) == 1
 
 
-def test_scan_constructs_only_the_fermionic_reference(monkeypatch):
-    """Whatever its size, a scan runs ``DensityOperator.__post_init__`` once,
-    for the fermionic trace it compares against; each class's matrix is
-    checked as a row of its chunk's stack and wrapped as it is."""
+def test_scan_constructs_no_density_operator(monkeypatch):
+    """Whatever its size, a scan never runs ``DensityOperator.__post_init__``:
+    the fermionic trace it compares against is checked as the constructor
+    would, and each class's matrix is checked as a row of its chunk's stack
+    and wrapped as it is when its ``reduced`` is first read, which
+    constructs nothing either."""
     rng = np.random.default_rng(2029)
     constructed = []
     post_init = DensityOperator.__post_init__
@@ -863,8 +866,77 @@ def test_scan_constructs_only_the_fermionic_reference(monkeypatch):
             with monkeypatch.context() as patched:
                 patched.setattr(DensityOperator, "__post_init__", counting)
                 classes = reduction.ordering_scan(given, bp)
+                matrices = [c.reduced.matrix for c in classes]
             assert len(classes) > 1
-            assert constructed == [1 << len(bp.kept)]
+            assert constructed == []
+            assert all(c.reduced.matrix is m for c, m in zip(classes, matrices))
+
+
+def test_density_scan_signs_its_orderings_in_few_chunks(monkeypatch):
+    """A (3,3) even-density scan budgets each group by its signed slabs,
+    not by its signed densities, so its 16 groups fill two chunks of 8
+    and it calls ``_inversion_signs`` twice, where a group's four signed
+    64 x 64 densities alone filled a chunk; the pure state's scan takes
+    one chunk."""
+    system = sweep_system(3, 3)
+    bp = BipartitionSpec(kept=("a1", "c1", "a3"), traced=("a2", "c2", "c3"))
+    state = random_state(system, sector="even", seed=23)
+    calls = []
+
+    def counting(ranks):
+        calls.append(len(ranks))
+        return _inversion_signs(ranks)
+
+    monkeypatch.setattr(reduction, "_inversion_signs", counting)
+    counts = []
+    for given in (state, state.to_density()):
+        calls.clear()
+        reduction.ordering_scan(given, bp)
+        counts.append(len(calls))
+    slab_bytes = 16 * 8 * 8 * 8 * (1 + reduction.SCAN_VERIFY_SAMPLES)
+    assert reduction._STACK_BYTES // slab_bytes == 8
+    assert counts == [1, 2]
+
+
+def test_density_reduction_peaks_far_below_the_density():
+    """The fermionic trace of a (5,5) even density reads its traced-diagonal
+    slab, 1/32 of the 16 MiB density, and conjugates only that, so its
+    tracemalloc peak stays under 1/8 of the density's bytes, where
+    conjugating the whole density peaked at twice them."""
+    system = sweep_system(5, 5)
+    rho = random_state(system, sector="even", seed=29).to_density()
+    fermionic_partial_trace(rho)
+    tracemalloc.start()
+    try:
+        reduced = fermionic_partial_trace(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduced.matrix.shape == (32, 32)
+    assert peak < rho.matrix.nbytes / 8
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1.0])
+def test_entry_points_refuse_a_tolerance_no_comparison_passes(monkeypatch, tol):
+    """A tolerance outside (0, 1), or NaN, would make agreeing routes read
+    as disagreeing, a false counterexample, or pass any difference; the
+    three entry points that compare raise ``ValueError`` for it before
+    they read a state or draw one."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read a state before the tolerance was checked")
+
+    system = sweep_system(2, 2)
+    state = random_state(system, sector="even", seed=31)
+    monkeypatch.setattr(reduction, "_state_data", forbidden)
+    monkeypatch.setattr(reduction, "random_state", forbidden)
+    message = re.escape(f"tol must be in (0, 1), got {tol}")
+    with pytest.raises(ValueError, match=message):
+        theorem_check(state, ModeOrdering.canonical(system), tol=tol)
+    with pytest.raises(ValueError, match=message):
+        theorem_sweep(2, 2, 1, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        reduction.ordering_scan(state, tol=tol)
 
 
 def test_scan_class_diffs_are_those_of_their_own_matrices(monkeypatch):
@@ -921,9 +993,9 @@ def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
     state = random_state(system, sector="any", seed=3)
     block_trace = reduction._block_partial_trace
 
-    def scaled(data, kept, traced, batch=False):
-        reduced = block_trace(data, kept, traced, batch)
-        return 1.5 * reduced if batch else reduced
+    def scaled(data, kept, traced, batch=False, signs=None):
+        reduced = block_trace(data, kept, traced, batch, signs)
+        return 1.5 * reduced if reduced.ndim == 3 else reduced
 
     monkeypatch.setattr(reduction, "_block_partial_trace", scaled)
     for budget in (1, reduction._STACK_BYTES):

@@ -161,24 +161,52 @@ def test_one_bipartition_resolver():
     assert not offending, f"bipartition read outside {RESOLVER}: {offending}"
 
 
+def _density_calls(node: ast.AST) -> list[str]:
+    """The calls under ``node`` of ``DensityOperator`` itself or of one of
+    its attributes, by name, each once per call."""
+    calls = [inner.func for inner in ast.walk(node) if isinstance(inner, ast.Call)]
+    return [
+        "DensityOperator" if isinstance(f, ast.Name) else f.attr
+        for f in calls
+        if getattr(f, "id", None) == "DensityOperator"
+        or isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "DensityOperator"
+    ]
+
+
 def test_scan_wraps_class_matrices_without_the_constructor():
-    """``reduction.ordering_scan`` never calls ``DensityOperator(...)``:
-    its class matrices are checked as a stack and wrapped by
-    ``DensityOperator._checked``, so the per-class constructor, which checks
-    and copies each matrix again, cannot come back unnoticed."""
+    """``reduction.ordering_scan`` calls neither ``DensityOperator(...)``
+    nor ``DensityOperator._checked``: its class matrices are checked as a
+    stack, and ``OrderingClass.reduced`` is the one place in
+    ``reduction.py`` that wraps one, by ``_checked``, when it is first read.
+    So neither the per-class constructor, which checks and copies each
+    matrix again, nor a wrapper per class built whether it is read or not
+    can come back unnoticed."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
     scan = next(
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "ordering_scan"
     )
-    calls = [node.func for node in ast.walk(scan) if isinstance(node, ast.Call)]
-    constructed = [f.lineno for f in calls if isinstance(f, ast.Name) and f.id == "DensityOperator"]
-    wrapped = [
-        f.attr
-        for f in calls
-        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "DensityOperator"
+    assert _density_calls(scan) == []
+    functions = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)] + [
+        (f"{c.name}.{f.name}", f)
+        for c in tree.body
+        if isinstance(c, ast.ClassDef)
+        for f in c.body
+        if isinstance(f, ast.FunctionDef)
     ]
-    assert not constructed, f"ordering_scan constructs DensityOperator at lines {constructed}"
-    assert wrapped == ["_checked"]
+    wrapped = {name: _density_calls(f).count("_checked") for name, f in functions}
+    # ``theorem_check`` wraps its two route matrices, which are no class's
+    assert {name: n for name, n in wrapped.items() if n} == {"theorem_check": 2, "OrderingClass.reduced": 1}
+
+
+def test_fermionic_reduction_conjugates_no_whole_state():
+    """``reduction._fermionic_reduction`` hands its signs to
+    ``_block_partial_trace`` and calls no ``_sign_conjugate``: the sign
+    conjugation of a whole state lives only in ``_block_partial_trace``,
+    which conjugates a density's traced-diagonal slab instead, so a
+    conjugation of the whole density cannot come back unnoticed."""
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    assert "_fermionic_reduction" not in _callers(tree, "_sign_conjugate")
+    assert "_fermionic_reduction" in _callers(tree, "_block_partial_trace")
 
 
 def _callers(tree: ast.Module, name: str) -> list[str]:
