@@ -21,9 +21,14 @@ checker and scanner here measure the agreement, and how badly it fails
 everywhere else. Every reduction and measure reads its bipartition through
 ``_bipartition_positions``, as kept and traced mode positions. The checker
 and the randomized sweep share one comparison, ``_compare_routes``, which
-takes one state or a stack of them, and the comparison and the scan share
-one qubit route, ``_qubit_reduction``, which takes one sign vector or a
-stack of them and reads the kept block's signs off those same signs.
+takes one state or a stack of them and reads what no state changes, the
+split's positions, its physical verdict, its kept system and both routes'
+signs, from one bounded cache of route plans, ``_route_plan``, keyed by
+system, bipartition and ordering. Every route reads a state through its
+``_trace_view`` and its signs in the same kept|traced layout, and the
+comparison and the scan share one qubit route, ``_qubit_reduction``,
+which takes one sign view or a stack of them and reads the kept block's
+signs off those same signs.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .fock import (
     _sign_conjugate,
     _ssr_compliant_amplitudes,
     _state_data,
+    _trace_view,
     random_state,
     ssr_compliant,
 )
@@ -154,33 +160,33 @@ def _kept_system(system: ModeSystem, kept: list[int]) -> ModeSystem:
     return ModeSystem.from_blocks([system.modes[k] for k in kept])
 
 
-def _fermionic_reduction(
-    system: ModeSystem, data: np.ndarray, kept: list[int], traced: list[int], batch: bool = False
-) -> np.ndarray:
-    """The fermionic trace of a state's amplitudes or matrix, or with
-    ``batch`` of each state of a stack along axis 0: the block trace of its
-    sign conjugation by the traced-first ordering, which a density takes on
-    its traced-diagonal slab alone."""
+def _traced_first_signs(system: ModeSystem, kept: list[int], traced: list[int]) -> np.ndarray:
+    """The ``_kept_traced_view`` of the sign vector of the ordering that
+    lists the traced modes first, the signs of the fermionic trace."""
     labels = [system.modes[k] for k in traced + kept]
-    signs = ordering_sign_vector(system, ModeOrdering(labels))
-    return _block_partial_trace(data, kept, traced, batch, signs)
+    return _kept_traced_view(ordering_sign_vector(system, ModeOrdering(labels)), kept, traced)
 
 
-def _qubit_reduction(
-    data: np.ndarray, signs: np.ndarray, kept: list[int], traced: list[int], batch: bool = False
-) -> np.ndarray:
-    """The qubit route of a state under the ordering whose sign vector is
-    ``signs``, or under each ordering of a stack of sign rows; with
-    ``batch``, of each state of a stack along axis 0 under one sign vector.
-    It is ``qubit_image``'s sign conjugation, the block trace of
-    ``qubit_partial_trace`` and the kept block's signs of
-    ``inverse_image_restricted``, without the objects in between. The kept
-    block's signs are the ordering's own with every traced mode empty,
-    read off the ``_kept_traced_view`` of ``signs``: the occupied pairs the
-    ordering inverts are then kept pairs, inverted exactly when the
-    ordering restricted to the kept modes inverts them."""
-    reduced = _block_partial_trace(data, kept, traced, batch, signs)
-    return _sign_conjugate(_kept_traced_view(signs, kept, traced, signs.ndim > 1)[..., 0], reduced)
+def _fermionic_reduction(view: np.ndarray, pure: bool, signs: np.ndarray) -> np.ndarray:
+    """The fermionic trace of a state's ``_trace_view``, or of each state
+    of a stacked view: the block trace of its sign conjugation by the
+    traced-first ordering, whose signs ``_traced_first_signs`` gives, which
+    a density takes on its traced-diagonal slab alone."""
+    return _block_partial_trace(view, pure, signs)
+
+
+def _qubit_reduction(view: np.ndarray, pure: bool, signs: np.ndarray) -> np.ndarray:
+    """The qubit route of a state's ``_trace_view`` under the ordering
+    whose sign vector has the ``_kept_traced_view`` ``signs``, or under
+    each ordering of a stack of such sign rows; or of each state of a
+    stacked view under one ordering. It is ``qubit_image``'s sign
+    conjugation, the block trace of ``qubit_partial_trace`` and the kept
+    block's signs of ``inverse_image_restricted``, without the objects in
+    between. The kept block's signs are the ordering's own with every
+    traced mode empty, ``signs[..., 0]``: the occupied pairs the ordering
+    inverts are then kept pairs, inverted exactly when the ordering
+    restricted to the kept modes inverts them."""
+    return _sign_conjugate(signs[..., 0], _block_partial_trace(view, pure, signs))
 
 
 def fermionic_partial_trace(
@@ -206,7 +212,8 @@ def fermionic_partial_trace(
     """
     system, data = _state_data(rho)
     _, kept, traced = _reduction_positions(system, bp)
-    reduced = _fermionic_reduction(system, data, kept, traced)
+    signs = _traced_first_signs(system, kept, traced)
+    reduced = _fermionic_reduction(_trace_view(data, kept, traced), data.ndim == 1, signs)
     return DensityOperator(_kept_system(system, kept), reduced)
 
 
@@ -225,7 +232,7 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
         raise TypeError(f"unsupported state type {type(q).__name__}")
     _, kept, traced = _reduction_positions(q.system, bp)
     labels = [q.system.modes[k] for k in kept]
-    reduced = _block_partial_trace(q.data, kept, traced)
+    reduced = _block_partial_trace(_trace_view(q.data, kept, traced), q.is_pure)
     return QubitState(ModeSystem.from_blocks(labels), q.ordering.restricted_to(labels), reduced)
 
 
@@ -237,21 +244,66 @@ def qubit_route_reduction(
     return inverse_image_restricted(qubit_partial_trace(qubit_image(rho, ordering), bp))
 
 
+#: Plans ``_route_plan`` keeps. A plan holds two int8 sign views of 2^N
+#: entries, views of cached sign vectors or copies of them, at most 32 KiB
+#: at 14 modes, and its positions and kept system, so a full cache holds
+#: at most 2 MiB of signs.
+_ROUTE_PLANS = 64
+
+
+class _RoutePlan(NamedTuple):
+    """What a route comparison on one split under one ordering reads and
+    no state changes: the kept and traced positions, the physical verdict,
+    the kept system, and both routes' signs as read-only int8
+    ``_kept_traced_view``s, the traced-first ordering's for the fermionic
+    trace and the ordering's for the qubit route."""
+
+    kept: tuple[int, ...]
+    traced: tuple[int, ...]
+    physical: bool
+    kept_system: ModeSystem
+    fermionic_signs: np.ndarray
+    qubit_signs: np.ndarray
+
+
+@lru_cache(maxsize=_ROUTE_PLANS)
+def _route_plan(system: ModeSystem, bp: Union[BipartitionSpec, None], ordering: ModeOrdering) -> _RoutePlan:
+    """The ``_RoutePlan`` of ``bp`` (the system's own split if None) under
+    ``ordering``. It raises what reading them raises, in this order: an
+    ``InvalidBipartitionError`` for a split that does not cover the system
+    or keeps no mode, then an ``InvalidOrderingError`` for an ordering of
+    other labels, with the message ``is_physical`` gives on the split's
+    blocks in canonical order. An exception is not cached, so a call that
+    raises raises again."""
+    _, kept, traced = _reduction_positions(system, bp)
+    modes = system.modes
+    physical = _kept_first(ordering, tuple(modes[k] for k in kept), tuple(modes[k] for k in traced))
+    fermionic = _traced_first_signs(system, kept, traced)
+    qubit = _kept_traced_view(ordering_sign_vector(system, ordering), kept, traced)
+    for signs in (fermionic, qubit):
+        signs.setflags(write=False)
+    return _RoutePlan(
+        kept=tuple(kept),
+        traced=tuple(traced),
+        physical=physical,
+        kept_system=_kept_system(system, kept),
+        fermionic_signs=fermionic,
+        qubit_signs=qubit,
+    )
+
+
 def _compare_routes(
-    system: ModeSystem,
-    data: np.ndarray,
-    kept: list[int],
-    traced: list[int],
-    ordering: ModeOrdering,
-    batch: bool = False,
+    plan: _RoutePlan, data: np.ndarray, batch: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The fermionic trace and the qubit route under ``ordering``, their
-    largest entry difference and their trace distance, for one state's
-    amplitudes or matrix, or with ``batch`` for each state of a stack along
-    axis 0. Where the two routes agree to the bit on every row, as they do
-    for superselected states under physical orderings, the distances are
-    +0.0 with no eigensolve (``_trace_distances``); otherwise they come from
-    one eigensolve of the stack's differences.
+    """The fermionic trace and the qubit route of ``plan``, their largest
+    entry difference and their trace distance, for one state's amplitudes
+    or matrix, or with ``batch`` for each state of a stack along axis 0.
+    The state is viewed once, as its ``_trace_view``, and each route signs
+    that one view with its own sign rows from the plan. Where the two
+    routes agree to the bit on every row, as they do for superselected
+    states under physical orderings, the distances are +0.0 with no
+    eigensolve (``_trace_distances``); otherwise they come from one
+    eigensolve of the stack's differences.
 
     Each check the one-state objects make runs once on the whole stack, in
     the order they make it, and a stack's message names the first offending
@@ -262,31 +314,18 @@ def _compare_routes(
     finite and Hermitian within ``2 * DEFAULT_TOL`` (``trace_distance``),
     which an exactly-zero difference passes by construction.
     """
-    _check_eig_dim(1 << len(kept))
+    _check_eig_dim(plan.kept_system.dim)
     finite = np.isfinite(data).reshape(data.shape[:batch] + (-1,)).all(axis=-1)
     _first_failure(~finite, ValueError, lambda i: "state entries must be finite")
-    fermionic = _fermionic_reduction(system, data, kept, traced, batch)
-    qubit_side = _qubit_reduction(data, ordering_sign_vector(system, ordering), kept, traced, batch)
+    pure = data.ndim == 1 + batch
+    view = _trace_view(data, plan.kept, plan.traced, batch)
+    fermionic = _fermionic_reduction(view, pure, plan.fermionic_signs)
+    qubit_side = _qubit_reduction(view, pure, plan.qubit_signs)
     for reduced in (fermionic, qubit_side):
         _check_finite(reduced)
         _check_density(reduced)
     diff = np.abs(fermionic - qubit_side).max(axis=(-2, -1))
     return fermionic, qubit_side, diff, _trace_distances(fermionic, qubit_side)
-
-
-def _check_physical(
-    system: ModeSystem, kept: list[int], traced: list[int], ordering: ModeOrdering, force: bool
-) -> bool:
-    """Whether ``ordering`` lists every kept mode before every traced one;
-    an ordering that does not is refused unless ``force`` is set."""
-    modes = system.modes
-    physical = _kept_first(ordering, tuple(modes[k] for k in kept), tuple(modes[k] for k in traced))
-    if not physical and not force:
-        raise NonPhysicalOrderingError(
-            f"ordering {ordering} interleaves kept and traced modes; "
-            "pass force=True to compare the routes anyway"
-        )
-    return physical
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,10 +366,17 @@ def theorem_check(
     """Compare the fermionic trace against the qubit route for one ordering.
 
     This is the one-state case of the stacked comparison that
-    ``theorem_sweep`` runs, with the same checks: the bipartition is read
-    once, both routes are reduced from the state's arrays, and the
-    reductions, their difference and its eigensolve are checked as
-    ``_compare_routes`` lists. When the routes agree to the bit the trace
+    ``theorem_sweep`` runs, with the same checks: both routes are reduced
+    from one view of the state's arrays, and the reductions, their
+    difference and its eigensolve are checked as ``_compare_routes``
+    lists. What depends on the split and the ordering alone, their
+    positions, the physical verdict, the kept system and both routes'
+    signs, is read from the route plan, ``_route_plan``, which the first
+    call on a split and ordering builds and later calls reuse. ``force``,
+    the refusal of a non-physical ordering and every check of the state
+    run on each call: a refused non-physical ordering leaves its plan
+    cached, and a refused split or ordering of other labels leaves
+    nothing. When the routes agree to the bit the trace
     distance is +0.0 and nothing is diagonalized; only a nonzero difference
     takes an eigensolve. Orderings that interleave kept and traced
     modes are outside the equivalence statement and are rejected unless
@@ -341,18 +387,21 @@ def theorem_check(
     """
     _check_tol(tol)
     system, data = _state_data(rho)
-    _, kept, traced = _reduction_positions(system, bp)
-    physical = _check_physical(system, kept, traced, ordering, force)
-    fermionic, qubit_side, diff, dist = _compare_routes(system, data, kept, traced, ordering)
-    kept_system = _kept_system(system, kept)
+    plan = _route_plan(system, bp, ordering)
+    if not plan.physical and not force:
+        raise NonPhysicalOrderingError(
+            f"ordering {ordering} interleaves kept and traced modes; "
+            "pass force=True to compare the routes anyway"
+        )
+    fermionic, qubit_side, diff, dist = _compare_routes(plan, data)
     return TheoremReport(
         ordering=ordering,
         max_entry_diff=float(diff),
         trace_distance=float(dist),
         ssr_compliant=ssr_compliant(rho),
-        physical=physical,
-        fermionic=DensityOperator._checked(kept_system, fermionic),
-        qubit_route=DensityOperator._checked(kept_system, qubit_side),
+        physical=plan.physical,
+        fermionic=DensityOperator._checked(plan.kept_system, fermionic),
+        qubit_route=DensityOperator._checked(plan.kept_system, qubit_side),
         tol=tol,
     )
 
@@ -641,8 +690,10 @@ def ordering_scan(
     system, data = _state_data(rho)
     _check_scan_size(system)
     _, kept, traced = _reduction_positions(system, bp)
-    # the fermionic trace, with the checks ``DensityOperator`` makes
-    fermionic = _fermionic_reduction(system, data, kept, traced)
+    # the state is viewed once; the fermionic trace is given the checks
+    # ``DensityOperator`` makes
+    view, pure = _trace_view(data, kept, traced), data.ndim == 1
+    fermionic = _fermionic_reduction(view, pure, _traced_first_signs(system, kept, traced))
     _check_finite(fermionic)
     _check_density(fermionic)
     fermionic = fermionic.ravel()
@@ -672,7 +723,8 @@ def ordering_scan(
         end = min(g + per_chunk, len(plan.bounds) - 1)
         lo, hi = plan.bounds[g], plan.bounds[end]
         rows = plan.samples[lo:hi]
-        reduced = _qubit_reduction(data, _inversion_signs(ranks[rows]), kept, traced)
+        signs = _kept_traced_view(_inversion_signs(ranks[rows]), kept, traced, True)
+        reduced = _qubit_reduction(view, pure, signs)
         # each sample must be its group's first member, where the group's
         # run starts, conjugated by the kept-side signs of the rows its
         # orbit complements relative to it
@@ -821,9 +873,10 @@ def theorem_sweep(
     canonical kept-before-traced ordering. ``trials`` states are drawn in
     the even sector, then ``trials`` in the odd one; trial seeds are
     ``seed + i`` in that order, so a reported seed reproduces its state
-    directly. The trials are not checked one by one: their amplitudes are
-    stacked and compared in one evaluation of ``_compare_routes`` per
-    chunk, each chunk as many trials as keep the stacked arrays it holds at
+    directly. The split and both routes' signs are read once, from the
+    route plan of the canonical ordering (``_route_plan``). The trials are
+    not checked one by one: their amplitudes are stacked and compared in
+    one evaluation of ``_compare_routes`` per chunk, each chunk as many trials as keep the stacked arrays it holds at
     once within ``_STACK_BYTES``, the budget the ordering scan also keeps,
     and at least one; at 14 modes that is one trial. A chunk whose two
     routes agree to the bit, as superselected states do under the
@@ -842,7 +895,7 @@ def theorem_sweep(
         raise ValueError(f"trials must be non-negative, got {trials}")
     system = sweep_system(n, m)
     ordering = ModeOrdering.canonical(system)
-    _, kept, traced = _reduction_positions(system, None)
+    plan = _route_plan(system, None, ordering)
     label = str(ordering)
     # a trial's largest array, its state or its reduction, is this many
     # complex128 bytes, and a chunk's comparison holds up to eight arrays
@@ -855,7 +908,7 @@ def theorem_sweep(
         amplitudes = np.stack(
             [random_state(system, EVEN if s < seed + trials else ODD, s).amplitudes for s in seeds]
         )
-        _, _, diff, dist = _compare_routes(system, amplitudes, kept, traced, ordering, batch=True)
+        _, _, diff, dist = _compare_routes(plan, amplitudes, batch=True)
         ssr = _ssr_compliant_amplitudes(amplitudes, system.n_modes)
         rows += [
             SweepRow(s, n, m, label, d, t, c)

@@ -822,8 +822,8 @@ def test_scan_chunk_size_does_not_change_results(monkeypatch):
     system = ModeSystem(tuple(f"m{k}" for k in range(6)), a_count=6)
     chunks = []
 
-    def counting(data, kept, traced, batch=False, signs=None):
-        reduced = block_trace(data, kept, traced, batch, signs)
+    def counting(view, pure, signs=None):
+        reduced = block_trace(view, pure, signs)
         chunks.append(reduced.ndim == 3)
         return reduced
 
@@ -993,8 +993,8 @@ def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
     state = random_state(system, sector="any", seed=3)
     block_trace = reduction._block_partial_trace
 
-    def scaled(data, kept, traced, batch=False, signs=None):
-        reduced = block_trace(data, kept, traced, batch, signs)
+    def scaled(view, pure, signs=None):
+        reduced = block_trace(view, pure, signs)
         return 1.5 * reduced if reduced.ndim == 3 else reduced
 
     monkeypatch.setattr(reduction, "_block_partial_trace", scaled)
@@ -1417,9 +1417,9 @@ def test_sweep_rows_equal_per_trial_checks(monkeypatch, budget):
     def no_check(*args, **kwargs):
         raise AssertionError("the sweep checked a trial on its own")
 
-    def spy(system, data, *args, **kwargs):
+    def spy(plan, data, *args, **kwargs):
         stacks.append(data)
-        return compare(system, data, *args, **kwargs)
+        return compare(plan, data, *args, **kwargs)
 
     compare = reduction._compare_routes
     monkeypatch.setattr(reduction, "theorem_check", no_check)
@@ -1447,13 +1447,12 @@ def test_stacked_comparison_equals_one_state_at_a_time():
     for n_modes in range(2, 7):
         system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
         bp = _split_not_first(rng, system)
-        _, kept, traced = reduction._bipartition_positions(system, bp)
         seeds = rng.integers(1 << 30, size=4).tolist()
         pure = np.stack([random_state(system, sector="any", seed=s).amplitudes for s in seeds])
         mixed = np.stack([random_density(system.dim, 3, rng) for _ in range(4)])
         for stack, wrap in ((pure, FockVector), (mixed, DensityOperator)):
             o = ModeOrdering(tuple(str(x) for x in rng.permutation(system.modes)))
-            compared = reduction._compare_routes(system, stack, kept, traced, o, batch=True)
+            compared = reduction._compare_routes(reduction._route_plan(system, bp, o), stack, batch=True)
             fermionic, qubit_side, diff, dist = compared
             for row in range(len(stack)):
                 report = theorem_check(wrap(system, stack[row]), o, bp, force=True)
@@ -1462,12 +1461,23 @@ def test_stacked_comparison_equals_one_state_at_a_time():
                 assert (diff[row], dist[row]) == (report.max_entry_diff, report.trace_distance)
 
 
+def _report_bytes(report):
+    return (
+        report.fermionic.matrix.tobytes(),
+        report.qubit_route.matrix.tobytes(),
+        report.to_json(),
+        np.float64(report.trace_distance).tobytes(),
+    )
+
+
 def test_theorem_check_fields_equal_the_public_routes():
     """Each ``theorem_check`` field equals what the public calls give: the
     fermionic trace, the three-step qubit composition (also equal to
     ``qubit_route_reduction``), their entry difference and ``trace_distance``,
     bit for bit, on pure and rank-3 inputs, kept sets that are not first,
-    and random orderings, non-physical ones forced."""
+    and random orderings, non-physical ones forced. A second call on the
+    same split and ordering is served from the route plan, and gives the
+    same bytes."""
     rng = np.random.default_rng(2027)
     seen_physical = set()
     for n_modes in range(2, 8):
@@ -1482,6 +1492,11 @@ def test_theorem_check_fields_equal_the_public_routes():
             for given in (state, mixed):
                 for o in orderings:
                     report = theorem_check(given, o, bp, force=True)
+                    before = reduction._route_plan.cache_info()
+                    again = theorem_check(given, o, bp, force=True)
+                    after = reduction._route_plan.cache_info()
+                    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+                    assert _report_bytes(again) == _report_bytes(report)
                     fermionic = fermionic_partial_trace(given, bp).matrix
                     composed = inverse_image_restricted(qubit_partial_trace(qubit_image(given, o), bp)).matrix
                     assert report.fermionic.matrix.tobytes() == fermionic.tobytes()
@@ -1504,9 +1519,85 @@ def test_theorem_check_signs_two_orderings():
     bp = BipartitionSpec(kept=("a2", "c1", "c3"), traced=("a1", "a3", "c2"))
     state = random_state(system, sector="even", seed=5)
     ordering_module.ordering_sign_vector.cache_clear()
+    reduction._route_plan.cache_clear()
     report = theorem_check(state, ModeOrdering(bp.kept + bp.traced), bp)
     assert report.physical and report.agrees
     assert ordering_module.ordering_sign_vector.cache_info().currsize == 2
+
+
+def test_theorem_check_raises_in_one_order_cold_and_warm():
+    """A split that does not cover the system is refused before an
+    ordering of other labels, and that before a non-physical ordering,
+    whether the plan of the valid split and ordering is cached or not.
+    Nothing is cached for the first two, which have no plan; the third is
+    refused after its plan is read, since ``force`` is not part of it."""
+    system = sweep_system(2, 2)
+    state = random_state(system, sector="even", seed=3)
+    bp = BipartitionSpec(kept=("a2", "c1"), traced=("a1", "c2"))
+    uncovering = BipartitionSpec(kept=("a2", "c1"), traced=("a1",))
+    interleaved = ModeOrdering(("a2", "a1", "c1", "c2"))
+    foreign = ModeOrdering(("a2", "a1", "c1", "x"))
+    reduction._route_plan.cache_clear()
+    for warm in (0, 1):
+        with pytest.raises(InvalidBipartitionError):
+            theorem_check(state, foreign, uncovering)
+        with pytest.raises(InvalidBipartitionError):
+            theorem_check(state, interleaved, uncovering)
+        with pytest.raises(InvalidOrderingError):
+            theorem_check(state, foreign, bp)
+        assert reduction._route_plan.cache_info().currsize == warm
+        with pytest.raises(NonPhysicalOrderingError):
+            theorem_check(state, interleaved, bp)
+        assert reduction._route_plan.cache_info().currsize == 1
+
+
+def test_force_is_not_part_of_the_route_plan():
+    """``force`` is read on every call: after a forced comparison has
+    cached the plan of a non-physical ordering, the same call without
+    ``force`` is served from that plan and still refused."""
+    system = sweep_system(2, 2)
+    state = random_state(system, sector="odd", seed=4)
+    interleaved = ModeOrdering(("c1", "a1", "a2", "c2"))
+    report = theorem_check(state, interleaved, force=True)
+    assert not report.physical
+    before = reduction._route_plan.cache_info()
+    with pytest.raises(NonPhysicalOrderingError, match="interleaves kept and traced modes"):
+        theorem_check(state, interleaved)
+    after = reduction._route_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def _owned_bytes(arrays):
+    """The bytes of the buffers that ``arrays`` view, each buffer once."""
+    owners = {}
+    for array in arrays:
+        while array.base is not None:
+            array = array.base
+        owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
+def test_route_plan_cache_is_bounded_and_read_only():
+    """The route-plan cache keeps ``_ROUTE_PLANS`` = 64 plans, and a plan
+    at 14 modes, the ``MAX_MODES`` cap, holds at most 32 KiB of int8 signs
+    (two sign views of 2^14 entries, copies or views of cached sign
+    vectors), so a full cache holds at most 2 MiB of them; every array of
+    a plan is read-only."""
+    assert reduction._ROUTE_PLANS == 64
+    assert reduction._route_plan.cache_parameters()["maxsize"] == reduction._ROUTE_PLANS
+    rng = np.random.default_rng(2030)
+    system = ModeSystem(tuple(f"m{k}" for k in range(14)), a_count=14)
+    splits = [BipartitionSpec(kept=system.modes[:7], traced=system.modes[7:])]
+    splits += [_split_not_first(rng, system) for _ in range(2)]
+    for bp in splits:
+        for ordering in (ModeOrdering(bp.kept + bp.traced), ModeOrdering(tuple(rng.permutation(system.modes).tolist()))):
+            plan = reduction._route_plan(system, bp, ordering)
+            arrays = [value for value in plan if isinstance(value, np.ndarray)]
+            assert len(arrays) == 2
+            assert not any(array.flags.writeable for array in arrays)
+            assert all(array.dtype == np.int8 for array in arrays)
+            assert _owned_bytes(arrays) <= 32 * 1024
+    assert reduction._ROUTE_PLANS * 32 * 1024 <= 2 * 1024 * 1024
 
 
 def _count_eigh(monkeypatch):
@@ -1604,18 +1695,19 @@ def test_report_physical_is_the_physical_rule_of_the_split(n_modes, kept_first, 
 def _sweep_stack(rows):
     system = sweep_system(2, 2)
     amplitudes = np.stack([random_state(system, sector="even", seed=s).amplitudes for s in range(rows)])
-    return system, amplitudes, [0, 1], [2, 3], ModeOrdering.canonical(system)
+    ordering = ModeOrdering.canonical(system)
+    return system, amplitudes, reduction._route_plan(system, None, ordering), ordering
 
 
 def test_stacked_check_names_the_row_the_per_trial_path_refuses():
     """A row that fails a check raises the exception the per-trial path
     raises for that state, its message led by the row."""
-    system, amplitudes, kept, traced, ordering = _sweep_stack(5)
+    system, amplitudes, plan, ordering = _sweep_stack(5)
     amplitudes[3] *= 2.0
     with pytest.raises(ValueError) as per_trial:
         theorem_check(FockVector(system, amplitudes[3]), ordering)
     with pytest.raises(type(per_trial.value)) as stacked:
-        reduction._compare_routes(system, amplitudes, kept, traced, ordering, batch=True)
+        reduction._compare_routes(plan, amplitudes, batch=True)
     assert type(stacked.value) is type(per_trial.value)
     assert str(stacked.value) == f"row 3: {per_trial.value}"
     assert str(per_trial.value).startswith("density matrix trace is")
@@ -1625,31 +1717,33 @@ def test_stacked_check_names_the_row_the_per_trial_path_refuses():
     with pytest.raises(ValueError, match="must be finite"):
         FockVector(system, amplitudes[1])
     with pytest.raises(ValueError, match=r"^row 1: state entries must be finite$"):
-        reduction._compare_routes(system, amplitudes, kept, traced, ordering, batch=True)
+        reduction._compare_routes(plan, amplitudes, batch=True)
 
 
 def test_stacked_check_of_mixed_rows_names_the_non_hermitian_row():
     """A stack of matrices is checked like a stack of amplitudes: the row
     whose reductions are not Hermitian raises ``NotHermitianError``, as the
     ``DensityOperator`` of that matrix does."""
-    system, amplitudes, kept, traced, ordering = _sweep_stack(3)
+    system, amplitudes, plan, ordering = _sweep_stack(3)
     rhos = np.einsum("bi,bj->bij", amplitudes, amplitudes.conj())
     rhos[2, 0, 4] += 1e-3  # kept 00 vs 01 over traced 00, which the trace keeps
     with pytest.raises(NotHermitianError):
         DensityOperator(system, rhos[2])
     with pytest.raises(NotHermitianError, match=r"^row 2: max \|m - m\^dag\| entry"):
-        reduction._compare_routes(system, rhos, kept, traced, ordering, batch=True)
+        reduction._compare_routes(plan, rhos, batch=True)
 
 
 def test_sweep_refuses_a_kept_block_above_the_eigensolver_cap_before_reducing(monkeypatch):
     """At 13 kept modes the trace distance would need an 8192-dimensional
     eigensolve; the sweep refuses with the eigensolver's own error before
-    anything is reduced, instead of after forming two 1 GiB reductions."""
+    anything is viewed or reduced, instead of after forming two 1 GiB
+    reductions."""
 
     def no_reduction(*args, **kwargs):
-        raise AssertionError("a state was reduced")
+        raise AssertionError("a state was viewed or reduced")
 
     with monkeypatch.context() as patched:
-        patched.setattr(reduction, "_fermionic_reduction", no_reduction)
+        patched.setattr(reduction, "_trace_view", no_reduction)
+        patched.setattr(reduction, "_block_partial_trace", no_reduction)
         with pytest.raises(DimensionMismatchError, match="^dimension 8192 exceeds eigensolver cap 4096$"):
             theorem_sweep(13, 1, trials=1)

@@ -127,8 +127,10 @@ def test_every_cache_is_bounded():
     assert {
         "ordering.py:_pair_table",
         "fock.py:_parity_vector",
+        "fock.py:_parity_indices",
         "reduction.py:_permutations",
         "reduction.py:_scan_plan",
+        "reduction.py:_route_plan",
     } <= set(found)
     assert not unbounded, f"caches without a finite maxsize: {unbounded}"
 
@@ -240,6 +242,18 @@ def test_one_qubit_route_in_reduction():
     assert "ordering_scan" in _callers(tree, "_qubit_reduction")
 
 
+def test_route_comparisons_read_one_plan():
+    """``theorem_check`` and ``theorem_sweep`` are the callers of
+    ``_compare_routes``, and each reads its split and signs through
+    ``_route_plan`` alone, so a second comparison path, or one that
+    resolves a split per call, cannot come back unnoticed."""
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    assert sorted(_callers(tree, "_compare_routes")) == ["theorem_check", "theorem_sweep"]
+    assert sorted(_callers(tree, "_route_plan")) == ["theorem_check", "theorem_sweep"]
+    for name in ("_reduction_positions", "_bipartition_positions", "ordering_sign_vector"):
+        assert not {"_compare_routes", "theorem_check", "theorem_sweep"} & set(_callers(tree, name))
+
+
 def test_scan_plan_builds_every_grouping_with_one_formula():
     """``reduction._scan_plan`` has no ``if`` statement on the parity
     verdict: one flip rule builds the precedence groups, the column orbits
@@ -265,14 +279,15 @@ def test_route_comparison_diagonalizes_only_through_trace_distances():
     """``reduction.py`` reaches an eigensolver only through
     ``_trace_distances``, called once in ``_compare_routes``, so the
     exactly-zero difference of agreeing routes skips the eigensolve on
-    every path; and ``_check_physical`` applies the physical rule to the
-    split's label blocks without building a ``ModeSystem`` for them."""
+    every path; and ``_route_plan``, the one caller of the physical rule,
+    applies it to the split's label blocks without building a
+    ``ModeSystem`` for them."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
     solved = [f"{name} in {caller}" for name in EIGENSOLVERS for caller in _callers(tree, name)]
     assert not solved, f"reduction.py calls an eigensolver directly: {solved}"
     assert _callers(tree, "_trace_distances") == ["_compare_routes"]
-    assert "_check_physical" not in _callers(tree, "from_blocks")
-    assert "_check_physical" in _callers(tree, "_kept_first")
+    assert "_route_plan" not in _callers(tree, "from_blocks")
+    assert _callers(tree, "_kept_first") == ["_route_plan"]
 
 
 def test_no_module_multiplies_in_place():
