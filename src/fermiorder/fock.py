@@ -207,11 +207,23 @@ def _kept_traced_view(
 
 def _trace_view(data: np.ndarray, kept: Sequence[int], traced: Sequence[int], batch: bool = False) -> np.ndarray:
     """What a block trace reads of a state: psi's ``_kept_traced_view``,
-    dk x dt, or rho's traced-diagonal slab rho(aj, bj), dk x dt x dk, a
-    view of its dk^2 dt entries; with ``batch``, of each state of a stack
-    along axis 0."""
-    view = _kept_traced_view(data, kept, traced, batch)
-    return view if data.ndim == 1 + batch else np.einsum("...ajbj->...ajb", view)
+    dk x dt, or rho's traced-diagonal slab rho(aj, bj), dk x dt x dk, its
+    dk^2 dt entries; with ``batch``, of each state of a stack along axis 0.
+
+    The slab is taken by one ``einsum`` over the ``[2] * 2N`` axes, in
+    which a traced mode's row and column axes share a subscript. That is a
+    view of the density, so at most the slab is copied, when its axes
+    cannot be merged into dk x dt x dk without it; the whole density never
+    is, as transposing it to dk x dt x dk x dt first would."""
+    if data.ndim == 1 + batch:
+        return _kept_traced_view(data, kept, traced, batch)
+    n = len(kept) + len(traced)
+    lead = data.shape[:batch]
+    # row axis k is subscript k; a kept mode's column axis is n + k
+    columns = [n + k if k in kept else k for k in range(n)]
+    axes = data.reshape(lead + (2,) * (2 * n))
+    slab = np.einsum(axes, [..., *range(n), *columns], [..., *kept, *traced, *(n + k for k in kept)])
+    return slab.reshape(lead + (1 << len(kept), 1 << len(traced), 1 << len(kept)))
 
 
 def _block_partial_trace(view: np.ndarray, pure: bool, signs: Union[np.ndarray, None] = None) -> np.ndarray:
@@ -460,12 +472,23 @@ def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
     return FockVector(system, amplitudes)
 
 
-#: Bytes of density rows ``ssr_compliant`` reads at once. Budgets from
-#: 128 KiB to 1 MiB check an 11- or 12-mode density in the same time within
-#: 10%, one BLAS thread, and the tracemalloc peak is 1.5 times the budget:
-#: 0.38 MiB, where one D x D mask peaked at 48 and 192 MiB
-#: (``BENCH_24.json``).
-_SSR_CHUNK_BYTES = 256 * 1024
+#: Bytes for the temporaries of a chunked or stacked evaluation, the
+#: package's one memory budget. ``ssr_compliant`` reads this much of a
+#: density's rows at once: budgets from 128 KiB to 1 MiB check an 11- or
+#: 12-mode density in the same time within 10%, one BLAS thread, and the
+#: tracemalloc peak is 1.5 times the budget, 0.38 MiB, where one D x D
+#: mask peaked at 48 and 192 MiB (``BENCH_24.json``). The ordering scan
+#: gives one stacked array, a signed state, a density's signed
+#: traced-diagonal slab of dk^2 dt entries or a dk x dk reduction per
+#: evaluated ordering, this much, and each stack of orbit matrices it
+#: derives from them as much; the sweep keeps every stacked array one
+#: chunk of trials holds at once within it. For those stacks 256 KiB is
+#: the knee of a sweep from 64 KiB to 1 MiB on a 2-core machine
+#: (``BENCH_14.json``): below it the scan spends its time on per-chunk
+#: work, and above it larger stacks raise the (4,4) scan's tracemalloc
+#: peak. The budget bounds the stacks alone, not the scan plan, which
+#: outlives the call.
+_STACK_BYTES = 256 * 1024
 
 
 def ssr_compliant(state: FockState) -> bool:
@@ -476,14 +499,14 @@ def ssr_compliant(state: FockState) -> bool:
     entry of psi psi^dagger is its largest even amplitude times its largest
     odd one, so the density is never formed. A density's cross-parity
     entries are its even rows' odd columns and its odd rows' even columns,
-    read ``_SSR_CHUNK_BYTES`` of rows at a time, so no array of the
+    read ``_STACK_BYTES`` of rows at a time, so no array of the
     density's size is made.
     """
     system, data = _state_data(state)
     if data.ndim == 1:
         return bool(_ssr_compliant_amplitudes(data, system.n_modes))
     even, odd = _parity_indices(system.n_modes)
-    step = max(1, _SSR_CHUNK_BYTES // data[0].nbytes)
+    step = max(1, _STACK_BYTES // data[0].nbytes)
     for rows, columns in ((even, odd), (odd, even)):
         for start in range(0, len(rows), step):
             if np.abs(data[rows[start : start + step]][:, columns]).max() > DEFAULT_TOL:
@@ -547,7 +570,10 @@ def random_state(system: ModeSystem, sector: str = ANY_SECTOR, seed: int = 0) ->
 
     Amplitudes are independent standard complex Gaussians on the sector's
     bitstrings, then normalized; the same seed always gives the same state.
+    A negative seed is a ``ValueError``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     support = sector_indices(system, sector)
     amps = np.zeros(system.dim, dtype=np.complex128)

@@ -19,12 +19,14 @@ orderings, every kept mode before every traced mode, are the runs with no
 traced mode in front; ``is_physical`` tests that narrower rule. The
 checker and scanner here measure the agreement, and how badly it fails
 everywhere else. Every reduction and measure reads its bipartition through
-``_bipartition_positions``, as kept and traced mode positions. The checker
-and the randomized sweep share one comparison, ``_compare_routes``, which
-takes one state or a stack of them and reads what no state changes, the
-split's positions, its physical verdict, its kept system and both routes'
-signs, from one bounded cache of route plans, ``_route_plan``, keyed by
-system, bipartition and ordering. Every route reads a state through its
+``_bipartition_positions``, as kept and traced mode positions, and every
+reduction here reads its split through one bounded cache of route plans,
+``_route_plan``, keyed by system, bipartition and, for a route
+comparison, ordering: what no state changes, the split's positions, its
+kept system and the fermionic trace's signs, and under an ordering its
+physical verdict and the qubit route's signs. The checker and the
+randomized sweep share one comparison, ``_compare_routes``, which takes
+one state or a stack of them. Every route reads a state through its
 ``_trace_view`` and its signs in the same kept|traced layout, and the
 comparison and the scan share one qubit route, ``_qubit_reduction``,
 which takes one sign view or a stack of them and reads the kept block's
@@ -48,6 +50,7 @@ from .fock import (
     ODD,
     _CROSS_PARITY,
     _ONE_PARITY,
+    _STACK_BYTES,
     BipartitionSpec,
     DensityOperator,
     FockState,
@@ -63,7 +66,7 @@ from .fock import (
     random_state,
     ssr_compliant,
 )
-from .numerics import DEFAULT_TOL, _check_eig_dim, _check_finite, _check_tol, _first_failure, _trace_distances
+from .numerics import DEFAULT_TOL, _check_eig_dim, _check_finite, _check_tol, _trace_distances
 from .ordering import (
     ModeOrdering,
     QubitState,
@@ -89,18 +92,6 @@ from .ordering import (
 #: are signed on their traced-diagonal slab, dk^2 dt entries, which the
 #: group budget of ``_STACK_BYTES`` counts, not on the whole density.
 MAX_SCAN_MODES = 8
-
-#: Bytes for stacked evaluations. The ordering scan gives one stacked array,
-#: a signed state, a density's signed traced-diagonal slab of dk^2 dt
-#: entries or a dk x dk reduction per evaluated ordering, this much, and
-#: each stack of orbit matrices it derives from them as much; the sweep
-#: keeps every stacked array one chunk of trials holds at once within it.
-#: 256 KiB is the knee of a sweep from 64 KiB to 1 MiB on a 2-core machine
-#: (``BENCH_14.json``): below it the scan spends its time on per-chunk
-#: work, and above it larger stacks raise the (4,4) scan's tracemalloc
-#: peak. The budget bounds the stacks alone, not the scan plan, which
-#: outlives the call.
-_STACK_BYTES = 256 * 1024
 
 #: Non-representative members per scan group that the scan recomputes to
 #: check the group is uniform.
@@ -144,35 +135,55 @@ def _bipartition_positions(
     return bp, kept, traced
 
 
-def _reduction_positions(
-    system: ModeSystem, bp: Union[BipartitionSpec, None]
-) -> tuple[BipartitionSpec, list[int], list[int]]:
-    """``_bipartition_positions`` for a reduction, whose result lives on the
-    kept modes: an empty kept block is refused before anything is reduced."""
+#: Plans ``_route_plan`` keeps. A plan holds at most two int8 sign views
+#: of 2^N entries, views of cached sign vectors or copies of them, at most
+#: 32 KiB at 14 modes, and its positions and kept system, so a full cache
+#: holds at most 2 MiB of signs.
+_ROUTE_PLANS = 64
+
+
+class _RoutePlan(NamedTuple):
+    """What a reduction on one split, or a route comparison on it under
+    one ordering, reads and no state changes: the kept and traced
+    positions, the kept system and the traced-first ordering's signs of
+    the fermionic trace, and, only for a plan made with an ordering, the
+    physical verdict and the ordering's signs for the qubit route, else
+    None. Signs are read-only int8 ``_kept_traced_view``s."""
+
+    kept: tuple[int, ...]
+    traced: tuple[int, ...]
+    physical: Union[bool, None]
+    kept_system: ModeSystem
+    fermionic_signs: np.ndarray
+    qubit_signs: Union[np.ndarray, None]
+
+
+@lru_cache(maxsize=_ROUTE_PLANS)
+def _route_plan(
+    system: ModeSystem, bp: Union[BipartitionSpec, None], ordering: Union[ModeOrdering, None] = None
+) -> _RoutePlan:
+    """The ``_RoutePlan`` of ``bp`` (the system's own split if None), and
+    of ``ordering`` if one is given: the one place a reduction resolves its
+    split. It raises what reading them raises, in this order: an
+    ``InvalidBipartitionError`` for a split that does not cover the system
+    or keeps no mode, then an ``InvalidOrderingError`` for an ordering of
+    other labels, with the message ``is_physical`` gives on the split's
+    blocks in canonical order. An exception is not cached, so a call that
+    raises raises again."""
     bp, kept, traced = _bipartition_positions(system, bp)
     if not kept:
-        message = f"bipartition {bp.kept}|{bp.traced} keeps no mode: the kept block is empty"
-        raise InvalidBipartitionError(message)
-    return bp, kept, traced
-
-
-def _kept_system(system: ModeSystem, kept: list[int]) -> ModeSystem:
-    return ModeSystem.from_blocks([system.modes[k] for k in kept])
-
-
-def _traced_first_signs(system: ModeSystem, kept: list[int], traced: list[int]) -> np.ndarray:
-    """The ``_kept_traced_view`` of the sign vector of the ordering that
-    lists the traced modes first, the signs of the fermionic trace."""
-    labels = [system.modes[k] for k in traced + kept]
-    return _kept_traced_view(ordering_sign_vector(system, ModeOrdering(labels)), kept, traced)
-
-
-def _fermionic_reduction(view: np.ndarray, pure: bool, signs: np.ndarray) -> np.ndarray:
-    """The fermionic trace of a state's ``_trace_view``, or of each state
-    of a stacked view: the block trace of its sign conjugation by the
-    traced-first ordering, whose signs ``_traced_first_signs`` gives, which
-    a density takes on its traced-diagonal slab alone."""
-    return _block_partial_trace(view, pure, signs)
+        raise InvalidBipartitionError(f"bipartition {bp.kept}|{bp.traced} keeps no mode: the kept block is empty")
+    kept_labels = tuple(system.modes[k] for k in kept)
+    traced_labels = tuple(system.modes[k] for k in traced)
+    physical = None if ordering is None else _kept_first(ordering, kept_labels, traced_labels)
+    fermionic, qubit = (
+        None if o is None else _kept_traced_view(ordering_sign_vector(system, o), kept, traced)
+        for o in (ModeOrdering(traced_labels + kept_labels), ordering)
+    )
+    for signs in (fermionic, qubit):
+        if signs is not None:
+            signs.setflags(write=False)
+    return _RoutePlan(tuple(kept), tuple(traced), physical, ModeSystem.from_blocks(kept_labels), fermionic, qubit)
 
 
 def _qubit_reduction(view: np.ndarray, pure: bool, signs: np.ndarray) -> np.ndarray:
@@ -208,13 +219,14 @@ def fermionic_partial_trace(
     under 1/8 of the density's bytes, where conjugating the whole density
     peaked at twice them. The bytes are those of that whole conjugation.
     The trace is preserved exactly, and the result is Hermitian and
-    positive. An empty kept block is an ``InvalidBipartitionError``.
+    positive. The split and its signs are read from the split's route plan
+    (``_route_plan``), built by the first call on it. An empty kept block
+    is an ``InvalidBipartitionError``.
     """
     system, data = _state_data(rho)
-    _, kept, traced = _reduction_positions(system, bp)
-    signs = _traced_first_signs(system, kept, traced)
-    reduced = _fermionic_reduction(_trace_view(data, kept, traced), data.ndim == 1, signs)
-    return DensityOperator(_kept_system(system, kept), reduced)
+    plan = _route_plan(system, bp)
+    view = _trace_view(data, plan.kept, plan.traced)
+    return DensityOperator(plan.kept_system, _block_partial_trace(view, data.ndim == 1, plan.fermionic_signs))
 
 
 def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) -> QubitState:
@@ -223,17 +235,17 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
     The surviving register keeps the kept modes in canonical positions and
     remembers the ordering restricted to those modes, which is what the
     inverse map needs to return to the fermionic picture. The reduced
-    register is a matrix, also when a pure register is reduced. An empty
-    kept block is an ``InvalidBipartitionError``, raised before anything is
+    register is a matrix, also when a pure register is reduced. The split
+    is read from its route plan (``_route_plan``). An empty kept block is
+    an ``InvalidBipartitionError``, raised before anything is
     traced, so ``qubit_route_reduction`` refuses it too. Any input other
     than a ``QubitState`` is a ``TypeError``.
     """
     if not isinstance(q, QubitState):
         raise TypeError(f"unsupported state type {type(q).__name__}")
-    _, kept, traced = _reduction_positions(q.system, bp)
-    labels = [q.system.modes[k] for k in kept]
-    reduced = _block_partial_trace(_trace_view(q.data, kept, traced), q.is_pure)
-    return QubitState(ModeSystem.from_blocks(labels), q.ordering.restricted_to(labels), reduced)
+    plan = _route_plan(q.system, bp)
+    reduced = _block_partial_trace(_trace_view(q.data, plan.kept, plan.traced), q.is_pure)
+    return QubitState(plan.kept_system, q.ordering.restricted_to(plan.kept_system.modes), reduced)
 
 
 def qubit_route_reduction(
@@ -242,54 +254,6 @@ def qubit_route_reduction(
     """Map to qubits, trace there, and pull back to the kept fermionic block.
     ``theorem_check`` computes the same matrix from the arrays alone."""
     return inverse_image_restricted(qubit_partial_trace(qubit_image(rho, ordering), bp))
-
-
-#: Plans ``_route_plan`` keeps. A plan holds two int8 sign views of 2^N
-#: entries, views of cached sign vectors or copies of them, at most 32 KiB
-#: at 14 modes, and its positions and kept system, so a full cache holds
-#: at most 2 MiB of signs.
-_ROUTE_PLANS = 64
-
-
-class _RoutePlan(NamedTuple):
-    """What a route comparison on one split under one ordering reads and
-    no state changes: the kept and traced positions, the physical verdict,
-    the kept system, and both routes' signs as read-only int8
-    ``_kept_traced_view``s, the traced-first ordering's for the fermionic
-    trace and the ordering's for the qubit route."""
-
-    kept: tuple[int, ...]
-    traced: tuple[int, ...]
-    physical: bool
-    kept_system: ModeSystem
-    fermionic_signs: np.ndarray
-    qubit_signs: np.ndarray
-
-
-@lru_cache(maxsize=_ROUTE_PLANS)
-def _route_plan(system: ModeSystem, bp: Union[BipartitionSpec, None], ordering: ModeOrdering) -> _RoutePlan:
-    """The ``_RoutePlan`` of ``bp`` (the system's own split if None) under
-    ``ordering``. It raises what reading them raises, in this order: an
-    ``InvalidBipartitionError`` for a split that does not cover the system
-    or keeps no mode, then an ``InvalidOrderingError`` for an ordering of
-    other labels, with the message ``is_physical`` gives on the split's
-    blocks in canonical order. An exception is not cached, so a call that
-    raises raises again."""
-    _, kept, traced = _reduction_positions(system, bp)
-    modes = system.modes
-    physical = _kept_first(ordering, tuple(modes[k] for k in kept), tuple(modes[k] for k in traced))
-    fermionic = _traced_first_signs(system, kept, traced)
-    qubit = _kept_traced_view(ordering_sign_vector(system, ordering), kept, traced)
-    for signs in (fermionic, qubit):
-        signs.setflags(write=False)
-    return _RoutePlan(
-        kept=tuple(kept),
-        traced=tuple(traced),
-        physical=physical,
-        kept_system=_kept_system(system, kept),
-        fermionic_signs=fermionic,
-        qubit_signs=qubit,
-    )
 
 
 def _compare_routes(
@@ -308,18 +272,18 @@ def _compare_routes(
     Each check the one-state objects make runs once on the whole stack, in
     the order they make it, and a stack's message names the first offending
     row: the eigensolver's dimension cap, first, before anything is
-    reduced; finite state entries (``FockVector``, ``DensityOperator``);
-    each reduction finite, Hermitian within ``DEFAULT_TOL`` and of unit
-    trace within ``STATE_TOL`` (``DensityOperator``); and their difference
-    finite and Hermitian within ``2 * DEFAULT_TOL`` (``trace_distance``),
-    which an exactly-zero difference passes by construction.
+    reduced; each reduction finite, Hermitian within ``DEFAULT_TOL`` and of
+    unit trace within ``STATE_TOL`` (``DensityOperator``); and their
+    difference finite and Hermitian within ``2 * DEFAULT_TOL``
+    (``trace_distance``), which an exactly-zero difference passes by
+    construction. The state's own entries are not checked again: every
+    caller hands over those of a ``FockVector`` or ``DensityOperator``,
+    whose constructor refused non-finite ones.
     """
     _check_eig_dim(plan.kept_system.dim)
-    finite = np.isfinite(data).reshape(data.shape[:batch] + (-1,)).all(axis=-1)
-    _first_failure(~finite, ValueError, lambda i: "state entries must be finite")
     pure = data.ndim == 1 + batch
     view = _trace_view(data, plan.kept, plan.traced, batch)
-    fermionic = _fermionic_reduction(view, pure, plan.fermionic_signs)
+    fermionic = _block_partial_trace(view, pure, plan.fermionic_signs)
     qubit_side = _qubit_reduction(view, pure, plan.qubit_signs)
     for reduced in (fermionic, qubit_side):
         _check_finite(reduced)
@@ -679,8 +643,9 @@ def ordering_scan(
     plans (``_permutations``). Scanning many states on one split pays for
     the plan once; a process that runs one scan, as the CLI does, gains
     nothing. The orderings' own sign rows are not kept: each chunk signs
-    its own. The fermionic trace the classes are compared against is
-    reduced from the positions already read and given the checks
+    its own. The split, its kept system and the signs of the fermionic
+    trace the classes are compared against are read from the split's route
+    plan (``_route_plan``), and that trace is given the checks
     ``DensityOperator`` makes, so a scan constructs no ``DensityOperator``.
     An empty kept block is an ``InvalidBipartitionError``; an empty traced
     block gives one class. A ``tol`` outside (0, 1), or NaN, is a
@@ -689,21 +654,20 @@ def ordering_scan(
     _check_tol(tol)
     system, data = _state_data(rho)
     _check_scan_size(system)
-    _, kept, traced = _reduction_positions(system, bp)
+    route = _route_plan(system, bp)
     # the state is viewed once; the fermionic trace is given the checks
     # ``DensityOperator`` makes
-    view, pure = _trace_view(data, kept, traced), data.ndim == 1
-    fermionic = _fermionic_reduction(view, pure, _traced_first_signs(system, kept, traced))
+    view, pure = _trace_view(data, route.kept, route.traced), data.ndim == 1
+    fermionic = _block_partial_trace(view, pure, route.fermionic_signs)
     _check_finite(fermionic)
     _check_density(fermionic)
     fermionic = fermionic.ravel()
 
     parity, p = _exact_parity(data, system.n_modes)
-    plan = _scan_plan(system.n_modes, tuple(kept), tuple(traced), parity)
+    plan = _scan_plan(system.n_modes, route.kept, route.traced, parity)
     perms, ranks = _permutations(system.n_modes)
     names = np.array(system.modes)
-    kept_system = _kept_system(system, kept)
-    dk = kept_system.dim
+    dk = route.kept_system.dim
     # a sample's largest stacked array is its signed state, its signed
     # traced-diagonal slab of dk * dk * dt entries for a density, or its
     # reduction
@@ -723,7 +687,7 @@ def ordering_scan(
         end = min(g + per_chunk, len(plan.bounds) - 1)
         lo, hi = plan.bounds[g], plan.bounds[end]
         rows = plan.samples[lo:hi]
-        signs = _kept_traced_view(_inversion_signs(ranks[rows]), kept, traced, True)
+        signs = _kept_traced_view(_inversion_signs(ranks[rows]), route.kept, route.traced, True)
         reduced = _qubit_reduction(view, pure, signs)
         # each sample must be its group's first member, where the group's
         # run starts, conjugated by the kept-side signs of the rows its
@@ -787,7 +751,7 @@ def ordering_scan(
         OrderingClass._wrap(
             _modes=names,
             _members=ordered[starts[c] : ends[c]],
-            _system=kept_system,
+            _system=route.kept_system,
             _matrix=keys[c],
             contains_physical=c == physical,
             matches_fermionic=class_diffs[c] < tol,
@@ -885,14 +849,16 @@ def theorem_sweep(
     ``theorem_check`` makes runs on each chunk, a failure naming the first
     offending row of its chunk, and every row equals the ``theorem_check``
     of its state, to the bit. The canonical ordering lists the kept block
-    first, so it is physical. A negative ``trials`` or mode count is a
-    ``ValueError`` and an empty kept block, ``n == 0``, an
+    first, so it is physical. A negative ``trials``, ``seed`` or mode count
+    is a ``ValueError`` and an empty kept block, ``n == 0``, an
     ``InvalidBipartitionError``, each raised before any state is drawn, as
     is the ``ValueError`` of a ``tol`` outside (0, 1), or NaN.
     """
     _check_tol(tol)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     system = sweep_system(n, m)
     ordering = ModeOrdering.canonical(system)
     plan = _route_plan(system, None, ordering)

@@ -126,6 +126,12 @@ def test_sweep_at_fourteen_modes(monkeypatch, capsys):
 
 
 
+
+@pytest.mark.parametrize("command", ["theorem-sweep", "ordering-scan"])
+def test_negative_seed_is_a_usage_error_naming_the_seed(capsys, command):
+    assert main([command, "--modes", "1,1", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "fermiorder: seed must be non-negative, got -1\n"
+
 # No real input makes a checked property fail, so these tests swap each
 # command's result for a failing one. The expected bytes are the reports as
 # first recorded, so the FAIL lines and exit codes stay pinned.

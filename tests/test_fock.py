@@ -360,6 +360,13 @@ def test_random_state_deterministic_per_seed():
     assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+def test_random_state_refuses_a_negative_seed():
+    """A negative seed is a ``ValueError`` that names it, where numpy's own
+    refusal names nothing."""
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        random_state(small_system(), sector="even", seed=-1)
+
+
 def test_random_state_sector_support():
     system = ModeSystem.from_blocks(("a1", "a2"), ("c1", "c2"))
     even = random_state(system, sector="even", seed=0)

@@ -297,7 +297,9 @@ def test_sweep_refuses_an_empty_kept_block_before_drawing(monkeypatch):
 def test_sweep_refuses_negative_counts_before_drawing(monkeypatch):
     """A negative mode count or trial count is refused before any state is
     drawn, instead of running a smaller sweep or an empty one that
-    passes; ``sweep_system`` refuses a negative mode count on its own."""
+    passes; ``sweep_system`` refuses a negative mode count on its own. So
+    is a negative seed, with a message that names it, where numpy's own
+    refusal names nothing."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("drew a state before the counts were checked")
@@ -310,6 +312,8 @@ def test_sweep_refuses_negative_counts_before_drawing(monkeypatch):
             sweep_system(n, m)
     with pytest.raises(ValueError, match="trials must be non-negative, got -1"):
         theorem_sweep(2, 2, -1)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -3$"):
+        theorem_sweep(1, 1, 2, seed=-3)
 
 
 def test_entry_points_refuse_a_state_of_another_type():
@@ -902,18 +906,66 @@ def test_density_reduction_peaks_far_below_the_density():
     """The fermionic trace of a (5,5) even density reads its traced-diagonal
     slab, 1/32 of the 16 MiB density, and conjugates only that, so its
     tracemalloc peak stays under 1/8 of the density's bytes, where
-    conjugating the whole density peaked at twice them."""
+    conjugating the whole density peaked at twice them. That holds on a
+    split whose kept modes sit at positions 1, 3, 5, 7 and 9, none of them
+    first, too, for the trace and for the route comparison: the slab is a
+    view of the density, and at most the slab is copied, where reordering
+    the whole density first copied all of it."""
     system = sweep_system(5, 5)
     rho = random_state(system, sector="even", seed=29).to_density()
-    fermionic_partial_trace(rho)
-    tracemalloc.start()
-    try:
-        reduced = fermionic_partial_trace(rho)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert reduced.matrix.shape == (32, 32)
-    assert peak < rho.matrix.nbytes / 8
+    off_front = BipartitionSpec(kept=system.modes[1::2], traced=system.modes[0::2])
+    calls = [
+        lambda: fermionic_partial_trace(rho),
+        lambda: fermionic_partial_trace(rho, off_front),
+        lambda: theorem_check(rho, ModeOrdering(off_front.kept + off_front.traced), off_front).fermionic,
+    ]
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            reduced = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reduced.matrix.shape == (32, 32)
+        assert peak < rho.matrix.nbytes / 8
+
+
+def test_reductions_reuse_the_plan_of_their_split():
+    """A second ``fermionic_partial_trace``, ``qubit_partial_trace`` or
+    ``ordering_scan`` on a split is served from its route plan and gives
+    the same bytes. Their plan is made without an ordering, so it holds no
+    physical verdict and no qubit-route signs; it holds the kept system and
+    the fermionic trace's read-only signs, as a plan with an ordering
+    does."""
+    system = sweep_system(2, 2)
+    bp = BipartitionSpec(kept=("a2", "c1"), traced=("a1", "c2"))
+    state = random_state(system, sector="even", seed=17)
+    register = qubit_image(state, ModeOrdering(("c2", "a2", "a1", "c1")))
+
+    def scan_bytes():
+        return [(c.reduced.matrix.tobytes(), c.to_json()) for c in ordering_scan(state, bp)]
+
+    for call in (
+        lambda: fermionic_partial_trace(state, bp).matrix.tobytes(),
+        lambda: qubit_partial_trace(register, bp).data.tobytes(),
+        scan_bytes,
+    ):
+        reduction._route_plan.cache_clear()
+        first = call()
+        assert reduction._route_plan.cache_info().misses == 1
+        before = reduction._route_plan.cache_info()
+        again = call()
+        after = reduction._route_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert again == first
+    plan = reduction._route_plan(system, bp)
+    assert plan.physical is None and plan.qubit_signs is None
+    assert plan.kept_system == ModeSystem.from_blocks(bp.kept)
+    assert plan.fermionic_signs.dtype == np.int8 and not plan.fermionic_signs.flags.writeable
+    with_ordering = reduction._route_plan(system, bp, ModeOrdering(bp.kept + bp.traced))
+    assert with_ordering.physical is True
+    assert np.array_equal(with_ordering.fermionic_signs, plan.fermionic_signs)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1.0])
@@ -1701,7 +1753,9 @@ def _sweep_stack(rows):
 
 def test_stacked_check_names_the_row_the_per_trial_path_refuses():
     """A row that fails a check raises the exception the per-trial path
-    raises for that state, its message led by the row."""
+    raises for that state, its message led by the row. A non-finite row,
+    which no ``FockVector`` holds, is refused by the reductions' own
+    finite check."""
     system, amplitudes, plan, ordering = _sweep_stack(5)
     amplitudes[3] *= 2.0
     with pytest.raises(ValueError) as per_trial:
@@ -1716,7 +1770,7 @@ def test_stacked_check_names_the_row_the_per_trial_path_refuses():
     amplitudes[1, 5] = np.nan
     with pytest.raises(ValueError, match="must be finite"):
         FockVector(system, amplitudes[1])
-    with pytest.raises(ValueError, match=r"^row 1: state entries must be finite$"):
+    with pytest.raises(ValueError, match=r"^row 1: matrix entries must be finite$"):
         reduction._compare_routes(plan, amplitudes, batch=True)
 
 

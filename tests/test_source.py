@@ -201,57 +201,72 @@ def test_scan_wraps_class_matrices_without_the_constructor():
 
 
 def test_fermionic_reduction_conjugates_no_whole_state():
-    """``reduction._fermionic_reduction`` hands its signs to
-    ``_block_partial_trace`` and calls no ``_sign_conjugate``: the sign
-    conjugation of a whole state lives only in ``_block_partial_trace``,
-    which conjugates a density's traced-diagonal slab instead, so a
-    conjugation of the whole density cannot come back unnoticed."""
+    """In ``reduction.py`` only ``_qubit_reduction``, which conjugates a
+    dk x dk reduction by the kept block's signs, and ``ordering_scan``,
+    which derives orbit matrices from reductions, call ``_sign_conjugate``:
+    the fermionic trace hands its signs to ``_block_partial_trace``, which
+    conjugates a density's traced-diagonal slab instead, so a conjugation
+    of the whole density cannot come back unnoticed."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
-    assert "_fermionic_reduction" not in _callers(tree, "_sign_conjugate")
-    assert "_fermionic_reduction" in _callers(tree, "_block_partial_trace")
+    assert sorted(set(_callers(tree, "_sign_conjugate"))) == ["_qubit_reduction", "ordering_scan"]
+    assert "fermionic_partial_trace" in _callers(tree, "_block_partial_trace")
 
 
-def _callers(tree: ast.Module, name: str) -> list[str]:
-    """The module-level functions whose bodies call ``name``, once per call,
-    as a bare name or as an attribute."""
+def _calls_of(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls of ``name`` under ``tree``, as a bare name or as an
+    attribute."""
     return [
-        func.name
-        for func in tree.body
-        if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
 
 
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The module-level functions whose bodies call ``name``, once per call."""
+    return [func.name for func in tree.body if isinstance(func, ast.FunctionDef) for _ in _calls_of(func, name)]
+
+
 def test_one_qubit_route_in_reduction():
-    """``reduction.py`` runs the block trace only in the two routes and in
-    the public qubit trace, restricts an ordering only in the public qubit
-    trace, and signs the scan's orderings in one ``_inversion_signs`` call:
-    the scan and the comparison both go through ``_qubit_reduction``, which
-    reads the kept block's signs off the ordering's own, so a second
-    inline route or a second sign computation cannot come back unnoticed."""
+    """``reduction.py`` runs the block trace only where a state is reduced:
+    in the fermionic trace of the public call, of the comparison and of the
+    scan, in the qubit route and in the public qubit trace. It restricts an
+    ordering only in the public qubit trace, and signs the scan's orderings
+    in one ``_inversion_signs`` call: the scan and the comparison both go
+    through ``_qubit_reduction``, which reads the kept block's signs off
+    the ordering's own, so a second inline route or a second sign
+    computation cannot come back unnoticed."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
     assert sorted(_callers(tree, "_block_partial_trace")) == [
-        "_fermionic_reduction",
+        "_compare_routes",
         "_qubit_reduction",
+        "fermionic_partial_trace",
+        "ordering_scan",
         "qubit_partial_trace",
     ]
     assert _callers(tree, "restricted_to") == ["qubit_partial_trace"]
     assert _callers(tree, "_inversion_signs") == ["ordering_scan"]
     assert "ordering_scan" in _callers(tree, "_qubit_reduction")
+    assert "_compare_routes" in _callers(tree, "_qubit_reduction")
+
+
+ENTRY_POINTS = ("fermionic_partial_trace", "qubit_partial_trace", "ordering_scan", "theorem_check", "theorem_sweep")
 
 
 def test_route_comparisons_read_one_plan():
-    """``theorem_check`` and ``theorem_sweep`` are the callers of
-    ``_compare_routes``, and each reads its split and signs through
-    ``_route_plan`` alone, so a second comparison path, or one that
-    resolves a split per call, cannot come back unnoticed."""
+    """In ``reduction.py`` only ``_route_plan`` resolves a split
+    (``_bipartition_positions``) and reads a sign vector
+    (``ordering_sign_vector``), and every entry point that reduces, the
+    two public traces, the scan, the checker and the sweep, reads its split
+    through it; ``theorem_check`` and ``theorem_sweep`` are the callers of
+    ``_compare_routes``. So a second resolution of a split, per call or
+    beside the plan, or a second comparison path, cannot come back
+    unnoticed."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
     assert sorted(_callers(tree, "_compare_routes")) == ["theorem_check", "theorem_sweep"]
-    assert sorted(_callers(tree, "_route_plan")) == ["theorem_check", "theorem_sweep"]
-    for name in ("_reduction_positions", "_bipartition_positions", "ordering_sign_vector"):
-        assert not {"_compare_routes", "theorem_check", "theorem_sweep"} & set(_callers(tree, name))
+    assert sorted(_callers(tree, "_route_plan")) == sorted(ENTRY_POINTS)
+    for name in ("_bipartition_positions", "ordering_sign_vector"):
+        assert set(_callers(tree, name)) == {"_route_plan"}
 
 
 def test_scan_plan_builds_every_grouping_with_one_formula():
@@ -279,15 +294,19 @@ def test_route_comparison_diagonalizes_only_through_trace_distances():
     """``reduction.py`` reaches an eigensolver only through
     ``_trace_distances``, called once in ``_compare_routes``, so the
     exactly-zero difference of agreeing routes skips the eigensolve on
-    every path; and ``_route_plan``, the one caller of the physical rule,
-    applies it to the split's label blocks without building a
-    ``ModeSystem`` for them."""
+    every path; and the physical rule, ``ordering._kept_first``, which
+    ``_route_plan`` alone calls, reads the split's label blocks: neither
+    the call nor the rule builds a ``ModeSystem`` for them."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
     solved = [f"{name} in {caller}" for name in EIGENSOLVERS for caller in _callers(tree, name)]
     assert not solved, f"reduction.py calls an eigensolver directly: {solved}"
     assert _callers(tree, "_trace_distances") == ["_compare_routes"]
-    assert "_route_plan" not in _callers(tree, "from_blocks")
     assert _callers(tree, "_kept_first") == ["_route_plan"]
+    ordering = ast.parse((PACKAGE_DIR / "ordering.py").read_text(), filename="ordering.py")
+    (rule,) = [f for f in ordering.body if isinstance(f, ast.FunctionDef) and f.name == "_kept_first"]
+    for node in [rule, *_calls_of(tree, "_kept_first")]:
+        for name in ("ModeSystem", "from_blocks"):
+            assert not _calls_of(node, name), f"the physical rule builds a ModeSystem at line {node.lineno}"
 
 
 def test_no_module_multiplies_in_place():
