@@ -24,7 +24,8 @@ from .fock import (
     FockVector,
     ModeSystem,
     OperatorString,
-    _kept_traced_view,
+    _block_partial_trace,
+    _trace_view,
     from_operator_string,
 )
 from .numerics import DEFAULT_TOL, STATE_TOL, _check_eig_dim, _hermitize, hermitian_eigenvalues, trace_norm
@@ -184,13 +185,15 @@ def ppt_separable(
     spectrum does not change under local basis rotations, a state whose
     marginals fit those ranks is equivalent to a genuine 2x2 or 2x3 state
     and the criterion applies. Larger supports raise an error instead of
-    returning a one-sided answer.
+    returning a one-sided answer. Each marginal is the register's block
+    trace over the other side (``_block_partial_trace`` of its
+    ``_trace_view``), so a kept set that is not first copies at most the
+    traced-diagonal slab, never the register.
     """
     matrix, system, _ = _as_qubit_matrix(state, ordering)
     _, kept, traced = _bipartition_positions(system, bp)
-    view = _kept_traced_view(matrix, kept, traced)
-    rank_kept = _support_rank(np.einsum("ajbj->ab", view))
-    rank_traced = _support_rank(np.einsum("jajb->ab", view))
+    rank_kept = _support_rank(_block_partial_trace(_trace_view(matrix, kept, traced, pure=False), False))
+    rank_traced = _support_rank(_block_partial_trace(_trace_view(matrix, traced, kept, pure=False), False))
     low, high = sorted((rank_kept, rank_traced))
     if low > 2 or high > 3:
         raise UnsupportedDimensionsError(

@@ -184,41 +184,38 @@ def _sign_conjugate(signs: np.ndarray, data: np.ndarray) -> np.ndarray:
     return signs[..., :, None] * data * signs[..., None, :]
 
 
-def _kept_traced_view(
-    data: np.ndarray, kept: Sequence[int], traced: Sequence[int], batch: bool = False
-) -> np.ndarray:
-    """A mode-indexed vector psi as dk x dt, or matrix rho as dk x dt x dk x
-    dt, with the modes at the ``kept`` positions first, in the order
-    ``kept`` lists them, and those at ``traced`` after them.
+def _kept_traced_view(data: np.ndarray, kept: Sequence[int], traced: Sequence[int]) -> np.ndarray:
+    """A mode-indexed vector, amplitudes psi or sign rows, as dk x dt, with
+    the modes at the ``kept`` positions first, in the order ``kept`` lists
+    them, and those at ``traced`` after them.
 
-    Mode k is axis k of the ``[2] * N`` reshape. With ``batch``, axis 0
-    stacks states and stays in front. A sign vector viewed this way has the
-    signs of the kept block with every traced mode empty at ``[..., 0]``.
+    Mode k is axis k of the ``[2] * N`` reshape of the last axis; any
+    leading axes stack vectors and stay in front. A sign vector viewed this
+    way has the signs of the kept block with every traced mode empty at
+    ``[..., 0]``. A matrix is read across a split by ``_trace_view``.
     """
-    n = len(kept) + len(traced)
-    dk, dt = 1 << len(kept), 1 << len(traced)
-    lead = list(data.shape[:1]) if batch else []
-    perm = list(range(len(lead))) + [len(lead) + ax for ax in [*kept, *traced]]
-    if data.ndim == len(lead) + 1:
-        return data.reshape(lead + [2] * n).transpose(perm).reshape(lead + [dk, dt])
-    t = data.reshape(lead + [2] * (2 * n)).transpose(perm + [n + ax for ax in perm[len(lead) :]])
-    return t.reshape(lead + [dk, dt, dk, dt])
+    lead = data.shape[:-1]
+    perm = [*range(len(lead)), *(len(lead) + ax for ax in [*kept, *traced])]
+    t = data.reshape(lead + (2,) * (len(kept) + len(traced))).transpose(perm)
+    return t.reshape(lead + (1 << len(kept), 1 << len(traced)))
 
 
-def _trace_view(data: np.ndarray, kept: Sequence[int], traced: Sequence[int], batch: bool = False) -> np.ndarray:
+def _trace_view(data: np.ndarray, kept: Sequence[int], traced: Sequence[int], pure: bool) -> np.ndarray:
     """What a block trace reads of a state: psi's ``_kept_traced_view``,
-    dk x dt, or rho's traced-diagonal slab rho(aj, bj), dk x dt x dk, its
-    dk^2 dt entries; with ``batch``, of each state of a stack along axis 0.
+    dk x dt, if ``pure``, else rho's traced-diagonal slab rho(aj, bj),
+    dk x dt x dk, its dk^2 dt entries; for each state of a stack along the
+    leading axes, ``data.shape[:-1]`` of amplitudes, ``data.shape[:-2]`` of
+    densities. ``pure`` is the flag ``_block_partial_trace`` takes.
 
     The slab is taken by one ``einsum`` over the ``[2] * 2N`` axes, in
     which a traced mode's row and column axes share a subscript. That is a
     view of the density, so at most the slab is copied, when its axes
     cannot be merged into dk x dt x dk without it; the whole density never
     is, as transposing it to dk x dt x dk x dt first would."""
-    if data.ndim == 1 + batch:
-        return _kept_traced_view(data, kept, traced, batch)
+    if pure:
+        return _kept_traced_view(data, kept, traced)
     n = len(kept) + len(traced)
-    lead = data.shape[:batch]
+    lead = data.shape[:-2]
     # row axis k is subscript k; a kept mode's column axis is n + k
     columns = [n + k if k in kept else k for k in range(n)]
     axes = data.reshape(lead + (2,) * (2 * n))

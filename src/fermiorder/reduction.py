@@ -225,8 +225,9 @@ def fermionic_partial_trace(
     """
     system, data = _state_data(rho)
     plan = _route_plan(system, bp)
-    view = _trace_view(data, plan.kept, plan.traced)
-    return DensityOperator(plan.kept_system, _block_partial_trace(view, data.ndim == 1, plan.fermionic_signs))
+    pure = data.ndim == 1
+    view = _trace_view(data, plan.kept, plan.traced, pure)
+    return DensityOperator(plan.kept_system, _block_partial_trace(view, pure, plan.fermionic_signs))
 
 
 def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) -> QubitState:
@@ -244,7 +245,7 @@ def qubit_partial_trace(q: QubitState, bp: Union[BipartitionSpec, None] = None) 
     if not isinstance(q, QubitState):
         raise TypeError(f"unsupported state type {type(q).__name__}")
     plan = _route_plan(q.system, bp)
-    reduced = _block_partial_trace(_trace_view(q.data, plan.kept, plan.traced), q.is_pure)
+    reduced = _block_partial_trace(_trace_view(q.data, plan.kept, plan.traced, q.is_pure), q.is_pure)
     return QubitState(plan.kept_system, q.ordering.restricted_to(plan.kept_system.modes), reduced)
 
 
@@ -257,13 +258,13 @@ def qubit_route_reduction(
 
 
 def _compare_routes(
-    plan: _RoutePlan, data: np.ndarray, batch: bool = False
+    plan: _RoutePlan, data: np.ndarray, pure: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The fermionic trace and the qubit route of ``plan``, their largest
     entry difference and their trace distance, for one state's amplitudes
-    or matrix, or with ``batch`` for each state of a stack along axis 0.
-    The state is viewed once, as its ``_trace_view``, and each route signs
-    that one view with its own sign rows from the plan. Where the two
+    (``pure``) or matrix, or for each state of a stack along the leading
+    axes. The state is viewed once, as its ``_trace_view``, and each route
+    signs that one view with its own sign rows from the plan. Where the two
     routes agree to the bit on every row, as they do for superselected
     states under physical orderings, the distances are +0.0 with no
     eigensolve (``_trace_distances``); otherwise they come from one
@@ -281,8 +282,7 @@ def _compare_routes(
     whose constructor refused non-finite ones.
     """
     _check_eig_dim(plan.kept_system.dim)
-    pure = data.ndim == 1 + batch
-    view = _trace_view(data, plan.kept, plan.traced, batch)
+    view = _trace_view(data, plan.kept, plan.traced, pure)
     fermionic = _block_partial_trace(view, pure, plan.fermionic_signs)
     qubit_side = _qubit_reduction(view, pure, plan.qubit_signs)
     for reduced in (fermionic, qubit_side):
@@ -357,7 +357,7 @@ def theorem_check(
             f"ordering {ordering} interleaves kept and traced modes; "
             "pass force=True to compare the routes anyway"
         )
-    fermionic, qubit_side, diff, dist = _compare_routes(plan, data)
+    fermionic, qubit_side, diff, dist = _compare_routes(plan, data, data.ndim == 1)
     return TheoremReport(
         ordering=ordering,
         max_entry_diff=float(diff),
@@ -657,7 +657,8 @@ def ordering_scan(
     route = _route_plan(system, bp)
     # the state is viewed once; the fermionic trace is given the checks
     # ``DensityOperator`` makes
-    view, pure = _trace_view(data, route.kept, route.traced), data.ndim == 1
+    pure = data.ndim == 1
+    view = _trace_view(data, route.kept, route.traced, pure)
     fermionic = _block_partial_trace(view, pure, route.fermionic_signs)
     _check_finite(fermionic)
     _check_density(fermionic)
@@ -687,7 +688,7 @@ def ordering_scan(
         end = min(g + per_chunk, len(plan.bounds) - 1)
         lo, hi = plan.bounds[g], plan.bounds[end]
         rows = plan.samples[lo:hi]
-        signs = _kept_traced_view(_inversion_signs(ranks[rows]), route.kept, route.traced, True)
+        signs = _kept_traced_view(_inversion_signs(ranks[rows]), route.kept, route.traced)
         reduced = _qubit_reduction(view, pure, signs)
         # each sample must be its group's first member, where the group's
         # run starts, conjugated by the kept-side signs of the rows its
@@ -874,7 +875,7 @@ def theorem_sweep(
         amplitudes = np.stack(
             [random_state(system, EVEN if s < seed + trials else ODD, s).amplitudes for s in seeds]
         )
-        _, _, diff, dist = _compare_routes(plan, amplitudes, batch=True)
+        _, _, diff, dist = _compare_routes(plan, amplitudes, True)
         ssr = _ssr_compliant_amplitudes(amplitudes, system.n_modes)
         rows += [
             SweepRow(s, n, m, label, d, t, c)

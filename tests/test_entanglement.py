@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiorder.entanglement import (
+    SUPPORT_TOL,
     MalformedDecompositionError,
     SeparableDecomposition,
     UnsupportedDimensionsError,
@@ -36,7 +37,7 @@ from fermiorder.states import (
 )
 from _oracles import negativity as negativity_oracle
 from _oracles import partial_transpose as pt_oracle
-from _oracles import random_density, random_unitary
+from _oracles import qubit_ptrace, random_density, random_unitary
 
 tol = 1e-12
 
@@ -449,12 +450,66 @@ def test_ppt_gate_rejects_large_supports():
         ppt_separable(q, BipartitionSpec(kept=("c2",), traced=("c1", "a1")))
 
 
+def _low_support_register(rng, kept, traced):
+    """A random register of rank 1 to 3 in canonical mode positions, pure
+    when of rank 1, whose marginals on ``kept`` and ``traced`` have random
+    supports of 1 to 4 dimensions each, as far as the blocks hold."""
+    n = len(kept) + len(traced)
+    dk, dt = 1 << len(kept), 1 << len(traced)
+    u = random_unitary(dk, rng)[:, : int(rng.integers(1, min(dk, 4) + 1))]
+    v = random_unitary(dt, rng)[:, : int(rng.integers(1, min(dt, 4) + 1))]
+    rank = int(rng.integers(1, 4))
+    weights = rng.random(rank)
+    vectors = []
+    for _ in range(rank):
+        c = rng.standard_normal((u.shape[1], v.shape[1])) + 1j * rng.standard_normal((u.shape[1], v.shape[1]))
+        psi = (u @ c @ v.T).reshape([2] * n).transpose(np.argsort(kept + traced)).ravel()
+        vectors.append(psi / np.linalg.norm(psi))
+    if rank == 1:
+        return vectors[0]
+    return sum(w * np.outer(psi, psi.conj()) for w, psi in zip(weights / weights.sum(), vectors))
+
+
 def test_ppt_agrees_with_negativity_in_small_dimensions():
+    """On 2-qubit registers the verdict is the negativity's. On random
+    registers at 3-6 modes, split with a kept set that does not come
+    first, the supports are the ranks of the dense oracle's marginals,
+    named in the refusal when they exceed 2x3, and where they fit, the
+    verdict is the sign of the oracle partial transpose's smallest
+    eigenvalue."""
     rng = np.random.default_rng(23)
     for _ in range(20):
         rho = random_density(4, int(rng.integers(1, 5)), rng)
         q = qubit_state_from_matrix(rho)
         assert ppt_separable(q) == (negativity(q).value < tol)
+    fits = refused = 0
+    for n_modes in (3, 4, 5, 6):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for _ in range(10):
+            while True:
+                chosen = rng.random(n_modes) < 0.5
+                kept = np.flatnonzero(chosen).tolist()
+                if kept and kept != list(range(len(kept))):
+                    break
+            traced = np.flatnonzero(~chosen).tolist()
+            data = _low_support_register(rng, kept, traced)
+            q = QubitState(system, ModeOrdering.canonical(system), data)
+            bp = BipartitionSpec(kept=tuple(system.modes[k] for k in kept), traced=tuple(system.modes[k] for k in traced))
+            matrix = np.outer(data, data.conj()) if data.ndim == 1 else data
+            rank_kept, rank_traced = (
+                int(np.sum(np.linalg.eigvalsh(qubit_ptrace(matrix, n_modes, side)) > SUPPORT_TOL))
+                for side in (traced, kept)
+            )
+            low, high = sorted((rank_kept, rank_traced))
+            if low > 2 or high > 3:
+                refused += 1
+                with pytest.raises(UnsupportedDimensionsError, match=rf"^local supports {rank_kept}x{rank_traced} "):
+                    ppt_separable(q, bp)
+            else:
+                fits += 1
+                smallest = np.linalg.eigvalsh(pt_oracle(matrix, n_modes, traced))[0]
+                assert ppt_separable(q, bp) is bool(smallest >= -SUPPORT_TOL)
+    assert fits and refused
 
 
 # --- concurrence and entanglement of formation ---------------------------------

@@ -261,6 +261,17 @@ def test_ssr_faint_off_sector_amplitude():
     assert ssr_compliant(state.to_density()) is True
 
 
+def test_ssr_boundary_is_inclusive_for_pure_states_and_densities():
+    """Amplitudes 1 at |00> and 1e-12 at |01>: the largest cross-parity
+    entry of the density is exactly ``DEFAULT_TOL``, which complies, for
+    the pure state, whose even and odd maxima multiply to it, as for its
+    density."""
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    state = FockVector(system, np.array([1.0, 1e-12, 0.0, 0.0]))
+    assert ssr_compliant(state) is True
+    assert ssr_compliant(state.to_density()) is True
+
+
 @pytest.mark.parametrize("scale", [0.3, 3.0])
 def test_ssr_pure_and_density_agree_near_threshold(scale):
     """An off-sector amplitude that puts the largest cross-parity entry of
@@ -404,6 +415,17 @@ def test_exact_parity_reads_every_entry_without_tolerance():
         (hollow, (_BOTH_PARITIES, 0)),
     ):
         assert _exact_parity(data, system.n_modes) == verdict
+
+
+def test_exact_parity_reads_a_cross_entry_of_the_odd_rows():
+    """A (1,1) density diag(.5, 0, 0, .5) whose one cross-parity entry,
+    1e-13 at (1, 0), sits in an odd row, within ``DEFAULT_TOL`` of
+    Hermitian, is cross-parity: the odd rows are read as the even ones."""
+    system = ModeSystem.from_blocks(("a1",), ("c1",))
+    m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    m[1, 0] = 1e-13
+    rho = DensityOperator(system, m)
+    assert _exact_parity(rho.matrix, system.n_modes) == (_CROSS_PARITY, 0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -550,17 +572,11 @@ def test_signed_block_trace_is_the_whole_state_conjugation_to_the_byte():
         rhos = np.einsum("bi,bj->bij", psis, psis.conj())
         one = 1 - 2 * rng.integers(0, 2, d).astype(np.int8)
         rows = 1 - 2 * rng.integers(0, 2, (4, d)).astype(np.int8)
-        cases = [
-            (psi, False, one, True),
-            (psi, False, rows, True),
-            (psis, True, one, True),
-            (rho, False, one, False),
-            (rho, False, rows, False),
-            (rhos, True, one, False),
-        ]
-        for data, batch, signs, pure in cases:
-            view = _trace_view(data, kept, traced, batch)
-            new = _block_partial_trace(view, pure, _kept_traced_view(signs, kept, traced, signs.ndim > 1))
+        cases = [(psi, one, True), (psi, rows, True), (psis, one, True)]
+        cases += [(rho, one, False), (rho, rows, False), (rhos, one, False)]
+        for data, signs, pure in cases:
+            view = _trace_view(data, kept, traced, pure)
+            new = _block_partial_trace(view, pure, _kept_traced_view(signs, kept, traced))
             old = _old_signed_block_trace(signs, data, kept, traced, pure)
             assert (new.shape, new.dtype) == (old.shape, old.dtype)
             assert new.tobytes() == old.tobytes(), (n_modes, kept, data.shape, signs.shape)

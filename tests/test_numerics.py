@@ -128,6 +128,13 @@ def test_trace_distance_examples():
     assert abs(trace_distance(m, np.diag([1.0, 0.0]).astype(complex)) - 0.5) < tol
 
 
+def test_trace_distance_of_a_purely_imaginary_difference():
+    """A difference whose entries are all imaginary is not zero: it takes
+    the eigensolve, and its distance is its eigenvalues' half sum, 0.1."""
+    m = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+    assert abs(trace_distance(m, np.eye(2) / 2.0) - 0.1) < 1e-15
+
+
 def test_trace_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         trace_distance(np.eye(2, dtype=complex), np.eye(4, dtype=complex))

@@ -93,7 +93,7 @@ def test_kept_block_signs_are_the_orderings_own_with_traced_modes_empty():
             labels = [system.modes[k] for k in kept]
             kept_system = ModeSystem.from_blocks(labels)
             ranks = np.array([rng.permutation(n_modes) for _ in range(3)])
-            stacked = _kept_traced_view(_inversion_signs(ranks), kept, traced, batch=True)[..., 0]
+            stacked = _kept_traced_view(_inversion_signs(ranks), kept, traced)[..., 0]
             for row, kept_signs in zip(ranks, stacked):
                 o = ModeOrdering(tuple(system.modes[i] for i in np.argsort(row)))
                 own = _kept_traced_view(ordering_sign_vector(system, o), kept, traced)[..., 0]

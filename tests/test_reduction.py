@@ -1504,7 +1504,7 @@ def test_stacked_comparison_equals_one_state_at_a_time():
         mixed = np.stack([random_density(system.dim, 3, rng) for _ in range(4)])
         for stack, wrap in ((pure, FockVector), (mixed, DensityOperator)):
             o = ModeOrdering(tuple(str(x) for x in rng.permutation(system.modes)))
-            compared = reduction._compare_routes(reduction._route_plan(system, bp, o), stack, batch=True)
+            compared = reduction._compare_routes(reduction._route_plan(system, bp, o), stack, wrap is FockVector)
             fermionic, qubit_side, diff, dist = compared
             for row in range(len(stack)):
                 report = theorem_check(wrap(system, stack[row]), o, bp, force=True)
@@ -1761,7 +1761,7 @@ def test_stacked_check_names_the_row_the_per_trial_path_refuses():
     with pytest.raises(ValueError) as per_trial:
         theorem_check(FockVector(system, amplitudes[3]), ordering)
     with pytest.raises(type(per_trial.value)) as stacked:
-        reduction._compare_routes(plan, amplitudes, batch=True)
+        reduction._compare_routes(plan, amplitudes, pure=True)
     assert type(stacked.value) is type(per_trial.value)
     assert str(stacked.value) == f"row 3: {per_trial.value}"
     assert str(per_trial.value).startswith("density matrix trace is")
@@ -1771,7 +1771,7 @@ def test_stacked_check_names_the_row_the_per_trial_path_refuses():
     with pytest.raises(ValueError, match="must be finite"):
         FockVector(system, amplitudes[1])
     with pytest.raises(ValueError, match=r"^row 1: matrix entries must be finite$"):
-        reduction._compare_routes(plan, amplitudes, batch=True)
+        reduction._compare_routes(plan, amplitudes, pure=True)
 
 
 def test_stacked_check_of_mixed_rows_names_the_non_hermitian_row():
@@ -1784,7 +1784,7 @@ def test_stacked_check_of_mixed_rows_names_the_non_hermitian_row():
     with pytest.raises(NotHermitianError):
         DensityOperator(system, rhos[2])
     with pytest.raises(NotHermitianError, match=r"^row 2: max \|m - m\^dag\| entry"):
-        reduction._compare_routes(plan, rhos, batch=True)
+        reduction._compare_routes(plan, rhos, pure=False)
 
 
 def test_sweep_refuses_a_kept_block_above_the_eigensolver_cap_before_reducing(monkeypatch):

@@ -250,6 +250,21 @@ def test_one_qubit_route_in_reduction():
     assert "_compare_routes" in _callers(tree, "_qubit_reduction")
 
 
+def test_one_block_trace():
+    """``np.einsum`` is called only by ``fock._trace_view``, which views a
+    density's traced-diagonal slab, and ``fock._block_partial_trace``,
+    which sums it: every reduction and ``ppt_separable``'s marginals read a
+    state across a split through those two, so a second block trace
+    cannot come back unnoticed."""
+    found = sorted(
+        f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        for _ in _calls_of(node, "einsum")
+    )
+    assert found == ["fock._block_partial_trace", "fock._trace_view"]
+
+
 ENTRY_POINTS = ("fermionic_partial_trace", "qubit_partial_trace", "ordering_scan", "theorem_check", "theorem_sweep")
 
 
