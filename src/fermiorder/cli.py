@@ -2,9 +2,10 @@
 
 Every report is deterministic for a given seed and flag set, and every
 entanglement number is printed next to the ordering and bipartition that
-produced it. Each command builds its report as a JSON record and as text
-lines, and ``_report`` writes the one ``--format`` asks for, ending in a
-newline, to the ``--output`` file or else to stdout. Exit codes: 0 on
+produced it. Each command hands ``_report`` a builder for each of its
+formats, a JSON record, CSV text or text lines, and ``_report`` builds and
+writes only the one ``--format`` asks for, ending in a newline, to the
+``--output`` file or else to stdout. Exit codes: 0 on
 success, 1 when a checked property fails, 2 on usage or size-limit errors.
 """
 
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -97,15 +98,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _report(args: argparse.Namespace, record: dict, lines: list[str], csv_text: str = "") -> None:
-    """Write the report in the format ``--format`` names: the JSON record,
-    the CSV text or the text lines, to the ``--output`` file or to stdout."""
+def _report(
+    args: argparse.Namespace,
+    record: Callable[[], dict],
+    lines: Callable[[], list[str]],
+    csv_text: Union[Callable[[], str], None] = None,
+) -> None:
+    """Write the report in the format ``--format`` names, to the
+    ``--output`` file or to stdout: the JSON record, the CSV text or the
+    text lines. Only the requested format is built: each is passed as a
+    function, and only its function is called, so a text report builds no
+    record and no CSV. Commands without a CSV format pass no ``csv_text``,
+    and their parsers refuse ``--format csv``."""
     if args.fmt == "json":
-        text = json.dumps(record, sort_keys=True)
+        text = json.dumps(record(), sort_keys=True)
     elif args.fmt == "csv":
-        text = csv_text
+        text = csv_text()
     else:
-        text = "\n".join(lines)
+        text = "\n".join(lines())
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
@@ -184,13 +194,15 @@ def _examples_checks(tol: float) -> list[dict]:
 def cmd_examples(args: argparse.Namespace, tol: float) -> int:
     checks = _examples_checks(tol)
     passed = all(c["passed"] for c in checks)
-    lines = [
-        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} {c['check']} "
-        f"expected={c['expected']!r} actual={c['actual']!r}"
-        for c in checks
-    ]
-    lines.append(f"examples: {sum(c['passed'] for c in checks)}/{len(checks)} checks passed")
-    _report(args, {"checks": checks, "passed": passed}, lines)
+
+    def lines() -> list[str]:
+        return [
+            f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} {c['check']} "
+            f"expected={c['expected']!r} actual={c['actual']!r}"
+            for c in checks
+        ] + [f"examples: {sum(c['passed'] for c in checks)}/{len(checks)} checks passed"]
+
+    _report(args, lambda: {"checks": checks, "passed": passed}, lines)
     return 0 if passed else 1
 
 
@@ -200,20 +212,25 @@ def cmd_examples(args: argparse.Namespace, tol: float) -> int:
 def cmd_theorem_sweep(args: argparse.Namespace, tol: float) -> int:
     n, m = args.modes
     result = theorem_sweep(n, m, trials=args.trials, seed=args.seed, tol=tol)
-    record = {
-        "rows": [r.as_record() for r in result.rows],
-        "maxEntryDiff": result.max_entry_diff,
-        "tol": result.tol,
-        "passed": result.passed,
-    }
-    lines = [
-        f"theorem sweep: modes=({n},{m}) trials={args.trials} per sector seed={args.seed}",
-        f"max entry diff over {len(result.rows)} trials = {result.max_entry_diff!r}",
-        f"PASS (tolerance {result.tol!r})"
-        if result.passed
-        else f"FAIL (tolerance {result.tol!r}); worst seed = {result.worst_seed}",
-    ]
-    _report(args, record, lines, result.to_csv())
+
+    def record() -> dict:
+        return {
+            "rows": [r.as_record() for r in result.rows],
+            "maxEntryDiff": result.max_entry_diff,
+            "tol": result.tol,
+            "passed": result.passed,
+        }
+
+    def lines() -> list[str]:
+        return [
+            f"theorem sweep: modes=({n},{m}) trials={args.trials} per sector seed={args.seed}",
+            f"max entry diff over {len(result.rows)} trials = {result.max_entry_diff!r}",
+            f"PASS (tolerance {result.tol!r})"
+            if result.passed
+            else f"FAIL (tolerance {result.tol!r}); worst seed = {result.worst_seed}",
+        ]
+
+    _report(args, record, lines, result.to_csv)
     return 0 if result.passed else 1
 
 
@@ -260,34 +277,43 @@ def cmd_ordering_scan(args: argparse.Namespace, tol: float) -> int:
     classes = ordering_scan(rho, tol=tol)
     ssr = ssr_compliant(rho)
     violation = ssr and any(c.contains_physical and not c.matches_fermionic for c in classes)
-    rows = [c.to_json() for c in classes]
-    record = {
-        "modes": list(system.modes),
-        "kept": list(system.a_labels),
-        "state": source,
-        "ssr": ssr,
-        "classes": rows,
-        "violation": violation,
-    }
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
-    writer.writerows({**r, "representative": " ".join(r["representative"])}.values() for r in rows)
-    lines = [
-        f"ordering scan: modes={','.join(system.modes)} "
-        f"kept={','.join(system.a_labels)} ({source})",
-        f"ssr compliant: {ssr}",
-        f"ordering classes: {len(classes)}",
-    ]
-    for i, c in enumerate(classes):
-        lines.append(
-            f"class {i}: representative=({','.join(c.representative.labels)}) size={c.size} "
-            f"physical={c.contains_physical} matchesFermionic={c.matches_fermionic} "
-            f"maxEntryDiff={c.max_entry_diff!r}"
-        )
-    if violation:
-        lines.append("FAIL: a physical ordering disagrees with the fermionic trace on an SSR state")
-    _report(args, record, lines, buf.getvalue())
+
+    def record() -> dict:
+        return {
+            "modes": list(system.modes),
+            "kept": list(system.a_labels),
+            "state": source,
+            "ssr": ssr,
+            "classes": [c.to_json() for c in classes],
+            "violation": violation,
+        }
+
+    def csv_text() -> str:
+        rows = [c.to_json() for c in classes]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows({**r, "representative": " ".join(r["representative"])}.values() for r in rows)
+        return buf.getvalue()
+
+    def lines() -> list[str]:
+        lines = [
+            f"ordering scan: modes={','.join(system.modes)} "
+            f"kept={','.join(system.a_labels)} ({source})",
+            f"ssr compliant: {ssr}",
+            f"ordering classes: {len(classes)}",
+        ]
+        for i, c in enumerate(classes):
+            lines.append(
+                f"class {i}: representative=({','.join(c.representative.labels)}) size={c.size} "
+                f"physical={c.contains_physical} matchesFermionic={c.matches_fermionic} "
+                f"maxEntryDiff={c.max_entry_diff!r}"
+            )
+        if violation:
+            lines.append("FAIL: a physical ordering disagrees with the fermionic trace on an SSR state")
+        return lines
+
+    _report(args, record, lines, csv_text)
     return 1 if violation else 0
 
 
@@ -303,13 +329,16 @@ def cmd_negativity(args: argparse.Namespace, tol: float) -> int:
     result = negativity(state, ordering=ordering)
     ssr = ssr_compliant(state)
     bp = result.bipartition
-    lines = [
-        f"negativity = {result.value!r}",
-        f"ordering = {','.join(ordering.labels)}",
-        f"bipartition = kept {','.join(bp.kept)} | traced {','.join(bp.traced)}",
-        f"ssr = {ssr}",
-    ]
-    _report(args, {**result.to_json(), "ssr": ssr}, lines)
+
+    def lines() -> list[str]:
+        return [
+            f"negativity = {result.value!r}",
+            f"ordering = {','.join(ordering.labels)}",
+            f"bipartition = kept {','.join(bp.kept)} | traced {','.join(bp.traced)}",
+            f"ssr = {ssr}",
+        ]
+
+    _report(args, lambda: {**result.to_json(), "ssr": ssr}, lines)
     return 0
 
 

@@ -21,6 +21,11 @@ amplitude by ``(-1) ** (number of occupied modes strictly before k)``;
 whose leading index holds the modes before k, and keeps no table. Every
 reduction takes its signs from the pair-inversion rule of
 ``ordering._inversion_signs`` instead, the fermionic trace included.
+
+The package's own vector constructors fill one new array, check it once
+and wrap it without a copy (``FockVector._wrap``); the public constructors
+copy what a caller passes in and run the same checks, and ``to_density``
+builds its density through ``DensityOperator``'s.
 """
 
 from __future__ import annotations
@@ -260,18 +265,21 @@ class FockVector:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.system.dim,):
-            raise ValueError(f"expected {self.system.dim} amplitudes, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen_amplitudes(self.system, amps))
+
+    @classmethod
+    def _wrap(cls, system: ModeSystem, amplitudes: np.ndarray) -> "FockVector":
+        """A state of a new complex128 amplitude array the package just
+        built and nothing else holds: checked as the constructor checks
+        a caller's array, then frozen and wrapped without a copy."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "system", system)
+        object.__setattr__(state, "amplitudes", _frozen_amplitudes(system, amplitudes))
+        return state
 
     @classmethod
     def vacuum(cls, system: ModeSystem) -> "FockVector":
-        amps = np.zeros(system.dim, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(system, amps)
+        return cls._wrap(system, _vacuum_amplitudes(system))
 
     def _rescaled(self) -> tuple[np.ndarray, float, float]:
         """The amplitudes divided by a scale, the scale and their norm. The
@@ -300,7 +308,7 @@ class FockVector:
         amps, _, n = self._rescaled()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.system, amps / n)
+        return FockVector._wrap(self.system, amps / n)
 
     def amplitude(self, bits: str) -> complex:
         return complex(self.amplitudes[self.system.index_of_bits(bits)])
@@ -341,14 +349,32 @@ class FockVector:
                 amps[system.index_of_bits(bits)] = complex(*pair)
             except OverflowError:
                 raise ValueError(f"amplitude of {bits!r} must be finite, got {pair!r}") from None
-        return cls(system, amps)
+        return cls._wrap(system, amps)
+
+
+def _frozen_amplitudes(system: ModeSystem, amps: np.ndarray) -> np.ndarray:
+    """``amps``, a complex128 array, checked to hold one finite amplitude
+    per basis state of ``system`` and made read-only."""
+    if amps.shape != (system.dim,):
+        raise ValueError(f"expected {system.dim} amplitudes, got shape {amps.shape}")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    amps.setflags(write=False)
+    return amps
+
+
+def _vacuum_amplitudes(system: ModeSystem) -> np.ndarray:
+    """A new array of the vacuum's amplitudes."""
+    amps = np.zeros(system.dim, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
 
 
 def basis_state(system: ModeSystem, bits: str) -> FockVector:
     """The canonical basis vector for one occupation bitstring (phase +1)."""
     amps = np.zeros(system.dim, dtype=np.complex128)
     amps[system.index_of_bits(bits)] = 1.0
-    return FockVector(system, amps)
+    return FockVector._wrap(system, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +478,15 @@ def apply(kind: str, mode: str, state: FockVector) -> FockVector:
     if kind not in (CREATION, ANNIHILATION):
         raise ValueError(f"kind must be {CREATION!r} or {ANNIHILATION!r}, got {kind!r}")
     k = state.system.position(mode)
-    return FockVector(state.system, _apply_to_amplitudes(kind, k, state.amplitudes))
+    return FockVector._wrap(state.system, _apply_to_amplitudes(kind, k, state.amplitudes))
+
+
+def _operator_string_amplitudes(ops: OperatorString, system: ModeSystem) -> np.ndarray:
+    """A new array of the amplitudes of ``ops`` applied to the vacuum."""
+    amplitudes = _vacuum_amplitudes(system)
+    for label, kind in reversed(ops.factors):
+        amplitudes = _apply_to_amplitudes(kind, system.position(label), amplitudes)
+    return amplitudes
 
 
 def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
@@ -460,13 +494,12 @@ def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
 
     The result is a canonical basis vector up to an exact integer sign, or
     the zero vector when an occupation constraint is violated. The factors
-    act on one raw amplitude array, wrapped in a ``FockVector`` once, so no
-    intermediate vector is copied and checked.
+    act on plain amplitude arrays, from a new array of the vacuum's to a
+    new array per factor, and only the last is checked and wrapped in a
+    ``FockVector``, without a copy: no vector is built for the vacuum or
+    for any factor before the last.
     """
-    amplitudes = FockVector.vacuum(system).amplitudes
-    for label, kind in reversed(ops.factors):
-        amplitudes = _apply_to_amplitudes(kind, system.position(label), amplitudes)
-    return FockVector(system, amplitudes)
+    return FockVector._wrap(system, _operator_string_amplitudes(ops, system))
 
 
 #: Bytes for the temporaries of a chunked or stacked evaluation, the
@@ -575,19 +608,21 @@ def random_state(system: ModeSystem, sector: str = ANY_SECTOR, seed: int = 0) ->
     support = sector_indices(system, sector)
     amps = np.zeros(system.dim, dtype=np.complex128)
     amps[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
-    return FockVector(system, amps / float(np.linalg.norm(amps)))
+    return FockVector._wrap(system, amps / float(np.linalg.norm(amps)))
 
 
 def state_from_terms(
     system: ModeSystem, terms: Iterable[tuple[complex, OperatorString]], normalize: bool = True
 ) -> FockVector:
     """Superpose weighted operator strings applied to the vacuum; a sum
-    that overflows is refused as not finite."""
+    that overflows is refused as not finite. The terms' amplitudes are
+    summed as plain arrays and only the sum is checked and wrapped, without
+    a copy, before it is normalized."""
     total = np.zeros(system.dim, dtype=np.complex128)
     with np.errstate(over="ignore"):
         for coeff, ops in terms:
-            total = total + complex(coeff) * from_operator_string(ops, system).amplitudes
-    state = FockVector(system, total)
+            total = total + complex(coeff) * _operator_string_amplitudes(ops, system)
+    state = FockVector._wrap(system, total)
     return state.normalized() if normalize else state
 
 

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import chain, permutations
 from operator import attrgetter
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -142,20 +142,28 @@ def _bipartition_positions(
 _ROUTE_PLANS = 64
 
 
-class _RoutePlan(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _RoutePlan:
     """What a reduction on one split, or a route comparison on it under
     one ordering, reads and no state changes: the kept and traced
-    positions, the kept system and the traced-first ordering's signs of
-    the fermionic trace, and, only for a plan made with an ordering, the
+    positions, the kept system, the traced-first ordering's signs of the
+    fermionic trace, and, only for a plan made with an ordering, the
     physical verdict and the ordering's signs for the qubit route, else
-    None. Signs are read-only int8 ``_kept_traced_view``s."""
+    None. Signs are read-only int8 ``_kept_traced_view``s. The fermionic
+    trace's are built by ``_fermionic``, from ``_route_plan``, when first
+    read, and then kept on the plan, so a qubit-only caller never builds
+    them and a later read is an attribute read."""
 
     kept: tuple[int, ...]
     traced: tuple[int, ...]
     physical: Union[bool, None]
     kept_system: ModeSystem
-    fermionic_signs: np.ndarray
     qubit_signs: Union[np.ndarray, None]
+    _fermionic: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def fermionic_signs(self) -> np.ndarray:
+        return self._fermionic()
 
 
 @lru_cache(maxsize=_ROUTE_PLANS)
@@ -176,14 +184,20 @@ def _route_plan(
     kept_labels = tuple(system.modes[k] for k in kept)
     traced_labels = tuple(system.modes[k] for k in traced)
     physical = None if ordering is None else _kept_first(ordering, kept_labels, traced_labels)
-    fermionic, qubit = (
-        None if o is None else _kept_traced_view(ordering_sign_vector(system, o), kept, traced)
-        for o in (ModeOrdering(traced_labels + kept_labels), ordering)
+
+    def signs(o: ModeOrdering) -> np.ndarray:
+        view = _kept_traced_view(ordering_sign_vector(system, o), kept, traced)
+        view.setflags(write=False)
+        return view
+
+    return _RoutePlan(
+        tuple(kept),
+        tuple(traced),
+        physical,
+        ModeSystem.from_blocks(kept_labels),
+        None if ordering is None else signs(ordering),
+        lambda: signs(ModeOrdering(traced_labels + kept_labels)),
     )
-    for signs in (fermionic, qubit):
-        if signs is not None:
-            signs.setflags(write=False)
-    return _RoutePlan(tuple(kept), tuple(traced), physical, ModeSystem.from_blocks(kept_labels), fermionic, qubit)
 
 
 def _qubit_reduction(view: np.ndarray, pure: bool, signs: np.ndarray) -> np.ndarray:

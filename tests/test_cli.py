@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fermiorder import cli
 from fermiorder.cli import _build_parser, main
 from fermiorder.fock import FockVector, state_to_json_str
-from fermiorder.reduction import SweepResult, SweepRow
+from fermiorder.reduction import OrderingClass, SweepResult, SweepRow
 from fermiorder.states import spin_singlet_state
 
 ST1_SPEC = "0.5: a+ c+; 0.5: a+ d+; 0.5: b+ c+; 0.5: b+ d+"
@@ -562,3 +562,35 @@ def test_conflicting_inputs_are_usage_errors(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def _forbidden(what):
+    def call(*args, **kwargs):
+        raise AssertionError(f"a text report built {what}")
+
+    return call
+
+
+def test_text_reports_build_no_other_format(monkeypatch, capsys):
+    """A text report builds only its lines: ``theorem-sweep`` never calls
+    ``SweepResult.to_csv``, and ``ordering-scan`` builds no CSV, no JSON
+    and no per-class record. The JSON and CSV reports still build theirs."""
+    monkeypatch.delenv("FERMIORDER_TOL", raising=False)
+    sweep = ("theorem-sweep", "--modes", "2,1", "--trials", "3")
+    scan = ("ordering-scan", "--modes", "2,1", "--seed", "3")
+    expected = {}
+    for argv in (sweep, scan):
+        for fmt in ("text", "json", "csv"):
+            assert main([*argv, "--format", fmt]) == 0
+            expected[argv, fmt] = capsys.readouterr().out
+    with monkeypatch.context() as spies:
+        spies.setattr(SweepResult, "to_csv", _forbidden("the sweep's CSV"))
+        spies.setattr(cli.csv, "writer", _forbidden("a CSV writer"))
+        spies.setattr(cli.json, "dumps", _forbidden("a JSON record"))
+        spies.setattr(OrderingClass, "to_json", _forbidden("a class record"))
+        for argv in (sweep, scan):
+            assert main(list(argv)) == 0
+            assert capsys.readouterr().out == expected[argv, "text"]
+    assert expected[sweep, "csv"].startswith("seed,n,m,ordering,")
+    assert expected[scan, "csv"].startswith("representative,")
+    assert json.loads(expected[scan, "json"])["classes"]

@@ -29,8 +29,10 @@ from fermiorder.fock import (
     sector_indices,
     ssr_compliant,
     state_from_json_str,
+    state_from_terms,
     state_to_json_str,
 )
+from fermiorder import fock
 from fermiorder.states import (
     parity_violating_state,
     spin_singlet_state,
@@ -580,3 +582,84 @@ def test_signed_block_trace_is_the_whole_state_conjugation_to_the_byte():
             old = _old_signed_block_trace(signs, data, kept, traced, pure)
             assert (new.shape, new.dtype) == (old.shape, old.dtype)
             assert new.tobytes() == old.tobytes(), (n_modes, kept, data.shape, signs.shape)
+
+
+def test_constructor_copies_and_freezes_a_callers_array():
+    """``FockVector(system, arr)`` keeps a read-only copy of the caller's
+    array: later writes to ``arr`` do not change the state, and ``arr``
+    stays writable."""
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    arr = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    state = FockVector(system, arr)
+    arr[0] = 5.0
+    assert arr.flags.writeable
+    assert not state.amplitudes.flags.writeable
+    assert not np.shares_memory(state.amplitudes, arr)
+    assert state.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def _built_states():
+    """Each of the package's own state constructors, by name, as a call."""
+    system = ModeSystem.from_blocks(("a", "b"), ("c",))
+    plus = OperatorString.parse("a+ c+")
+    unnormalized = FockVector(system, 2 * basis_state(system, "100").amplitudes)
+    return {
+        "random_state": lambda: random_state(system, "even", 3),
+        "vacuum": lambda: FockVector.vacuum(system),
+        "basis_state": lambda: basis_state(system, "101"),
+        "apply": lambda: apply(CREATION, "b", unnormalized),
+        "normalized": lambda: unnormalized.normalized(),
+        "from_operator_string": lambda: from_operator_string(plus, system),
+        "from_operator_string[]": lambda: from_operator_string(OperatorString(()), system),
+        "state_from_terms": lambda: state_from_terms(system, [(0.5, plus), (0.5j, plus)], normalize=False),
+        "state_from_terms[normalize]": lambda: state_from_terms(system, [(3.0, plus), (1.0, OperatorString(()))]),
+        "from_json": lambda: FockVector.from_json({"modes": ["a", "b"], "amplitudes": {"01": [0.6, 0.8]}}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_built_states()))
+def test_package_built_states_are_read_only_and_checked_once(monkeypatch, name):
+    """Every state a package constructor returns holds a read-only array
+    that passed the vector checks (shape, finite) exactly once, however
+    many operator factors or terms built it; ``state_from_terms`` checks
+    its sum once and, when it normalizes, the normalized vector once
+    more. Its density from ``to_density`` is read-only, shares no memory
+    with the amplitudes and passed the density checks exactly once."""
+    build = _built_states()[name]
+    checked = []
+    real = fock._frozen_amplitudes
+    monkeypatch.setattr(fock, "_frozen_amplitudes", lambda *args: checked.append(1) or real(*args))
+    state = build()
+    assert isinstance(state, FockVector) and state.amplitudes.dtype == np.complex128
+    assert not state.amplitudes.flags.writeable
+    assert len(checked) == (2 if name == "state_from_terms[normalize]" else 1)
+    if not state.is_normalized():
+        return
+    densities = []
+    real_density = fock._check_density
+    monkeypatch.setattr(fock, "_check_density", lambda m: densities.append(1) or real_density(m))
+    rho = state.to_density()
+    assert len(densities) == 1
+    assert not rho.matrix.flags.writeable
+    assert not np.shares_memory(rho.matrix, state.amplitudes)
+
+
+def test_a_state_built_from_another_shares_no_memory_with_it():
+    """``apply`` and ``normalized`` build new arrays; the input state's
+    amplitudes are left as they were."""
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    vacuum = FockVector.vacuum(system)
+    for built in (apply(CREATION, "b", vacuum), vacuum.normalized()):
+        assert not np.shares_memory(built.amplitudes, vacuum.amplitudes)
+    assert vacuum.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_state_from_terms_refuses_an_overflowing_sum(normalize):
+    """Two finite terms whose sum overflows are refused with the
+    constructor's message, before any normalization."""
+    system = ModeSystem.from_blocks(("a",), ("b",))
+    plus = OperatorString.parse("a+")
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        state_from_terms(system, [(1e308, plus), (1e308, plus)], normalize=normalize)
+

@@ -1644,7 +1644,8 @@ def test_route_plan_cache_is_bounded_and_read_only():
     for bp in splits:
         for ordering in (ModeOrdering(bp.kept + bp.traced), ModeOrdering(tuple(rng.permutation(system.modes).tolist()))):
             plan = reduction._route_plan(system, bp, ordering)
-            arrays = [value for value in plan if isinstance(value, np.ndarray)]
+            assert plan.fermionic_signs is not None  # built on first read, then held
+            arrays = [value for value in vars(plan).values() if isinstance(value, np.ndarray)]
             assert len(arrays) == 2
             assert not any(array.flags.writeable for array in arrays)
             assert all(array.dtype == np.int8 for array in arrays)
@@ -1801,3 +1802,43 @@ def test_sweep_refuses_a_kept_block_above_the_eigensolver_cap_before_reducing(mo
         patched.setattr(reduction, "_block_partial_trace", no_reduction)
         with pytest.raises(DimensionMismatchError, match="^dimension 8192 exceeds eigensolver cap 4096$"):
             theorem_sweep(13, 1, trials=1)
+
+
+_QUBIT_ONLY_SIGNS = """
+import fermiorder as fo
+from fermiorder.ordering import ordering_sign_vector
+system = fo.ModeSystem.from_blocks(("a1", "a2", "a3"), ("c1", "c2", "c3"))
+state = fo.random_state(system, "even", 1)
+fo.qubit_route_reduction(state, fo.ModeOrdering(("c1", "a1", "a2", "c2", "a3", "c3")))
+print(ordering_sign_vector.cache_info().currsize)
+fo.fermionic_partial_trace(state)
+fo.fermionic_partial_trace(state)
+print(ordering_sign_vector.cache_info().currsize)
+"""
+
+
+def test_a_qubit_only_caller_builds_no_fermionic_signs():
+    """In a fresh process, one ``qubit_route_reduction`` on a new (3,3)
+    split computes two sign vectors, the ordering's and its restriction to
+    the kept modes, and not the fermionic trace's; the first fermionic
+    trace on the split adds that one, and a second adds none."""
+    import subprocess
+    import sys
+
+    out = subprocess.run([sys.executable, "-c", _QUBIT_ONLY_SIGNS], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["2", "3"]
+
+
+def test_route_plan_keeps_the_fermionic_signs_it_builds():
+    """A plan builds the fermionic trace's signs on their first read and
+    then holds them as an instance attribute, so every later read returns
+    the same array without calling the builder again."""
+    system = sweep_system(2, 2)
+    reduction._route_plan.cache_clear()
+    plan = reduction._route_plan(system, None)
+    assert "fermionic_signs" not in vars(plan)
+    signs = plan.fermionic_signs
+    assert vars(plan)["fermionic_signs"] is signs
+    assert reduction._route_plan(system, None).fermionic_signs is signs
+    expected = ordering_module.ordering_sign_vector(system, ModeOrdering(system.c_labels + system.a_labels))
+    assert np.array_equal(signs, fock._kept_traced_view(expected, [0, 1], [2, 3]))

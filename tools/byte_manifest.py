@@ -15,14 +15,24 @@ comparable:
     PYTHONPATH=/path/to/other/src python tools/byte_manifest.py > old.txt
     diff old.txt new.txt
 
-``--quick`` prints a subset (2-4 modes, a few CLI commands) in about a
-second. The item count, the package path and the runtime go to stderr.
+or, as one command that prints only the ids whose lines differ, an id
+found in one manifest alone included, and exits 1 if there are any:
+
+    PYTHONPATH=src python tools/byte_manifest.py --against /path/to/other/src
+
+``--against`` makes this manifest in process and then the other in a
+subprocess, this script run with ``PYTHONPATH`` set to that ``src`` and
+the environment otherwise unchanged, so both use the same BLAS threads. ``--quick`` prints a subset (2-4 modes, a few CLI commands) in
+about a second, and with ``--against`` compares that subset. The item
+count, the package path and the runtime go to stderr.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -444,19 +454,49 @@ def manifest(quick: bool = False) -> list[str]:
     return m.lines()
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else list(argv)
-    if set(args) - {"--quick"}:
-        print(f"usage: byte_manifest.py [--quick], got {args}", file=sys.stderr)
-        return 2
+def differing_ids(ours: list[str], theirs: list[str]) -> list[str]:
+    """The sorted ids whose lines differ between two manifests, an id in
+    one of them alone included."""
+    return sorted({line.split(" ")[0] for line in set(ours) ^ set(theirs)})
+
+
+def _timed_manifest(quick: bool) -> list[str]:
+    """``manifest(quick)``, its item count, package path and runtime
+    reported on stderr."""
     start = time.perf_counter()
-    lines = manifest(quick="--quick" in args)
-    print("\n".join(lines))
+    lines = manifest(quick)
     print(
         f"{len(lines)} items from {Path(fo.__file__).parent} in {time.perf_counter() - start:.1f} s",
         file=sys.stderr,
     )
-    return 0
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="byte_manifest.py", description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="a subset in about a second")
+    parser.add_argument("--against", metavar="SRC_DIR", help="print the ids that differ from SRC_DIR's manifest")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        print("\n".join(_timed_manifest(args.quick)))
+        return 0
+    lines = _timed_manifest(args.quick)
+    # one after the other: two processes with threaded BLAS on a 2-core
+    # machine each took 145 s for what takes 16 s alone
+    other = subprocess.run(
+        [sys.executable, __file__, *(["--quick"] if args.quick else [])],
+        env={**os.environ, "PYTHONPATH": str(Path(args.against).resolve())},
+        capture_output=True,
+        text=True,
+    )
+    sys.stderr.write(other.stderr)
+    if other.returncode != 0:
+        print(f"byte_manifest.py: the manifest of {args.against} exited {other.returncode}", file=sys.stderr)
+        return 2
+    differ = differing_ids(lines, other.stdout.splitlines())
+    if differ:
+        print("\n".join(differ))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
