@@ -25,7 +25,10 @@ reduction takes its signs from the pair-inversion rule of
 The package's own vector constructors fill one new array, check it once
 and wrap it without a copy (``FockVector._wrap``); the public constructors
 copy what a caller passes in and run the same checks, and ``to_density``
-builds its density through ``DensityOperator``'s.
+builds its density through ``DensityOperator``'s. One routine,
+``_draw_amplitudes``, draws a random state's amplitudes into a given
+zeroed row: ``random_state`` wraps one such row, and ``theorem_sweep``
+fills the rows of each chunk's stack in place.
 """
 
 from __future__ import annotations
@@ -357,10 +360,16 @@ def _frozen_amplitudes(system: ModeSystem, amps: np.ndarray) -> np.ndarray:
     per basis state of ``system`` and made read-only."""
     if amps.shape != (system.dim,):
         raise ValueError(f"expected {system.dim} amplitudes, got shape {amps.shape}")
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
+    _check_finite_amplitudes(amps)
     amps.setflags(write=False)
     return amps
+
+
+def _check_finite_amplitudes(amps: np.ndarray) -> None:
+    """Refuse amplitudes, of one state or a stack of them, with an entry
+    that is not finite."""
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
 
 
 def _vacuum_amplitudes(system: ModeSystem) -> np.ndarray:
@@ -604,11 +613,21 @@ def random_state(system: ModeSystem, sector: str = ANY_SECTOR, seed: int = 0) ->
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    support = sector_indices(system, sector)
     amps = np.zeros(system.dim, dtype=np.complex128)
-    amps[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
-    return FockVector._wrap(system, amps / float(np.linalg.norm(amps)))
+    _draw_amplitudes(amps, sector_indices(system, sector), seed)
+    return FockVector._wrap(system, amps)
+
+
+def _draw_amplitudes(row: np.ndarray, support: np.ndarray, seed: int) -> None:
+    """Write the amplitudes of ``random_state``'s state of ``seed`` into
+    ``row``, a zeroed complex128 vector: ``default_rng(seed)``'s real and
+    then imaginary standard Gaussians on the sector's ``support``, divided
+    in place by their norm. The one place the package draws a state, so
+    ``random_state`` and each row of ``theorem_sweep``'s stacks hold the
+    same bytes; the caller checks that they are finite."""
+    rng = np.random.default_rng(seed)
+    row[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    row /= float(np.linalg.norm(row))
 
 
 def state_from_terms(

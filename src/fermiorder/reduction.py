@@ -46,8 +46,6 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .fock import (
-    EVEN,
-    ODD,
     _CROSS_PARITY,
     _ONE_PARITY,
     _STACK_BYTES,
@@ -57,13 +55,15 @@ from .fock import (
     ModeSystem,
     _block_partial_trace,
     _check_density,
+    _check_finite_amplitudes,
+    _draw_amplitudes,
     _kept_traced_view,
     _exact_parity,
+    _parity_indices,
     _sign_conjugate,
     _ssr_compliant_amplitudes,
     _state_data,
     _trace_view,
-    random_state,
     ssr_compliant,
 )
 from .numerics import DEFAULT_TOL, _check_eig_dim, _check_finite, _check_tol, _trace_distances
@@ -851,16 +851,21 @@ def theorem_sweep(
     routes are compared on it, without forming its density, under the
     canonical kept-before-traced ordering. ``trials`` states are drawn in
     the even sector, then ``trials`` in the odd one; trial seeds are
-    ``seed + i`` in that order, so a reported seed reproduces its state
-    directly. The split and both routes' signs are read once, from the
+    ``seed + i`` in that order. Each trial is drawn straight into its row
+    of one zeroed stack per chunk by ``fock._draw_amplitudes``, the draw
+    ``random_state`` makes, so ``random_state(system, sector, s)`` holds a
+    reported seed's state byte for byte; no ``FockVector`` is built per
+    trial, and the stack is checked finite once, with ``random_state``'s
+    message. The split and both routes' signs are read once, from the
     route plan of the canonical ordering (``_route_plan``). The trials are
-    not checked one by one: their amplitudes are stacked and compared in
-    one evaluation of ``_compare_routes`` per chunk, each chunk as many trials as keep the stacked arrays it holds at
-    once within ``_STACK_BYTES``, the budget the ordering scan also keeps,
-    and at least one; at 14 modes that is one trial. A chunk whose two
-    routes agree to the bit, as superselected states do under the
-    canonical ordering, gets its trace distances with no eigensolve; any
-    other chunk takes one eigensolve of its stacked differences. Every check
+    not checked one by one: each chunk's stack is compared in one
+    evaluation of ``_compare_routes``, each chunk as many trials as keep
+    the stacked arrays it holds at once within ``_STACK_BYTES``, the
+    budget the ordering scan also keeps, and at least one; at 14 modes
+    that is one trial. A chunk whose two routes agree to the bit, as
+    superselected states do under the canonical ordering, gets its trace
+    distances with no eigensolve; any other chunk takes one eigensolve of
+    its stacked differences. Every check
     ``theorem_check`` makes runs on each chunk, a failure naming the first
     offending row of its chunk, and every row equals the ``theorem_check``
     of its state, to the bit. The canonical ordering lists the kept block
@@ -883,12 +888,14 @@ def theorem_sweep(
     # of that size per trial at once (tracemalloc: 5 to 8)
     state_bytes = 16 * max(system.dim, 1 << 2 * n)
     per_chunk = max(1, _STACK_BYTES // (8 * state_bytes))
+    even, odd = _parity_indices(system.n_modes)
     rows = []
     for start in range(0, 2 * trials, per_chunk):
         seeds = range(seed + start, seed + min(start + per_chunk, 2 * trials))
-        amplitudes = np.stack(
-            [random_state(system, EVEN if s < seed + trials else ODD, s).amplitudes for s in seeds]
-        )
+        amplitudes = np.zeros((len(seeds), system.dim), dtype=np.complex128)
+        for row, s in zip(amplitudes, seeds):
+            _draw_amplitudes(row, even if s < seed + trials else odd, s)
+        _check_finite_amplitudes(amplitudes)
         _, _, diff, dist = _compare_routes(plan, amplitudes, True)
         ssr = _ssr_compliant_amplitudes(amplitudes, system.n_modes)
         rows += [

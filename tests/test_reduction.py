@@ -284,7 +284,7 @@ def test_sweep_refuses_an_empty_kept_block_before_drawing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("drew or reduced before the bipartition was checked")
 
-    monkeypatch.setattr(reduction, "random_state", forbidden)
+    monkeypatch.setattr(reduction, "_draw_amplitudes", forbidden)
     monkeypatch.setattr(reduction, "_block_partial_trace", forbidden)
     message = re.escape("bipartition ()|('c1', 'c2') keeps no mode: the kept block is empty")
     with pytest.raises(InvalidBipartitionError, match=message):
@@ -304,7 +304,7 @@ def test_sweep_refuses_negative_counts_before_drawing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("drew a state before the counts were checked")
 
-    monkeypatch.setattr(reduction, "random_state", forbidden)
+    monkeypatch.setattr(reduction, "_draw_amplitudes", forbidden)
     for n, m in ((2, -3), (-1, 2)):
         with pytest.raises(ValueError, match=re.escape(f"mode counts must be non-negative, got ({n},{m})")):
             theorem_sweep(n, m, 1)
@@ -981,7 +981,7 @@ def test_entry_points_refuse_a_tolerance_no_comparison_passes(monkeypatch, tol):
     system = sweep_system(2, 2)
     state = random_state(system, sector="even", seed=31)
     monkeypatch.setattr(reduction, "_state_data", forbidden)
-    monkeypatch.setattr(reduction, "random_state", forbidden)
+    monkeypatch.setattr(reduction, "_draw_amplitudes", forbidden)
     message = re.escape(f"tol must be in (0, 1), got {tol}")
     with pytest.raises(ValueError, match=message):
         theorem_check(state, ModeOrdering.canonical(system), tol=tol)
@@ -1456,7 +1456,8 @@ SWEEP_SPLITS = [(1, 0), (1, 1), (2, 1), (1, 3), (3, 1), (2, 3), (3, 3), (4, 3)]
 def test_sweep_rows_equal_per_trial_checks(monkeypatch, budget):
     """The stacked sweep gives, byte for byte, the rows of one
     ``theorem_check`` per trial, and never calls ``theorem_check``. Its
-    stacks hold, row by row, the states those checks draw. A budget of 1
+    stacks hold, row by row and bit for bit, signed zeros included, the
+    states ``random_state`` draws for those checks. A budget of 1
     byte makes every trial its own chunk; 8000 bytes gives chunks that
     straddle the sector boundary at the small splits."""
     expected = {
@@ -1483,8 +1484,11 @@ def test_sweep_rows_equal_per_trial_checks(monkeypatch, budget):
         assert _sweep_bytes(theorem_sweep(n, m, trials=5, seed=seed)) == want
         system = sweep_system(n, m)
         sectors = ["even"] * 5 + ["odd"] * 5
-        drawn = [random_state(system, sector=sector, seed=seed + i) for i, sector in enumerate(sectors)]
-        assert np.array_equal(np.concatenate(stacks), [state.amplitudes for state in drawn])
+        drawn = np.stack(
+            [random_state(system, sector=sector, seed=seed + i).amplitudes for i, sector in enumerate(sectors)]
+        )
+        swept = np.concatenate(stacks)
+        assert (swept.dtype, swept.shape, swept.tobytes()) == (drawn.dtype, drawn.shape, drawn.tobytes())
         if budget == 1:
             assert len(stacks) == 10
         if budget == 8000 and (n, m) == (2, 1):

@@ -363,3 +363,26 @@ def test_one_exact_hermitization():
     tree = ast.parse((PACKAGE_DIR / "numerics.py").read_text())
     (hermitize,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_hermitize"]
     assert found == [f"numerics.py:{hermitize.body[-1].lineno}"]
+
+
+def test_one_draw_of_a_random_state():
+    """``np.random.default_rng`` is called in the package only by
+    ``fock._draw_amplitudes``, the one routine that draws a state's
+    amplitudes, and by ``reduction._scan_plan``, whose generator of seed 0
+    draws the keys that pick the scan's sampled orderings, not a state.
+    ``theorem_sweep`` draws through that routine into its stacks and calls
+    neither ``random_state`` nor ``np.stack``, so a second draw, or a
+    ``FockVector`` per trial stacked again, cannot come back unnoticed."""
+    found = sorted(
+        f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        for _ in _calls_of(node, "default_rng")
+    )
+    assert found == ["fock._draw_amplitudes", "reduction._scan_plan"]
+    fock = ast.parse((PACKAGE_DIR / "fock.py").read_text(), filename="fock.py")
+    assert _callers(fock, "_draw_amplitudes") == ["random_state"]
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    assert _callers(tree, "_draw_amplitudes") == ["theorem_sweep"]
+    for name in ("random_state", "stack"):
+        assert "theorem_sweep" not in _callers(tree, name), name

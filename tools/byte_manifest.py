@@ -45,7 +45,8 @@ from fermiorder import states
 from fermiorder.cli import main as cli_main
 
 #: The golden CLI commands and those the README shows, then commands that
-#: fail: each is run in process with ``FERMIORDER_TOL`` unset.
+#: fail, then a sweep at its default of 100 trials per sector: each is run
+#: in process with ``FERMIORDER_TOL`` unset.
 CLI_COMMANDS = (
     ("examples",),
     ("examples", "--format", "json"),
@@ -86,6 +87,7 @@ CLI_COMMANDS = (
     ("negativity", "--state", "1e999: a+", "--kept", "a", "--traced", "b", "--ordering", "a,b"),
     ("ordering-scan", "--modes", "1,1", "--kept", "a"),
     ("frobnicate",),
+    ("theorem-sweep", "--modes", "2,2"),
 )
 
 #: The commands ``--quick`` runs: one of each kind, and one failure.
@@ -328,6 +330,8 @@ def _add_named_states(manifest) -> None:
 def _add_sweeps(manifest, quick: bool) -> None:
     for n, m, trials, seed in ((1, 1, 5, 0), (2, 2, 20, 3)) if quick else (
         (1, 1, 5, 0), (2, 2, 20, 3), (3, 3, 10, 7), (4, 4, 25, 3), (2, 5, 8, 11), (6, 1, 4, 2),
+        # at 12 and 14 modes each chunk holds one trial
+        (6, 6, 3, 5), (7, 7, 2, 9),
     ):
         manifest.add(f"sweep/{n}-{m}-{trials}-{seed}", lambda: fo.theorem_sweep(n, m, trials, seed), SWEEP_FIELDS)
 
