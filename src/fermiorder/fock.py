@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -512,22 +512,30 @@ def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
 
 
 #: Bytes for the temporaries of a chunked or stacked evaluation, the
-#: package's one memory budget. ``ssr_compliant`` reads this much of a
-#: density's rows at once: budgets from 128 KiB to 1 MiB check an 11- or
-#: 12-mode density in the same time within 10%, one BLAS thread, and the
-#: tracemalloc peak is 1.5 times the budget, 0.38 MiB, where one D x D
-#: mask peaked at 48 and 192 MiB (``BENCH_24.json``). The ordering scan
-#: gives one stacked array, a signed state, a density's signed
-#: traced-diagonal slab of dk^2 dt entries or a dk x dk reduction per
-#: evaluated ordering, this much, and each stack of orbit matrices it
-#: derives from them as much; the sweep keeps every stacked array one
-#: chunk of trials holds at once within it. For those stacks 256 KiB is
-#: the knee of a sweep from 64 KiB to 1 MiB on a 2-core machine
-#: (``BENCH_14.json``): below it the scan spends its time on per-chunk
-#: work, and above it larger stacks raise the (4,4) scan's tracemalloc
-#: peak. The budget bounds the stacks alone, not the scan plan, which
-#: outlives the call.
+#: package's one memory budget, read by ``_stack_runs`` alone. Each caller
+#: states the bytes of one item of its stack: ``ssr_compliant`` a
+#: density's row, ``data[0].nbytes``; the sweep a trial's eight arrays,
+#: ``8 * state_bytes``; the ordering scan a group's evaluations,
+#: ``group_bytes`` (a signed state, a density's signed traced-diagonal
+#: slab of dk^2 dt entries or a dk x dk reduction per evaluated
+#: ordering), and an orbit's matrix, 16 dk^2. For ``ssr_compliant``,
+#: budgets from 128 KiB to 1 MiB check an 11- or 12-mode density in the
+#: same time within 10%, one BLAS thread, and the tracemalloc peak is 1.5
+#: times the budget, 0.38 MiB, where one D x D mask peaked at 48 and 192
+#: MiB (``BENCH_24.json``). For the stacks 256 KiB is the knee of a sweep
+#: from 64 KiB to 1 MiB on a 2-core machine (``BENCH_14.json``): below it
+#: the scan spends its time on per-chunk work, and above it larger stacks
+#: raise the (4,4) scan's tracemalloc peak. The budget bounds the stacks
+#: alone, not the scan plan, which outlives the call.
 _STACK_BYTES = 256 * 1024
+
+
+def _stack_runs(start: int, stop: int, item_bytes: int) -> Iterator[tuple[int, int]]:
+    """The ``(lo, hi)`` runs of ``start..stop``, each of as many items of
+    ``item_bytes`` as ``_STACK_BYTES`` holds, and at least one."""
+    step = max(1, _STACK_BYTES // item_bytes)
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
 
 
 def ssr_compliant(state: FockState) -> bool:
@@ -538,17 +546,16 @@ def ssr_compliant(state: FockState) -> bool:
     entry of psi psi^dagger is its largest even amplitude times its largest
     odd one, so the density is never formed. A density's cross-parity
     entries are its even rows' odd columns and its odd rows' even columns,
-    read ``_STACK_BYTES`` of rows at a time, so no array of the
-    density's size is made.
+    read in runs of rows of at most ``_STACK_BYTES`` (``_stack_runs``), so
+    no array of the density's size is made.
     """
     system, data = _state_data(state)
     if data.ndim == 1:
         return bool(_ssr_compliant_amplitudes(data, system.n_modes))
     even, odd = _parity_indices(system.n_modes)
-    step = max(1, _STACK_BYTES // data[0].nbytes)
     for rows, columns in ((even, odd), (odd, even)):
-        for start in range(0, len(rows), step):
-            if np.abs(data[rows[start : start + step]][:, columns]).max() > DEFAULT_TOL:
+        for lo, hi in _stack_runs(0, len(rows), data[0].nbytes):
+            if np.abs(data[rows[lo:hi]][:, columns]).max() > DEFAULT_TOL:
                 return False
     return True
 

@@ -48,7 +48,6 @@ import numpy as np
 from .fock import (
     _CROSS_PARITY,
     _ONE_PARITY,
-    _STACK_BYTES,
     BipartitionSpec,
     DensityOperator,
     FockState,
@@ -62,6 +61,7 @@ from .fock import (
     _parity_indices,
     _sign_conjugate,
     _ssr_compliant_amplitudes,
+    _stack_runs,
     _state_data,
     _trace_view,
     ssr_compliant,
@@ -618,8 +618,8 @@ def ordering_scan(
     checks both rules on every group, and for a mixture the column rule on
     every class. These evaluations run stacked, whole groups at a time, in
     chunks whose largest stacked array stays within ``_STACK_BYTES`` unless
-    one group alone is larger: each chunk's sign rows come from one
-    ``_inversion_signs`` call and go through
+    one group alone is larger (``_stack_runs``): each chunk's sign rows
+    come from one ``_inversion_signs`` call and go through
     ``_qubit_reduction``, the route ``theorem_check`` compares. A density
     is signed on its traced-diagonal slab alone, so a sample costs dk^2 dt
     entries, not the density's 4^N, and an even (3,3) density scan runs its
@@ -628,11 +628,13 @@ def ordering_scan(
     checks ``DensityOperator`` makes: d_R moves no diagonal entry and no
     deviation size, so a derived matrix passes them as its first member
     does. The chunk then derives the matrix of each orbit of its groups,
-    at most ``_STACK_BYTES`` of them at a time, by the one conjugation
-    ``_sign_conjugate`` that also derives the samples, and orbits are
-    merged whenever they land on the identical reduced matrix, with
-    negative zeros flushed to +0.0 first; the flushed bytes of the orbit
-    that opens a class are its merge key and its matrix, held once, and
+    at most ``_STACK_BYTES`` of them at a time (``_stack_runs``), by the
+    rule that also gives each sample the matrix it must equal, the scan's
+    one ``_sign_conjugate`` call; no stack is held while the next is
+    derived. Orbits are merged whenever they land on the identical reduced
+    matrix, with negative zeros flushed to +0.0 first; the flushed bytes of
+    the orbit that opens a class are its merge key and its matrix, held
+    once, and
     its ``reduced`` wraps them as a ``DensityOperator`` only when a caller
     first reads it. Each
     stack's orbits are compared against the fermionic trace in one array
@@ -688,18 +690,23 @@ def ordering_scan(
     # reduction
     state_size = data.size if data.ndim == 1 else dk * data.shape[0]
     group_bytes = data.itemsize * max(state_size, dk * dk) * (1 + SCAN_VERIFY_SAMPLES)
-    per_chunk = max(1, _STACK_BYTES // group_bytes)
-    # a group of a state of one parity may have more orbits than samples,
-    # so a chunk derives its orbits' matrices this many at a time
-    per_stack = max(1, _STACK_BYTES // (data.itemsize * dk * dk))
+
+    def derive(reduced: np.ndarray, heads: np.ndarray, orbits) -> np.ndarray:
+        # the matrices of ``orbits``: the rows ``heads`` of a chunk's reduced
+        # stack, each its group's first member, conjugated by the orbit's
+        # kept-side signs d_R when the verdict frees row flips
+        derived = reduced[heads]
+        if parity == _ONE_PARITY:
+            derived = _sign_conjugate(plan.orbit_signs[p, orbits], derived)
+        return derived
+
     # a class's key is its matrix's bytes, the one copy of it the scan keeps
     classes: dict[bytes, int] = {}
     # each class's largest entry difference from the fermionic trace; a
     # scan has at most one class per orbit
     diffs = np.empty(plan.orbit_bounds[-1])
     orbit_class = np.empty(plan.orbit_bounds[-1], dtype=np.int64)
-    for g in range(0, len(plan.bounds) - 1, per_chunk):
-        end = min(g + per_chunk, len(plan.bounds) - 1)
+    for g, end in _stack_runs(0, len(plan.bounds) - 1, group_bytes):
         lo, hi = plan.bounds[g], plan.bounds[end]
         rows = plan.samples[lo:hi]
         signs = _kept_traced_view(_inversion_signs(ranks[rows]), route.kept, route.traced)
@@ -709,10 +716,7 @@ def ordering_scan(
         # orbit complements relative to it
         starts = plan.bounds[g:end] - lo
         heads = np.repeat(starts, np.diff(plan.bounds[g : end + 1]))
-        derived = reduced[heads]
-        if parity == _ONE_PARITY:
-            derived = _sign_conjugate(plan.orbit_signs[p, plan.orbit[rows]], derived)
-        bad = np.flatnonzero((reduced != derived).any(axis=(1, 2)))
+        bad = np.flatnonzero((reduced != derive(reduced, heads, plan.orbit[rows])).any(axis=(1, 2)))
         if bad.size:
             head, other = names[perms[rows[[heads[bad[0]], bad[0]]]]].tolist()
             raise AssertionError(f"scan group of {tuple(head)} is not uniform: {tuple(other)} disagrees")
@@ -722,17 +726,15 @@ def ordering_scan(
         # member does
         _check_finite(reduced[starts])
         _check_density(reduced[starts])
-        # the same rule gives each orbit of the chunk's groups its matrix
-        # from its group's first member; adding 0.0 flushes negative zeros
-        # left behind by sign flips, which would otherwise split
-        # byte-identical classes
+        # the same rule gives each orbit of the chunk's groups its matrix,
+        # a stack of at most ``_STACK_BYTES`` of them at a time, since a
+        # group of a state of one parity may have more orbits than samples;
+        # adding 0.0 flushes negative zeros left behind by sign flips, which
+        # would otherwise split byte-identical classes
         o_lo, o_hi = plan.orbit_bounds[g], plan.orbit_bounds[end]
         orbit_heads = np.repeat(starts, np.diff(plan.orbit_bounds[g : end + 1]))
-        for o in range(o_lo, o_hi, per_stack):
-            o_end = min(o + per_stack, o_hi)
-            flushed = reduced[orbit_heads[o - o_lo : o_end - o_lo]]
-            if parity == _ONE_PARITY:
-                flushed = _sign_conjugate(plan.orbit_signs[p, o:o_end], flushed)
+        for o, o_end in _stack_runs(o_lo, o_hi, data.itemsize * dk * dk):
+            flushed = derive(reduced, orbit_heads[o - o_lo : o_end - o_lo], slice(o, o_end))
             flushed += 0.0
             flushed = flushed.reshape(o_end - o, -1)
             stack_class = [
@@ -742,9 +744,11 @@ def ordering_scan(
             orbit_class[o:o_end] = stack_class
             # every orbit of a class has its bytes, so its diff, too
             diffs[stack_class] = np.abs(flushed - fermionic).max(axis=1)
+            # no stack is held while the next is derived
+            del flushed
 
-    # the last chunk's stacks are not held while the members are sorted
-    del reduced, derived, flushed
+    # the last chunk's reductions are not held while the members are sorted
+    del reduced
     # each class lists its members in permutation order; class c's members
     # are ordered[starts[c] : ends[c]], its representative ordered[starts[c]].
     # Each permutation's class, 315 KiB at 8 modes, is not held while the
@@ -859,11 +863,11 @@ def theorem_sweep(
     message. The split and both routes' signs are read once, from the
     route plan of the canonical ordering (``_route_plan``). The trials are
     not checked one by one: each chunk's stack is compared in one
-    evaluation of ``_compare_routes``, each chunk as many trials as keep
-    the stacked arrays it holds at once within ``_STACK_BYTES``, the
-    budget the ordering scan also keeps, and at least one; at 14 modes
-    that is one trial. A chunk whose two routes agree to the bit, as
-    superselected states do under the canonical ordering, gets its trace
+    evaluation of ``_compare_routes``, each chunk a run of
+    ``_stack_runs``: as many trials as keep the stacked arrays it holds at
+    once within ``_STACK_BYTES``, the budget the ordering scan also keeps,
+    and at least one; at 14 modes that is one trial. A chunk whose two
+    routes agree to the bit, as superselected states do under the canonical ordering, gets its trace
     distances with no eigensolve; any other chunk takes one eigensolve of
     its stacked differences. Every check
     ``theorem_check`` makes runs on each chunk, a failure naming the first
@@ -887,11 +891,10 @@ def theorem_sweep(
     # complex128 bytes, and a chunk's comparison holds up to eight arrays
     # of that size per trial at once (tracemalloc: 5 to 8)
     state_bytes = 16 * max(system.dim, 1 << 2 * n)
-    per_chunk = max(1, _STACK_BYTES // (8 * state_bytes))
     even, odd = _parity_indices(system.n_modes)
     rows = []
-    for start in range(0, 2 * trials, per_chunk):
-        seeds = range(seed + start, seed + min(start + per_chunk, 2 * trials))
+    for lo, hi in _stack_runs(0, 2 * trials, 8 * state_bytes):
+        seeds = range(seed + lo, seed + hi)
         amplitudes = np.zeros((len(seeds), system.dim), dtype=np.complex128)
         for row, s in zip(amplitudes, seeds):
             _draw_amplitudes(row, even if s < seed + trials else odd, s)

@@ -16,7 +16,7 @@ from fermiorder import cli
 from fermiorder.cli import _build_parser, main
 from fermiorder.fock import FockVector, state_to_json_str
 from fermiorder.reduction import OrderingClass, SweepResult, SweepRow
-from fermiorder.states import spin_singlet_state
+from fermiorder.states import parse_state_spec, spin_singlet_state
 
 ST1_SPEC = "0.5: a+ c+; 0.5: a+ d+; 0.5: b+ c+; 0.5: b+ d+"
 ST3_SPEC = "0.5: ; 0.5: b+; 0.5: a+; 0.5: a+ b+"
@@ -484,6 +484,8 @@ def test_state_spec_parse_error_exit_code():
     )
     assert proc.returncode == 2
     assert "coeff" in proc.stderr or "missing" in proc.stderr
+    with pytest.raises(ValueError, match=r"^state specification is empty$"):
+        parse_state_spec(" ; ")
 
 
 # dest: (option strings, type name, default, choices, required)
@@ -554,8 +556,12 @@ def test_option_tables_are_pinned():
             ["ordering-scan", "--modes", "1,1", "--kept", "a,b", "--traced", "c,d"],
             "not both",
         ),
+        (["theorem-sweep", "--modes", "2"], "expected 'n,m' integers"),
+        (["ordering-scan", "--kept", ",", "--traced", "a"], "expected comma-separated labels"),
+        (["theorem-sweep", "--modes", "1,1", "--trials", "0"], "must be at least 1"),
+        (["ordering-scan"], "give either --kept/--traced or --modes n,m"),
     ],
-    ids=["state-and-state-json", "modes-and-kept"],
+    ids=["state-and-state-json", "modes-and-kept", "modes-one-number", "kept-no-labels", "trials-zero", "no-split"],
 )
 def test_conflicting_inputs_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

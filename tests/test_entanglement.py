@@ -58,6 +58,8 @@ def test_partial_transpose_is_involution():
     once = partial_transpose(m, system)
     twice = partial_transpose(once, system)
     assert np.array_equal(twice, m)
+    with pytest.raises(ValueError, match=r"^expected a 16x16 matrix, got \(4, 4\)$"):
+        partial_transpose(np.eye(4), system)
 
 
 def test_partial_transpose_matches_index_oracle():
@@ -146,6 +148,10 @@ def test_fermionic_negativity_requires_ordering():
     state = occupation_bell_state()
     with pytest.raises(ValueError):
         negativity(state)
+    # a qubit state's own ordering is the only one it may be read under
+    image = qubit_state_from_matrix(np.eye(4, dtype=complex) / 4)
+    with pytest.raises(ValueError, match=r"^qubit state already carries an ordering; do not pass a different one$"):
+        negativity(image, ordering=ModeOrdering(("c1", "a1")))
 
 
 def test_bell_negativity_half():
@@ -381,6 +387,8 @@ def test_separable_builds_have_zero_negativity(seed, wide):
 def test_decomposition_validation():
     with pytest.raises(MalformedDecompositionError):
         SeparableDecomposition(weights=(), terms_kept=(), terms_traced=())
+    with pytest.raises(MalformedDecompositionError, match=r"^weights and term lists must have equal length$"):
+        SeparableDecomposition((1.0,), (), ())
     with pytest.raises(MalformedDecompositionError):
         SeparableDecomposition(
             weights=(0.4, 0.4),
@@ -595,6 +603,9 @@ def test_pure_concurrence_is_twice_the_schmidt_product():
 def test_concurrence_rejects_non_density():
     with pytest.raises(ValueError):
         concurrence_and_eof(np.eye(4, dtype=complex))
+    system = sweep_system(2, 2)
+    with pytest.raises(ValueError, match=r"^need a two-mode system, got 4 modes$"):
+        concurrence_and_eof(random_state(system, "even", 1), ModeOrdering.canonical(system))
 
 
 def test_measures_increase_together_along_tilt_family():

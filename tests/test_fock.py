@@ -12,6 +12,7 @@ from fermiorder.fock import (
     _ONE_PARITY,
     ANNIHILATION,
     CREATION,
+    BipartitionSpec,
     DensityOperator,
     FockVector,
     ModeSystem,
@@ -54,11 +55,28 @@ def small_system(n=3):
 def test_mode_labels_must_be_distinct():
     with pytest.raises(ValueError):
         ModeSystem(("a", "a"), a_count=1)
+    # a label in both blocks of a split is refused by name
+    with pytest.raises(ValueError, match=r"^kept and traced blocks overlap: \['a1'\]$"):
+        BipartitionSpec(kept=("a1",), traced=("a1", "c1"))
 
 
 def test_mode_count_guard():
     with pytest.raises(ValueError):
         ModeSystem(tuple(f"m{i}" for i in range(15)), a_count=1)
+    with pytest.raises(ValueError, match=r"^a_count 3 out of range for 2 modes$"):
+        ModeSystem(("a", "b"), 3)
+
+
+def test_states_refuse_a_wrong_size_and_the_zero_vector():
+    """A vector or density of another size than its system's, and
+    normalizing the zero vector, are ``ValueError``s that say so."""
+    system = ModeSystem.from_blocks(("a1", "a2"), ("c1", "c2"))
+    with pytest.raises(ValueError, match=r"^expected 16 amplitudes, got shape \(3,\)$"):
+        FockVector(system, np.ones(3))
+    with pytest.raises(ValueError, match=r"^expected a 16x16 matrix$"):
+        DensityOperator(system, np.eye(4) / 4)
+    with pytest.raises(ValueError, match=r"^cannot normalize the zero vector$"):
+        FockVector(system, np.zeros(16)).normalized()
 
 
 def test_unknown_mode_rejected():
@@ -121,6 +139,8 @@ def test_operator_string_parse_errors():
         OperatorString.parse("a1")
     with pytest.raises(ValueError):
         OperatorString.parse("+")
+    with pytest.raises(ValueError, match=r"^operator kind must be '\+' or '-', got '\*'$"):
+        OperatorString((("a1", "*"),))
 
 
 # --- algebraic properties ----------------------------------------------------
@@ -351,7 +371,8 @@ def test_ssr_of_a_density_makes_no_array_of_its_size():
 def test_sector_indices_are_shared_read_only_arrays():
     """The even and odd sectors' indices are the ascending indices of even
     and odd occupation count, one read-only array per sector and mode
-    count, handed out again on every call; "any" lists every index."""
+    count, handed out again on every call; "any" lists every index, and
+    any other sector is refused."""
     for n_modes in range(1, 12):
         system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
         counts = np.array([bin(i).count("1") for i in range(system.dim)])
@@ -361,6 +382,8 @@ def test_sector_indices_are_shared_read_only_arrays():
             assert not indices.flags.writeable
             assert sector_indices(system, sector) is indices
         assert np.array_equal(sector_indices(system, "any"), np.arange(system.dim))
+    with pytest.raises(ValueError, match=r"^sector must be 'even', 'odd' or 'any', got 'both'$"):
+        sector_indices(system, "both")
 
 
 # --- random states ------------------------------------------------------------

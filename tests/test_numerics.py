@@ -91,6 +91,9 @@ def test_not_hermitian_rejected():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(m)
+    # a matrix that is not square is refused before its Hermiticity is read
+    with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        hermitian_eigenvalues(np.ones((2, 3)))
 
 
 def test_trace_norm_of_density_is_one():

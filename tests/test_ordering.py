@@ -229,6 +229,8 @@ def test_restriction_keeps_relative_order():
     assert ordering.restricted_to(("d", "c", "b")).labels == ("d", "c", "b")
     with pytest.raises(InvalidSubsetError):
         ordering.restricted_to(("a", "zz"))
+    with pytest.raises(InvalidSubsetError, match=r"^label 'zz' not in ordering \('d', 'a', 'c', 'b'\)$"):
+        ordering.rank("zz")
 
 
 def test_qubit_state_shape_validation():

@@ -840,7 +840,7 @@ def test_scan_chunk_size_does_not_change_results(monkeypatch):
             for budget in (1, 16 << 20):
                 chunks.clear()
                 with monkeypatch.context() as patched:
-                    patched.setattr(reduction, "_STACK_BYTES", budget)
+                    patched.setattr(fock, "_STACK_BYTES", budget)
                     patched.setattr(reduction, "_block_partial_trace", counting)
                     assert _scan_record(ordering_scan(given, bp)) == default
                 if budget > 1 and given is state:
@@ -898,7 +898,7 @@ def test_density_scan_signs_its_orderings_in_few_chunks(monkeypatch):
         reduction.ordering_scan(given, bp)
         counts.append(len(calls))
     slab_bytes = 16 * 8 * 8 * 8 * (1 + reduction.SCAN_VERIFY_SAMPLES)
-    assert reduction._STACK_BYTES // slab_bytes == 8
+    assert fock._STACK_BYTES // slab_bytes == 8
     assert counts == [1, 2]
 
 
@@ -1007,8 +1007,8 @@ def test_scan_class_diffs_are_those_of_their_own_matrices(monkeypatch):
             state = random_state(system, sector=sector, seed=int(rng.integers(1 << 30)))
             inputs += [(given, _split_not_first(rng, system)) for given in (state, state.to_density())]
         inputs.append((_parity_mixture(system, n_modes), _split_not_first(rng, system)))
-    for budget in (1, reduction._STACK_BYTES):
-        monkeypatch.setattr(reduction, "_STACK_BYTES", budget)
+    for budget in (1, fock._STACK_BYTES):
+        monkeypatch.setattr(fock, "_STACK_BYTES", budget)
         for given, bp in inputs:
             fermionic = fermionic_partial_trace(given, bp).matrix
             classes = reduction.ordering_scan(given, bp)
@@ -1023,19 +1023,25 @@ def test_scan_holds_each_class_matrix_once():
     """A (4,3) scan of a state mixing parities, on a kept set that is not
     first, peaks under twice the bytes of the class matrices it returns
     (tracemalloc): each class's merge key is its matrix, so no second copy
-    of the class matrices is held while the scan runs."""
-    system = sweep_system(4, 3)
-    bp = BipartitionSpec(kept=("a2", "c1", "c3", "a4"), traced=("a1", "a3", "c2"))
-    state = random_state(system, sector="any", seed=43)
-    tracemalloc.start()
-    try:
-        classes = reduction.ordering_scan(state, bp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = sum(c.reduced.matrix.nbytes for c in classes)
-    assert len(classes) > 1000
-    assert peak < 2 * held
+    of the class matrices is held while the scan runs. A (7,1) scan of an
+    even pure state peaks under 1.5 times: its one group has 64 orbits of
+    256 KiB matrices, and they are derived one ``_STACK_BYTES`` stack at a
+    time, not the group's at once."""
+    cases = (
+        (sweep_system(4, 3), BipartitionSpec(kept=("a2", "c1", "c3", "a4"), traced=("a1", "a3", "c2")), "any", 1000, 2),
+        (sweep_system(7, 1), None, "even", 63, 1.5),
+    )
+    for system, bp, sector, count, bound in cases:
+        state = random_state(system, sector=sector, seed=43)
+        tracemalloc.start()
+        try:
+            classes = reduction.ordering_scan(state, bp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(c.reduced.matrix.nbytes for c in classes)
+        assert len(classes) > count
+        assert peak < bound * held, (system.n_modes, peak / held)
 
 
 def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
@@ -1050,8 +1056,8 @@ def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
         return 1.5 * reduced if reduced.ndim == 3 else reduced
 
     monkeypatch.setattr(reduction, "_block_partial_trace", scaled)
-    for budget in (1, reduction._STACK_BYTES):
-        monkeypatch.setattr(reduction, "_STACK_BYTES", budget)
+    for budget in (1, fock._STACK_BYTES):
+        monkeypatch.setattr(fock, "_STACK_BYTES", budget)
         with pytest.raises(ValueError, match="density matrix trace is"):
             reduction.ordering_scan(state)
 
@@ -1073,7 +1079,7 @@ def test_scan_uniformity_check_fires(monkeypatch):
             corrupted.append(ranks)
         return signs
 
-    monkeypatch.setattr(reduction, "_STACK_BYTES", 1)
+    monkeypatch.setattr(fock, "_STACK_BYTES", 1)
     monkeypatch.setattr(reduction, "_inversion_signs", one_flip)
     for sector, kept, traced in (("any", ("a1", "a2"), ("c1", "c2")), ("even", ("a1", "c1"), ("a2", "c2"))):
         corrupted.clear()
@@ -1428,6 +1434,8 @@ def test_sweep_rows_and_determinism():
     assert first.rows[0].seed == 3
     header = first.to_csv().splitlines()[0]
     assert header == "seed,n,m,ordering,maxEntryDiff,traceDistance,ssr"
+    # a sweep of no rows has no worst seed
+    assert SweepResult(rows=(), tol=1e-12).worst_seed is None
 
 
 def _per_trial_sweep(n, m, trials, seed):
@@ -1478,7 +1486,7 @@ def test_sweep_rows_equal_per_trial_checks(monkeypatch, budget):
     monkeypatch.setattr(reduction, "theorem_check", no_check)
     monkeypatch.setattr(reduction, "_compare_routes", spy)
     if budget is not None:
-        monkeypatch.setattr(reduction, "_STACK_BYTES", budget)
+        monkeypatch.setattr(fock, "_STACK_BYTES", budget)
     for (n, m, seed), want in expected.items():
         stacks.clear()
         assert _sweep_bytes(theorem_sweep(n, m, trials=5, seed=seed)) == want

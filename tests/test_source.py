@@ -203,12 +203,14 @@ def test_scan_wraps_class_matrices_without_the_constructor():
 def test_fermionic_reduction_conjugates_no_whole_state():
     """In ``reduction.py`` only ``_qubit_reduction``, which conjugates a
     dk x dk reduction by the kept block's signs, and ``ordering_scan``,
-    which derives orbit matrices from reductions, call ``_sign_conjugate``:
-    the fermionic trace hands its signs to ``_block_partial_trace``, which
-    conjugates a density's traced-diagonal slab instead, so a conjugation
-    of the whole density cannot come back unnoticed."""
+    which derives orbit matrices from reductions, call ``_sign_conjugate``,
+    once each: the scan derives its samples' expected matrices and its
+    orbits' matrices by one rule, and the fermionic trace hands its signs
+    to ``_block_partial_trace``, which conjugates a density's
+    traced-diagonal slab instead, so a conjugation of the whole density,
+    or a second derivation rule in the scan, cannot come back unnoticed."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
-    assert sorted(set(_callers(tree, "_sign_conjugate"))) == ["_qubit_reduction", "ordering_scan"]
+    assert sorted(_callers(tree, "_sign_conjugate")) == ["_qubit_reduction", "ordering_scan"]
     assert "fermionic_partial_trace" in _callers(tree, "_block_partial_trace")
 
 
@@ -386,3 +388,25 @@ def test_one_draw_of_a_random_state():
     assert _callers(tree, "_draw_amplitudes") == ["theorem_sweep"]
     for name in ("random_state", "stack"):
         assert "theorem_sweep" not in _callers(tree, name), name
+
+
+def test_one_chunk_rule():
+    """``_STACK_BYTES`` is read in the package only by ``fock._stack_runs``,
+    the one rule that cuts a stacked evaluation into runs of items within
+    the budget, and ``ssr_compliant``, the sweep and both loops of the
+    ordering scan iterate over it, so a chunk rule written by hand, or an
+    import of the budget to write one, cannot come back unnoticed."""
+    found = sorted(
+        f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        for read in ast.walk(node)
+        if (isinstance(read, ast.Name) and read.id == "_STACK_BYTES" and isinstance(read.ctx, ast.Load))
+        or (isinstance(read, ast.Attribute) and read.attr == "_STACK_BYTES")
+        or (isinstance(read, ast.alias) and read.name == "_STACK_BYTES")
+    )
+    assert found == ["fock._stack_runs"]
+    fock = ast.parse((PACKAGE_DIR / "fock.py").read_text(), filename="fock.py")
+    assert _callers(fock, "_stack_runs") == ["ssr_compliant"]
+    tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
+    assert sorted(_callers(tree, "_stack_runs")) == ["ordering_scan", "ordering_scan", "theorem_sweep"]

@@ -327,6 +327,16 @@ def _add_named_states(manifest) -> None:
         )
 
 
+def _add_stacked_scans(manifest) -> None:
+    """8-mode scans of even pure states, which the state items above do not
+    scan: a scan derives its orbits' matrices a bounded stack at a time,
+    and here one chunk's orbits span several stacks (at (7,1) one group
+    has 64 orbits of 256 KiB matrices)."""
+    for n, m, seed in ((7, 1, 1), (6, 2, 2), (5, 3, 3)):
+        state = fo.random_state(fo.sweep_system(n, m), "even", seed)
+        manifest.add(f"scan/{n}-{m}-even-{seed}", lambda: fo.ordering_scan(state), SCAN_FIELDS)
+
+
 def _add_sweeps(manifest, quick: bool) -> None:
     for n, m, trials, seed in ((1, 1, 5, 0), (2, 2, 20, 3)) if quick else (
         (1, 1, 5, 0), (2, 2, 20, 3), (3, 3, 10, 7), (4, 4, 25, 3), (2, 5, 8, 11), (6, 1, 4, 2),
@@ -455,6 +465,7 @@ def manifest(quick: bool = False) -> list[str]:
     _add_cli(m, quick)
     if not quick:
         _add_named_states(m)
+        _add_stacked_scans(m)
     return m.lines()
 
 
