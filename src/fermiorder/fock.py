@@ -515,10 +515,11 @@ def from_operator_string(ops: OperatorString, system: ModeSystem) -> FockVector:
 #: package's one memory budget, read by ``_stack_runs`` alone. Each caller
 #: states the bytes of one item of its stack: ``ssr_compliant`` a
 #: density's row, ``data[0].nbytes``; the sweep a trial's eight arrays,
-#: ``8 * state_bytes``; the ordering scan a group's evaluations,
-#: ``group_bytes`` (a signed state, a density's signed traced-diagonal
-#: slab of dk^2 dt entries or a dk x dk reduction per evaluated
-#: ordering), and an orbit's matrix, 16 dk^2. For ``ssr_compliant``,
+#: ``8 * state_bytes``; the ordering scan a group head's evaluation,
+#: ``head_bytes`` (its signed state, a density's signed traced-diagonal
+#: slab of dk^2 dt entries, or its dk x dk reduction), and an orbit's
+#: matrix, 16 dk^2; and the check of a scan plan a member's sign
+#: temporaries, ``14 << n_modes``. For ``ssr_compliant``,
 #: budgets from 128 KiB to 1 MiB check an 11- or 12-mode density in the
 #: same time within 10%, one BLAS thread, and the tracemalloc peak is 1.5
 #: times the budget, 0.38 MiB, where one D x D mask peaked at 48 and 192

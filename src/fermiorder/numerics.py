@@ -140,14 +140,19 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResul
     The input must be square, finite and Hermitian within ``tol``; it is
     Hermitized exactly before the call. Eigenvalues come back sorted
     descending. A LAPACK failure surfaces as ``numpy.linalg.LinAlgError``.
+    A ``tol`` that is not positive, or NaN, which no deviation or every
+    deviation would fail, is a ``ValueError`` before the matrix is read.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     m = as_complex_matrix(m)
     w, v = _eigh(m, tol)
     return EigenResult(eigenvalues=w, vectors=v, _input=m)
 
 
 def trace_norm(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Sum of |eigenvalue| over the spectrum of a Hermitian matrix."""
+    """Sum of |eigenvalue| over the spectrum of a Hermitian matrix, with
+    ``hermitian_eigenvalues``' checks of the matrix and of ``tol``."""
     return float(np.abs(hermitian_eigenvalues(m, tol=tol).eigenvalues).sum())
 
 

@@ -81,21 +81,17 @@ from .ordering import (
 #: their ranks (``_permutations``), two 8! x 8 int8 matrices of 315 KiB,
 #: are shared by every 8-mode plan; a split's scan plan (``_scan_plan``)
 #: holds one int64 array of 8! entries (315 KiB), each permutation's orbit,
-#: then its samples and its orbits' bounds and signs, 0.31-0.57 MiB in all
-#: (``nbytes``; 2.77-4.43 MiB at 9 modes), and both outlive the call in
+#: then its group heads and its orbits' bounds and signs, 315-426 KiB in
+#: all (``nbytes``; 2.77-3.77 MiB at 9 modes), and both outlive the call in
 #: their caches. Each call adds a few int64 arrays of 8! entries and an
 #: int8 copy of the permutations in class order, which the returned
-#: classes keep. It builds no ``ModeOrdering``
-#: but its fermionic trace's, and no ``DensityOperator``:
-#: ``OrderingClass`` builds its representative and its members from their
-#: int8 rows, and wraps its matrix's bytes, when read. A density's samples
-#: are signed on their traced-diagonal slab, dk^2 dt entries, which the
-#: group budget of ``_STACK_BYTES`` counts, not on the whole density.
+#: classes keep. It builds no ``ModeOrdering`` but its fermionic trace's,
+#: and no ``DensityOperator``: ``OrderingClass`` builds its representative
+#: and its members from their int8 rows, and wraps its matrix's bytes, when
+#: read. A density's group heads are signed on their traced-diagonal slab,
+#: dk^2 dt entries, which the chunk budget of ``_STACK_BYTES`` counts, not
+#: on the whole density.
 MAX_SCAN_MODES = 8
-
-#: Non-representative members per scan group that the scan recomputes to
-#: check the group is uniform.
-SCAN_VERIFY_SAMPLES = 3
 
 
 class InvalidBipartitionError(ValueError):
@@ -461,37 +457,37 @@ def _permutations(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Plans ``_scan_plan`` keeps. An 8-mode plan, at the ``MAX_SCAN_MODES``
-#: cap, holds 0.31-0.57 MiB besides the permutations it shares (``nbytes``),
-#: at most 585 KiB (a (4,4) split keyed by precedence group), and a plan
-#: for a state of one parity at most 440 KiB (432 KiB at (5,3)), so a full
-#: cache holds at most 4.6 MiB, and 5.3 MiB with the permutations of every
-#: mode count up to the cap. A 9-mode plan would hold 2.77-4.43 MiB.
+#: cap, holds 315-426 KiB besides the permutations it shares (``nbytes``):
+#: at most 426 KiB, a (5,3) split for a state of one parity, and 423 KiB
+#: for a (4,4) split keyed by precedence matrix. So a full cache holds at
+#: most 3.4 MiB, and 4.0 MiB with the permutations of every mode count up
+#: to the cap. A 9-mode plan would hold 2.77-3.77 MiB.
 _SCAN_PLANS = 8
 
 
 class _ScanPlan(NamedTuple):
     """What the ordering scan of one split needs and no state changes, as
-    read-only arrays, and the orbit of the physical orderings. Groups are
-    the orderings the route runs once for, orbits those a class matrix is
-    derived for; samples are the evaluated orderings, and each group's run
-    of them starts at its first member. Sign rows are the kept-side signs
-    d_R of the rows R an orbit complements relative to its group's first
-    member, one set per total parity p; a sample's are its orbit's, since
-    the rows an ordering complements depend on its orbit alone, and they
-    exist only where the verdict frees row flips (``_scan_plan``)."""
+    read-only arrays, and two orbits, of the physical and of the
+    traced-first orderings. Groups are the orderings the route runs once
+    for, on their first member, their head; orbits are those a class
+    matrix is derived for. Sign rows are the kept-side signs d_R of the
+    rows R an orbit complements relative to its group's head, one set per
+    total parity p, since the rows an ordering complements depend on its
+    orbit alone, and they exist only where the verdict frees row flips
+    (``_scan_plan``)."""
 
     orbit: np.ndarray  # each permutation's orbit; a group's orbits are one run
-    samples: np.ndarray  # group g's are samples[bounds[g] : bounds[g + 1]]
-    bounds: np.ndarray
+    heads: np.ndarray  # group g's first member, in permutation order
     orbit_bounds: np.ndarray  # group g's orbits are orbit_bounds[g] to [g + 1]
-    orbit_signs: Union[np.ndarray, None]  # [p, o]: orbit o's for parity p
+    orbit_signs: Union[np.ndarray, None]  # [o, p]: orbit o's for parity p
     physical: int
+    traced_first: int
 
 
 @lru_cache(maxsize=_SCAN_PLANS)
 def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], parity: int) -> _ScanPlan:
     """The ``_ScanPlan`` of one split, for a state of ``_exact_parity``'s
-    verdict ``parity``.
+    verdict ``parity``, with its flip rule proved at sign level.
 
     The flip rule: a verdict frees the flips of the kept x traced
     precedence matrix M that change the route's reduction by a known sign
@@ -503,16 +499,31 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     parity also frees row flips, which complement kept rows R and conjugate
     the reduction by the kept-side signs d_R (rule (ii)): the key then
     replaces each row r by min(r, r XOR all-ones). The orderings of one key
-    form a group, which the route runs once for; those that also share its
-    rows before they are complemented form an orbit, whose matrix is its
-    group's first member conjugated by d_R for the rows R the orbit
-    complements relative to it."""
-    _, ranks = _permutations(n_modes)
+    form a group, which the route runs once for, on its head; those that
+    also share its rows before they are complemented form an orbit, whose
+    matrix is its group's head conjugated by d_R for the rows R the orbit
+    complements relative to it.
+
+    The proof: let r be a member's sign row times its head's, in
+    kept|traced layout, and d its orbit's d_R. Term z of the member's
+    reduced entry (x, y) is the head's times f(x, z) f(y, z) d(x) d(y),
+    with f(x, z) = r(x, 0) r(x, z) d(x), so the member's reduction is
+    d (head) d, to the bit, wherever f(., z) is one sign over the kept
+    indices x the verdict pairs at z: all of them for a cross-parity state,
+    those of one weight parity |x| for a state of both parities, and those
+    with |x| = p + |z| for one of parity p, checked for both p. Members
+    that share M differ by signs inside the kept block, which cancel in
+    r(x, 0) r(x, z), and inside the traced block, one sign over x at each
+    z, so one member of each M is checked, against its head, with no state
+    read; a head passes by construction and is not checked. The check runs
+    in ``_stack_runs`` chunks and raises ``AssertionError`` naming the
+    head and the member, as tuples of mode positions."""
+    perms, ranks = _permutations(n_modes)
     k, t = len(kept), len(traced)
     # rows[p, a] packs kept mode a's precedence bits: bit c is set when
     # traced[c] precedes it; a permutation's code packs all its rows, at
     # most 16 bits. The physical orderings, no traced mode before a kept
-    # one, have every row 0
+    # one, have every row 0, the traced-first orderings every row all-ones
     rows = (ranks[:, None, traced] < ranks[:, kept, None]) @ (1 << np.arange(t))
     shifts = t * np.arange(k)
     # the flip rule: columns fixes the column mask where it is free, flips
@@ -521,56 +532,72 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     columns = rows ^ rows[:, :1] * (parity != _CROSS_PARITY)
     ones = (1 << t) - 1
     flips = ((columns ^ ones) < columns) & (parity == _ONE_PARITY)
-    # groups are numbered in order of first appearance; first holds where
-    # each group's code first appears
+    # groups are numbered in order of first appearance, so group g's head
+    # is heads[g]
     codes = ((columns ^ flips * ones) << shifts).sum(axis=1)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(first))[inverse]
+    heads = np.sort(first)
     # orbits are numbered by group, then by column key, so each group's
-    # orbits are one run
-    _, orbit = np.unique(group << k * t | (columns << shifts).sum(axis=1), return_inverse=True)
-    # sorted by group and then by a random key that is lowest at the first
-    # member, each group's run is its first member, then the others at random
-    keys = np.random.default_rng(0).random(len(ranks))
-    keys[first] = -1.0
-    by_key = np.lexsort((keys, group))
-    runs = group[by_key]
-    samples = by_key[np.arange(len(ranks)) - np.searchsorted(runs, runs) <= SCAN_VERIFY_SAMPLES]
-    bounds = np.searchsorted(group[samples], np.arange(len(first) + 1))
-    # one member of each orbit, which shares its group and its flips
-    member = np.zeros(orbit.max() + 1, dtype=np.int64)
-    member[orbit] = np.arange(len(orbit))
+    # orbits are one run; member holds one member of each orbit, which
+    # shares its group and its flips
+    orbit_keys = group << k * t | (columns << shifts).sum(axis=1)
+    _, member, orbit = np.unique(orbit_keys, return_index=True, return_inverse=True)
     orbit_bounds = np.searchsorted(group[member], np.arange(len(first) + 1))
-    # each orbit's flipped rows relative to the orbit of its group's first
-    # member, samples[bounds[g]], kept mode a at bit k - 1 - a as in a kept
-    # index
+    # each orbit's flipped rows relative to its group head's orbit, kept
+    # mode a at bit k - 1 - a as in a kept index; 0, so d_R = 1, where the
+    # verdict frees no row flips
     flipped = flips[member] @ (1 << np.arange(k)[::-1])
-    relative = flipped ^ flipped[orbit[samples[bounds[:-1]]]][group[member]]
-    plan = _ScanPlan(
+    relative = flipped ^ flipped[orbit[heads]][group[member]]
+    orbit_signs = _kept_side_signs(k)[relative]
+    # the kept indices the verdict pairs at z are all of them for a
+    # cross-parity state, and otherwise those of one label, |x| mod 2, but
+    # for a state of parity p only where |x| = p + |z|: paired[p, x, z].
+    # The first index of a label is the label itself, 0 or 1, and it is
+    # paired wherever an index of its label is, so f(x, z) must equal
+    # f(label(x), z) wherever x is paired
+    weight = np.bitwise_count(np.arange(1 << max(k, t))) & 1
+    label = weight[: 1 << k] * (parity != _CROSS_PARITY)
+    paired = (np.arange(2)[:, None, None] + weight[: 1 << k, None] + weight[: 1 << t]) % 2 == 0
+    paired |= parity != _ONE_PARITY
+    _, checked = np.unique((rows << shifts).sum(axis=1), return_index=True)
+    checked = np.setdiff1d(checked, heads, assume_unique=True)
+    # a member's and its head's float32 sign counts, 4 << n_modes bytes
+    # each, and its f, its f at the labels and their comparison, 2 <<
+    # n_modes bytes each, are the check's temporaries
+    for lo, hi in _stack_runs(0, len(checked), 14 << n_modes):
+        pair = np.concatenate([checked[lo:hi], heads[group[checked[lo:hi]]]])
+        signs = _kept_traced_view(_inversion_signs(ranks[pair]), kept, traced)
+        r = signs[: hi - lo] * signs[hi - lo :]
+        # f[member, p, x, z]: r(x, 0) d(x) for both p, then times r(x, z)
+        f = r[:, None, :, :1] * orbit_signs[orbit[checked[lo:hi]], :, :, None] * r[:, None]
+        bad = ((f != f[:, :, label]) & paired).any(axis=(1, 2, 3))
+        if bad.any():
+            i = bad.argmax()
+            other, head = perms[pair[[i, hi - lo + i]]].tolist()
+            raise AssertionError(f"scan group of {tuple(head)} is not uniform: {tuple(other)} disagrees")
+    for array in (orbit, heads, orbit_bounds, orbit_signs):
+        array.setflags(write=False)
+    return _ScanPlan(
         orbit=orbit,
-        samples=samples,
-        bounds=bounds,
+        heads=heads,
         orbit_bounds=orbit_bounds,
-        orbit_signs=_kept_side_signs(k)[:, relative] if parity == _ONE_PARITY else None,
+        orbit_signs=orbit_signs if parity == _ONE_PARITY else None,
         physical=int(orbit[rows.any(axis=1).argmin()]),
+        traced_first=int(orbit[(rows == ones).all(axis=1).argmax()]),
     )
-    for array in plan[:-1]:
-        if array is not None:
-            array.setflags(write=False)
-    return plan
 
 
 def _kept_side_signs(n_kept: int) -> np.ndarray:
-    """d_R(x) = (-1)^((p + |x|) |x & R|) as int8 at [p, R, x], p a total
-    parity, R a set of kept rows and x a kept index, kept mode a at bit
-    k - 1 - a of both. Complementing the kept rows R of the precedence
+    """d_R(x) = (-1)^((p + |x|) |x & R|) as int8 at [R, p, x], R a set of
+    kept rows, p a total parity and x a kept index, kept mode a at bit
+    k - 1 - a of R and x. Complementing the kept rows R of the precedence
     matrix multiplies amplitude (x, z) of a state of parity p by d_R(x),
     since |z| = p + |x| on its support, so it conjugates the reduction by
     d_R."""
     x = np.arange(1 << n_kept)
-    overlap = np.bitwise_count(x[:, None] & x)
-    exponent = (np.arange(2)[:, None, None] + np.bitwise_count(x).astype(np.int64)) * overlap
-    return np.where(exponent % 2, -1, 1).astype(np.int8)
+    exponent = (np.arange(2)[:, None] + np.bitwise_count(x)) * np.bitwise_count(x[:, None, None] & x)
+    return (1 - 2 * (exponent & 1)).astype(np.int8)
 
 
 def ordering_scan(
@@ -605,67 +632,68 @@ def ordering_scan(
     ``_exact_parity`` reads, with no tolerance, which rules a state obeys,
     and the flip rule of ``_scan_plan`` turns that verdict into the groups
     the route runs once for and the orbits a matrix is derived for, from
-    its group's first member. A class gathers the orbits that land on one
-    reduced matrix. The orbit of the zero matrix, every ordering that keeps
-    the kept modes contiguous, lands in the class that matches the
-    fermionic trace.
+    its group's head, its first member. A class gathers the orbits that
+    land on one reduced matrix. The orbit of the zero matrix, every
+    ordering that keeps the kept modes contiguous, lands in the class that
+    matches the fermionic trace.
 
-    The route is evaluated once per group on its first member, and on up to
-    ``SCAN_VERIFY_SAMPLES`` other members of the group picked by one draw of
-    random keys; each must equal the first member conjugated by its own
-    d_R, to the bit (d_R is 1 unless the verdict frees row flips). The
-    samples come from the whole group, so for a state of one parity that
-    checks both rules on every group, and for a mixture the column rule on
-    every class. These evaluations run stacked, whole groups at a time, in
-    chunks whose largest stacked array stays within ``_STACK_BYTES`` unless
-    one group alone is larger (``_stack_runs``): each chunk's sign rows
+    The route is evaluated once per group, on its head, and nowhere else.
+    That every member of a group gives its head's matrix conjugated by its
+    own d_R (1 unless the verdict frees row flips) is a fact about sign
+    rows alone, which ``_scan_plan`` proves once per plan, with int8
+    operations, on one member of every precedence matrix of every group;
+    members that share a matrix rest on the factorization above. What it
+    cannot see, a float path that is not sign-symmetric, is checked at
+    route level on one class per scan: the class of the traced-first
+    orderings, whose matrix is derived like any other, must read a
+    ``max_entry_diff`` of exactly 0.0 against the fermionic trace, which
+    is signed independently, or the scan raises ``AssertionError``. The
+    heads are evaluated stacked, in chunks whose largest stacked array
+    stays within ``_STACK_BYTES`` (``_stack_runs``): each chunk's sign rows
     come from one ``_inversion_signs`` call and go through
     ``_qubit_reduction``, the route ``theorem_check`` compares. A density
-    is signed on its traced-diagonal slab alone, so a sample costs dk^2 dt
-    entries, not the density's 4^N, and an even (3,3) density scan runs its
-    16 groups in two chunks, not one chunk per group. Each
-    chunk's evaluated first members are checked as one stack, with the
-    checks ``DensityOperator`` makes: d_R moves no diagonal entry and no
-    deviation size, so a derived matrix passes them as its first member
-    does. The chunk then derives the matrix of each orbit of its groups,
-    at most ``_STACK_BYTES`` of them at a time (``_stack_runs``), by the
-    rule that also gives each sample the matrix it must equal, the scan's
-    one ``_sign_conjugate`` call; no stack is held while the next is
-    derived. Orbits are merged whenever they land on the identical reduced
-    matrix, with negative zeros flushed to +0.0 first; the flushed bytes of
-    the orbit that opens a class are its merge key and its matrix, held
-    once, and
-    its ``reduced`` wraps them as a ``DensityOperator`` only when a caller
-    first reads it. Each
-    stack's orbits are compared against the fermionic trace in one array
-    operation, and each writes its largest entry difference as its class's:
-    the orbits of a class share its bytes, so they write the same value,
-    with no search for the orbit that opened it. Each class lists
-    its members in permutation order, the order of
-    ``itertools.permutations`` over the system's modes, so the result does
-    not depend on the grouping, and its representative is its earliest
-    permutation. Classes are returned largest first, ties broken by
-    representative labels. ``contains_physical`` flags only the class of
-    the kept-before-traced orderings.
+    is signed on its traced-diagonal slab alone, so a head costs dk^2 dt
+    entries, not the density's 4^N, and an any-sector (3,3) density scan
+    runs its 230 groups in eight chunks, not 58. Each chunk's
+    evaluated heads are checked as one stack, with the checks
+    ``DensityOperator`` makes: d_R moves no diagonal entry and no deviation
+    size, so a derived matrix passes them as its head does. The chunk then
+    derives the matrix of each orbit of its groups, at most
+    ``_STACK_BYTES`` of them at a time (``_stack_runs``), in the scan's one
+    ``_sign_conjugate`` call; no stack is held while the next is derived.
+    Orbits are merged whenever they land on the identical reduced matrix,
+    with negative zeros flushed to +0.0 first; the flushed bytes of the
+    orbit that opens a class are its merge key and its matrix, held once,
+    and its ``reduced`` wraps them as a ``DensityOperator`` only when a
+    caller first reads it. Each stack's orbits are compared against the
+    fermionic trace in one array operation, and each writes its largest
+    entry difference as its class's: the orbits of a class share its
+    bytes, so they write the same value, with no search for the orbit that
+    opened it. Each class lists its members in permutation order, the
+    order of ``itertools.permutations`` over the system's modes, so the
+    result does not depend on the grouping, and its representative is its
+    earliest permutation. Classes are returned largest first, ties broken
+    by representative labels. ``contains_physical`` flags only the class
+    of the kept-before-traced orderings.
 
     What no state changes is the split's plan, ``_scan_plan``: each
-    permutation's orbit number, the sampled members, where each group's
-    run of them and of its orbits starts, and the kept-side signs of each
-    orbit, which its samples share. It is keyed by the mode count, the
-    kept and traced positions and ``_exact_parity``'s verdict, so a plan
-    never serves a state whose grouping it does not fit, and the cache
-    keeps the last ``_SCAN_PLANS`` plans, read-only. The permutation rows
-    and their ranks depend on the mode count alone and are shared by its
-    plans (``_permutations``). Scanning many states on one split pays for
-    the plan once; a process that runs one scan, as the CLI does, gains
-    nothing. The orderings' own sign rows are not kept: each chunk signs
-    its own. The split, its kept system and the signs of the fermionic
-    trace the classes are compared against are read from the split's route
-    plan (``_route_plan``), and that trace is given the checks
-    ``DensityOperator`` makes, so a scan constructs no ``DensityOperator``.
-    An empty kept block is an ``InvalidBipartitionError``; an empty traced
-    block gives one class. A ``tol`` outside (0, 1), or NaN, is a
-    ``ValueError`` before the state is read.
+    permutation's orbit number, each group's head, where each group's run
+    of orbits starts, and the kept-side signs of each orbit. It is keyed
+    by the mode count, the kept and traced positions and ``_exact_parity``'s
+    verdict, so a plan never serves a state whose grouping it does not
+    fit, and the cache keeps the last ``_SCAN_PLANS`` plans, read-only. The
+    permutation rows and their ranks depend on the mode count alone and
+    are shared by its plans (``_permutations``). Scanning many states on
+    one split pays for the plan, and its proof, once; a process that runs
+    one scan, as the CLI does, gains nothing. The orderings' own sign rows
+    are not kept: each chunk signs its own. The split, its kept system and
+    the signs of the fermionic trace the classes are compared against are
+    read from the split's route plan (``_route_plan``), and that trace is
+    given the checks ``DensityOperator`` makes, so a scan constructs no
+    ``DensityOperator``. An empty kept block is an
+    ``InvalidBipartitionError``; an empty traced block gives one class. A
+    ``tol`` outside (0, 1), or NaN, is a ``ValueError`` before the state is
+    read.
     """
     _check_tol(tol)
     system, data = _state_data(rho)
@@ -685,20 +713,10 @@ def ordering_scan(
     perms, ranks = _permutations(system.n_modes)
     names = np.array(system.modes)
     dk = route.kept_system.dim
-    # a sample's largest stacked array is its signed state, its signed
+    # a head's largest stacked array is its signed state, its signed
     # traced-diagonal slab of dk * dk * dt entries for a density, or its
     # reduction
-    state_size = data.size if data.ndim == 1 else dk * data.shape[0]
-    group_bytes = data.itemsize * max(state_size, dk * dk) * (1 + SCAN_VERIFY_SAMPLES)
-
-    def derive(reduced: np.ndarray, heads: np.ndarray, orbits) -> np.ndarray:
-        # the matrices of ``orbits``: the rows ``heads`` of a chunk's reduced
-        # stack, each its group's first member, conjugated by the orbit's
-        # kept-side signs d_R when the verdict frees row flips
-        derived = reduced[heads]
-        if parity == _ONE_PARITY:
-            derived = _sign_conjugate(plan.orbit_signs[p, orbits], derived)
-        return derived
+    head_bytes = data.itemsize * max(data.size if pure else dk * data.shape[0], dk * dk)
 
     # a class's key is its matrix's bytes, the one copy of it the scan keeps
     classes: dict[bytes, int] = {}
@@ -706,35 +724,27 @@ def ordering_scan(
     # scan has at most one class per orbit
     diffs = np.empty(plan.orbit_bounds[-1])
     orbit_class = np.empty(plan.orbit_bounds[-1], dtype=np.int64)
-    for g, end in _stack_runs(0, len(plan.bounds) - 1, group_bytes):
-        lo, hi = plan.bounds[g], plan.bounds[end]
-        rows = plan.samples[lo:hi]
-        signs = _kept_traced_view(_inversion_signs(ranks[rows]), route.kept, route.traced)
+    for g, end in _stack_runs(0, len(plan.heads), head_bytes):
+        signs = _kept_traced_view(_inversion_signs(ranks[plan.heads[g:end]]), route.kept, route.traced)
         reduced = _qubit_reduction(view, pure, signs)
-        # each sample must be its group's first member, where the group's
-        # run starts, conjugated by the kept-side signs of the rows its
-        # orbit complements relative to it
-        starts = plan.bounds[g:end] - lo
-        heads = np.repeat(starts, np.diff(plan.bounds[g : end + 1]))
-        bad = np.flatnonzero((reduced != derive(reduced, heads, plan.orbit[rows])).any(axis=(1, 2)))
-        if bad.size:
-            head, other = names[perms[rows[[heads[bad[0]], bad[0]]]]].tolist()
-            raise AssertionError(f"scan group of {tuple(head)} is not uniform: {tuple(other)} disagrees")
-        # the checks ``DensityOperator`` makes run on the first members as
-        # one stack: a sign conjugation moves no diagonal entry and no
-        # deviation size, so each derived matrix passes them as its first
-        # member does
-        _check_finite(reduced[starts])
-        _check_density(reduced[starts])
-        # the same rule gives each orbit of the chunk's groups its matrix,
-        # a stack of at most ``_STACK_BYTES`` of them at a time, since a
-        # group of a state of one parity may have more orbits than samples;
-        # adding 0.0 flushes negative zeros left behind by sign flips, which
-        # would otherwise split byte-identical classes
+        # the checks ``DensityOperator`` makes run on the heads as one
+        # stack: a sign conjugation moves no diagonal entry and no
+        # deviation size, so each derived matrix passes them as its head
+        # does
+        _check_finite(reduced)
+        _check_density(reduced)
+        # each orbit of the chunk's groups is its group's head conjugated
+        # by its kept-side signs d_R where the verdict frees row flips, a
+        # stack of at most ``_STACK_BYTES`` of them at a time, since a
+        # group of a state of one parity may have many orbits; adding 0.0
+        # flushes negative zeros left behind by sign flips, which would
+        # otherwise split byte-identical classes
         o_lo, o_hi = plan.orbit_bounds[g], plan.orbit_bounds[end]
-        orbit_heads = np.repeat(starts, np.diff(plan.orbit_bounds[g : end + 1]))
+        orbit_heads = np.repeat(np.arange(end - g), np.diff(plan.orbit_bounds[g : end + 1]))
         for o, o_end in _stack_runs(o_lo, o_hi, data.itemsize * dk * dk):
-            flushed = derive(reduced, orbit_heads[o - o_lo : o_end - o_lo], slice(o, o_end))
+            flushed = reduced[orbit_heads[o - o_lo : o_end - o_lo]]
+            if parity == _ONE_PARITY:
+                flushed = _sign_conjugate(plan.orbit_signs[o:o_end, p], flushed)
             flushed += 0.0
             flushed = flushed.reshape(o_end - o, -1)
             stack_class = [
@@ -762,9 +772,13 @@ def ordering_scan(
     # classes go largest first, ties broken by representative labels, read
     # as each mode's rank in label order
     label_rank = np.argsort(sorted(range(system.n_modes), key=system.modes.__getitem__))
-    heads = label_rank[ordered[starts]].tolist()
+    representatives = label_rank[ordered[starts]].tolist()
     keys = list(classes)
     class_diffs = diffs[: len(keys)].tolist()
+    # the traced-first orderings' class, whose matrix is derived like any
+    # other, checked against the fermionic trace, signed independently
+    if class_diffs[orbit_class[plan.traced_first]] != 0.0:
+        raise AssertionError("the traced-first orderings' class differs from the fermionic trace")
     physical = int(orbit_class[plan.physical])
     return [
         OrderingClass._wrap(
@@ -776,7 +790,7 @@ def ordering_scan(
             matches_fermionic=class_diffs[c] < tol,
             max_entry_diff=class_diffs[c],
         )
-        for c in sorted(range(len(keys)), key=lambda c: (starts[c] - ends[c], heads[c]))
+        for c in sorted(range(len(keys)), key=lambda c: (starts[c] - ends[c], representatives[c]))
     ]
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -94,6 +95,32 @@ def test_not_hermitian_rejected():
     # a matrix that is not square is refused before its Hermiticity is read
     with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         hermitian_eigenvalues(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.0, -1.0, -float("inf")])
+def test_eigensolver_refuses_a_tolerance_no_deviation_fails(monkeypatch, tol):
+    """A NaN tolerance passed every deviation, since ``dev >= nan`` is
+    False: ``[[1, 5], [0, 1]]``, 5.0 from Hermitian, was diagonalized and
+    read 5.0 as its trace norm. A tolerance that is NaN, 0 or negative is a
+    plain ``ValueError``, not a ``NotHermitianError``, from
+    ``hermitian_eigenvalues`` and ``trace_norm``, raised before the matrix
+    is read."""
+
+    def forbidden(m):
+        raise AssertionError("read the matrix before the tolerance was checked")
+
+    m = np.array([[1.0, 5.0], [0.0, 1.0]])
+    message = re.escape(f"tol must be positive, got {tol}")
+    for call in (hermitian_eigenvalues, trace_norm):
+        with pytest.raises(ValueError, match=message) as refused:
+            call(m, tol=tol)
+        assert type(refused.value) is ValueError
+        with monkeypatch.context() as patched:
+            patched.setattr(numerics, "as_complex_matrix", forbidden)
+            with pytest.raises(ValueError, match=message):
+                call(m, tol=tol)
+    with pytest.raises(NotHermitianError):
+        trace_norm(m, tol=1e-12)
 
 
 def test_trace_norm_of_density_is_one():

@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from itertools import permutations
 from math import factorial
@@ -798,6 +799,38 @@ def test_scan_classes_match_qubit_route(monkeypatch):
                         assert np.array_equal(c.reduced.matrix, route.matrix)
 
 
+def test_every_ordering_gives_its_class_matrix():
+    """Every permutation's qubit route, ``_qubit_reduction`` under its own
+    sign row, equals the matrix of the class the scan puts it in, to the
+    bit up to signed zeros: at 4-6 modes, on kept sets that are not first,
+    for even, odd and any-sector states, pure and as densities, and for
+    30/70 mixtures of both parities. The scan evaluates group heads alone
+    and its plan checks one member of each precedence matrix at sign
+    level; this checks every member of every class at route level."""
+    rng = np.random.default_rng(2032)
+    for n_modes in (4, 5, 6):
+        system = ModeSystem(tuple(f"m{k}" for k in range(n_modes)), a_count=n_modes)
+        for sector in ("even", "odd", "any", "mixture"):
+            bp = _split_not_first(rng, system)
+            seed = int(rng.integers(1 << 30))
+            if sector == "mixture":
+                inputs = (_parity_mixture(system, seed),)
+            else:
+                state = random_state(system, sector=sector, seed=seed)
+                inputs = (state, state.to_density())
+            route = reduction._route_plan(system, bp)
+            for given in inputs:
+                pure = isinstance(given, FockVector)
+                data = given.amplitudes if pure else given.matrix
+                view = fock._trace_view(data, route.kept, route.traced, pure)
+                for c in ordering_scan(given, bp):
+                    ranks = np.array([[o.rank(m) for m in system.modes] for o in c.orderings])
+                    signs = fock._kept_traced_view(_inversion_signs(ranks), route.kept, route.traced)
+                    expected = (c.reduced.matrix + 0.0).tobytes()
+                    for reduced in reduction._qubit_reduction(view, pure, signs):
+                        assert (reduced + 0.0).tobytes() == expected
+
+
 def test_walsh_hadamard_oracle_matches_qubit_route():
     """The Walsh-Hadamard table gives the qubit-route reduction of random
     orderings at 2-7 modes, for pure, rank-1 density and rank-3 inputs on
@@ -877,29 +910,32 @@ def test_scan_constructs_no_density_operator(monkeypatch):
 
 
 def test_density_scan_signs_its_orderings_in_few_chunks(monkeypatch):
-    """A (3,3) even-density scan budgets each group by its signed slabs,
-    not by its signed densities, so its 16 groups fill two chunks of 8
-    and it calls ``_inversion_signs`` twice, where a group's four signed
-    64 x 64 densities alone filled a chunk; the pure state's scan takes
-    one chunk."""
+    """A warm (3,3) any-sector density scan budgets each group's head by
+    its signed slab, not by its signed density, so its 230 groups fill
+    eight chunks of up to 32 and it calls ``_inversion_signs`` eight times,
+    where a head's signed 64 x 64 density filled a quarter of a chunk, 58
+    chunks; the pure state's scan takes one chunk."""
     system = sweep_system(3, 3)
     bp = BipartitionSpec(kept=("a1", "c1", "a3"), traced=("a2", "c2", "c3"))
-    state = random_state(system, sector="even", seed=23)
+    state = random_state(system, sector="any", seed=23)
     calls = []
 
     def counting(ranks):
         calls.append(len(ranks))
         return _inversion_signs(ranks)
 
-    monkeypatch.setattr(reduction, "_inversion_signs", counting)
     counts = []
     for given in (state, state.to_density()):
-        calls.clear()
         reduction.ordering_scan(given, bp)
+        with monkeypatch.context() as patched:
+            patched.setattr(reduction, "_inversion_signs", counting)
+            calls.clear()
+            reduction.ordering_scan(given, bp)
         counts.append(len(calls))
-    slab_bytes = 16 * 8 * 8 * 8 * (1 + reduction.SCAN_VERIFY_SAMPLES)
-    assert fock._STACK_BYTES // slab_bytes == 8
-    assert counts == [1, 2]
+        assert sum(calls) == 230
+    slab_bytes = 16 * 8 * 8 * 8
+    assert fock._STACK_BYTES // slab_bytes == 32
+    assert counts == [1, 8]
 
 
 def test_density_reduction_peaks_far_below_the_density():
@@ -1063,34 +1099,71 @@ def test_scan_refuses_a_class_matrix_off_unit_trace(monkeypatch):
 
 
 def test_scan_uniformity_check_fires(monkeypatch):
-    """One flipped sign in a verification sample's row makes that sample
-    disagree with its representative, and the scan refuses to group it.
-    For the even state the flip hits an even amplitude, and the corrupted
-    sample lies in another column orbit than its group's first member, so
-    the check that fires is the row rule's, head conjugated by kept-side
-    signs against sample."""
+    """One flipped sign, at kept c1 and traced c2 occupied, in the row of
+    the first member the plan checks against its group's head makes that
+    member disagree with it, and the plan's build refuses the grouping,
+    naming both orderings by mode position; the refused plan is not
+    cached, and the scan runs once the rows are signed right. With a
+    budget of one byte each chunk signs one member, then its head. For the
+    even state the corrupted member lies in another column orbit than its
+    head, so the check that fires is the row rule's, with the kept-side
+    signs d_R; for the 30/70 mixture of both parities it is the column
+    rule's."""
     system = sweep_system(2, 2)
+    kept, traced = ("a1", "c1"), ("a2", "c2")
+    bp = BipartitionSpec(kept=kept, traced=traced)
     corrupted = []
 
     def one_flip(ranks):
         signs = _inversion_signs(ranks)
-        if len(ranks) > 1 and ranks.shape[1] == system.n_modes:
-            signs[-1, 3] *= -1
+        if not corrupted:
+            signs[0, 3] *= -1
             corrupted.append(ranks)
         return signs
 
     monkeypatch.setattr(fock, "_STACK_BYTES", 1)
-    monkeypatch.setattr(reduction, "_inversion_signs", one_flip)
-    for sector, kept, traced in (("any", ("a1", "a2"), ("c1", "c2")), ("even", ("a1", "c1"), ("a2", "c2"))):
+    states = (("even", random_state(system, sector="even", seed=3)), ("mixture", _parity_mixture(system, 3)))
+    for sector, state in states:
+        reduction._scan_plan.cache_clear()
         corrupted.clear()
-        bp = BipartitionSpec(kept=kept, traced=traced)
-        with pytest.raises(AssertionError, match="is not uniform"):
-            ordering_scan(random_state(system, sector=sector, seed=3), bp)
-        head, sample = (
-            column_orbit(precedence_rows([system.modes[i] for i in np.argsort(row)], kept, traced), 2)
-            for row in corrupted[0][[0, -1]]
+        with monkeypatch.context() as patched:
+            patched.setattr(reduction, "_inversion_signs", one_flip)
+            with pytest.raises(AssertionError, match="is not uniform") as refused:
+                ordering_scan(state, bp)
+        member, head = (tuple(np.argsort(row).tolist()) for row in corrupted[0])
+        assert str(refused.value) == f"scan group of {head} is not uniform: {member} disagrees"
+        assert len(corrupted[0]) == 2 and member != head
+        assert reduction._scan_plan.cache_info().currsize == 0
+        head_orbit, member_orbit = (
+            column_orbit(precedence_rows([system.modes[i] for i in order], kept, traced), 2)
+            for order in (head, member)
         )
-        assert (head != sample) == (sector == "even")
+        assert (head_orbit != member_orbit) == (sector == "even")
+        assert sum(c.size for c in ordering_scan(state, bp)) == 24
+
+
+def test_scan_traced_first_check_fires(monkeypatch):
+    """Wrong kept-side signs d_R for the orbit of the traced-first
+    orderings, handed to the scan by a plan whose own check they never
+    reached, give that orbit a matrix off the fermionic trace, and the scan
+    refuses it: the class of the traced-first orderings must read a
+    ``max_entry_diff`` of exactly 0.0. The plan's signs for other parities
+    and orbits stay as built."""
+    system = sweep_system(3, 3)
+    bp = BipartitionSpec(kept=("a1", "c1", "a3"), traced=("a2", "c2", "c3"))
+    state = random_state(system, sector="even", seed=5)
+    build = reduction._scan_plan
+
+    def corrupted(*key):
+        plan = build(*key)
+        signs = plan.orbit_signs.copy()
+        signs[plan.traced_first, :, 1] *= -1
+        return plan._replace(orbit_signs=signs)
+
+    reduction.ordering_scan(state, bp)
+    monkeypatch.setattr(reduction, "_scan_plan", corrupted)
+    with pytest.raises(AssertionError, match="traced-first orderings' class differs from the fermionic trace"):
+        reduction.ordering_scan(state, bp)
 
 
 def _nearly_superselected(system, seed):
@@ -1112,15 +1185,13 @@ def _scan_groups(sector):
     return lambda rows, _: rows
 
 
-def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
-    """The rank rows the scan signs are, group by group in order of first
-    appearance, each group's first member followed by
-    min(SCAN_VERIFY_SAMPLES, size - 1) distinct other members of that same
-    group, and nothing else. A group is a row-and-column orbit for an input
-    of one parity, even or odd, a column orbit for a 30/70 mixture of both,
-    and a precedence group otherwise: for an any-sector state, and for one
-    whose single cross-parity amplitude is 1e-13, which ``ssr_compliant``
-    accepts."""
+def test_scan_signs_one_row_per_group_at_its_head(monkeypatch):
+    """The rank rows a warm scan signs are, group by group in order of
+    first appearance, each group's first member, once, and nothing else. A
+    group is a row-and-column orbit for an input of one parity, even or
+    odd, a column orbit for a 30/70 mixture of both, and a precedence
+    group otherwise: for an any-sector state, and for one whose single
+    cross-parity amplitude is 1e-13, which ``ssr_compliant`` accepts."""
     seen = []
 
     def spy(ranks):
@@ -1142,6 +1213,7 @@ def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
             ("near", near),
         ):
             bp = _split_not_first(rng, system)
+            reduction.ordering_scan(state, bp)
             seen.clear()
             reduction.ordering_scan(state, bp)
 
@@ -1149,25 +1221,15 @@ def test_scan_samples_each_group_at_its_head_and_distinct_members(monkeypatch):
             for p in permutations(range(n_modes)):
                 key = precedence_rows([system.modes[i] for i in p], bp.kept, bp.traced)
                 key = _scan_groups(sector)(key, len(bp.traced))
-                groups.setdefault(key, []).append(tuple(np.argsort(p).tolist()))
-            assert len(set(seen)) == len(seen)
-            start = 0
-            for members in groups.values():
-                count = 1 + min(reduction.SCAN_VERIFY_SAMPLES, len(members) - 1)
-                run = seen[start : start + count]
-                assert run[0] == members[0] and set(run) <= set(members)
-                start += count
-            assert start == len(seen)
+                groups.setdefault(key, tuple(np.argsort(p).tolist()))
+            assert seen == list(groups.values())
 
 
-def _signed_rows(bp, sector):
+def _group_count(bp, sector):
     """How many rank rows a scan on ``bp`` of an input of this kind signs:
-    each group's first member and up to SCAN_VERIFY_SAMPLES others."""
-    sizes = {}
-    for p in permutations(bp.kept + bp.traced):
-        key = _scan_groups(sector)(precedence_rows(p, bp.kept, bp.traced), len(bp.traced))
-        sizes[key] = sizes.get(key, 0) + 1
-    return sum(1 + min(reduction.SCAN_VERIFY_SAMPLES, size - 1) for size in sizes.values())
+    one per group, its first member."""
+    orderings = permutations(bp.kept + bp.traced)
+    return len({_scan_groups(sector)(precedence_rows(p, bp.kept, bp.traced), len(bp.traced)) for p in orderings})
 
 
 def test_scan_plan_serves_only_the_grouping_a_state_fits(monkeypatch):
@@ -1177,11 +1239,13 @@ def test_scan_plan_serves_only_the_grouping_a_state_fits(monkeypatch):
     second pass only hits the cache, and every scan signs one row set per
     row-and-column orbit for the even and odd state, per column orbit for
     the mixture and per precedence group for the other two, so a plan
-    keyed by one grouping never serves a state it does not fit."""
+    keyed by one grouping never serves a state it does not fit. Rows the
+    plan signs to check its grouping, on the first pass, are not the
+    scan's and are not counted."""
     signed = []
 
     def spy(ranks):
-        if ranks.shape[1] == system.n_modes:
+        if sys._getframe(1).f_code.co_name == "ordering_scan":
             signed[-1] += len(ranks)
         return _inversion_signs(ranks)
 
@@ -1200,41 +1264,44 @@ def test_scan_plan_serves_only_the_grouping_a_state_fits(monkeypatch):
     for state, sector in states + states:
         signed.append(0)
         records.append(_scan_record(reduction.ordering_scan(state, bp)))
-        assert signed[-1] == _signed_rows(bp, sector)
+        assert signed[-1] == _group_count(bp, sector)
     assert records[5:] == records[:5]
-    assert len({_signed_rows(bp, sector) for sector in ("even", "mixture", "any")}) == 3
+    assert len({_group_count(bp, sector) for sector in ("even", "mixture", "any")}) == 3
     info = reduction._scan_plan.cache_info()
     assert (info.misses, info.hits) == (3, 7)
 
 
 def test_scan_plan_arrays_are_read_only():
     """No array of a cached plan, whichever grouping it is keyed by, nor of
-    the permutations the plans of one mode count share, can be written to;
-    a plan ends with the orbit of the physical orderings, a number."""
+    the permutations the plans of one mode count share, can be written to.
+    A plan holds each permutation's orbit, each group's head, where each
+    group's orbits start and, for a state of one parity, their kept-side
+    signs, and no sampled orderings; it ends with the orbits of the
+    physical and of the traced-first orderings, two numbers."""
     arrays = list(reduction._permutations(5))
     for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
         plan = reduction._scan_plan(5, (0, 1), (2, 3, 4), parity)
-        assert len(plan) == 6 and isinstance(plan.physical, int)
+        assert plan._fields == ("orbit", "heads", "orbit_bounds", "orbit_signs", "physical", "traced_first")
+        assert isinstance(plan.physical, int) and isinstance(plan.traced_first, int)
         assert (plan.orbit_signs is None) == (parity != fock._ONE_PARITY)
-        arrays += [array for array in plan[:-1] if array is not None]
+        arrays += [array for array in plan[:-2] if array is not None]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
 
 def test_scan_plans_at_the_cap_stay_within_their_stated_bound():
-    """Every 8-mode plan of a (5,3), (4,4) or (3,5) split, under each
-    parity verdict, holds at most the 585 KiB the ``_SCAN_PLANS`` comment
-    states, a plan for a state of one parity at most the 440 KiB it states
-    for those, and each plan exactly one array with an 8!-entry axis, its
-    orbit numbers."""
+    """Every 8-mode plan of a split with one to seven kept modes, under
+    each parity verdict, holds at most the 426 KiB the ``_SCAN_PLANS``
+    comment states, and each plan exactly one array with an 8!-entry axis,
+    its orbit numbers."""
     try:
-        for k in (5, 4, 3):
+        for k in range(1, 8):
             for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
                 plan = reduction._scan_plan(8, tuple(range(k)), tuple(range(k, 8)), parity)
-                arrays = [array for array in plan[:-1] if array is not None]
+                arrays = [array for array in plan[:-2] if array is not None]
                 held = sum(array.nbytes for array in arrays)
-                assert held <= (440 if parity == fock._ONE_PARITY else 585) * 1024
+                assert held <= 426 * 1024
                 assert [array.shape[-1] == factorial(8) for array in arrays].count(True) == 1
     finally:
         reduction._scan_plan.cache_clear()

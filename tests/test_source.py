@@ -204,11 +204,11 @@ def test_fermionic_reduction_conjugates_no_whole_state():
     """In ``reduction.py`` only ``_qubit_reduction``, which conjugates a
     dk x dk reduction by the kept block's signs, and ``ordering_scan``,
     which derives orbit matrices from reductions, call ``_sign_conjugate``,
-    once each: the scan derives its samples' expected matrices and its
-    orbits' matrices by one rule, and the fermionic trace hands its signs
-    to ``_block_partial_trace``, which conjugates a density's
-    traced-diagonal slab instead, so a conjugation of the whole density,
-    or a second derivation rule in the scan, cannot come back unnoticed."""
+    once each: the scan derives its orbits' matrices by one rule, and the
+    fermionic trace hands its signs to ``_block_partial_trace``, which
+    conjugates a density's traced-diagonal slab instead, so a conjugation
+    of the whole density, or a second derivation rule in the scan, cannot
+    come back unnoticed."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
     assert sorted(_callers(tree, "_sign_conjugate")) == ["_qubit_reduction", "ordering_scan"]
     assert "fermionic_partial_trace" in _callers(tree, "_block_partial_trace")
@@ -233,11 +233,12 @@ def test_one_qubit_route_in_reduction():
     """``reduction.py`` runs the block trace only where a state is reduced:
     in the fermionic trace of the public call, of the comparison and of the
     scan, in the qubit route and in the public qubit trace. It restricts an
-    ordering only in the public qubit trace, and signs the scan's orderings
-    in one ``_inversion_signs`` call: the scan and the comparison both go
-    through ``_qubit_reduction``, which reads the kept block's signs off
-    the ordering's own, so a second inline route or a second sign
-    computation cannot come back unnoticed."""
+    ordering only in the public qubit trace, and signs orderings by
+    ``_inversion_signs`` in one call in the scan, for its group heads, and
+    one in its plan, for the members the plan checks against them: the
+    scan and the comparison both go through ``_qubit_reduction``, which
+    reads the kept block's signs off the ordering's own, so a second inline
+    route or a second sign computation cannot come back unnoticed."""
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
     assert sorted(_callers(tree, "_block_partial_trace")) == [
         "_compare_routes",
@@ -247,7 +248,7 @@ def test_one_qubit_route_in_reduction():
         "qubit_partial_trace",
     ]
     assert _callers(tree, "restricted_to") == ["qubit_partial_trace"]
-    assert _callers(tree, "_inversion_signs") == ["ordering_scan"]
+    assert _callers(tree, "_inversion_signs") == ["_scan_plan", "ordering_scan"]
     assert "ordering_scan" in _callers(tree, "_qubit_reduction")
     assert "_compare_routes" in _callers(tree, "_qubit_reduction")
 
@@ -370,8 +371,8 @@ def test_one_exact_hermitization():
 def test_one_draw_of_a_random_state():
     """``np.random.default_rng`` is called in the package only by
     ``fock._draw_amplitudes``, the one routine that draws a state's
-    amplitudes, and by ``reduction._scan_plan``, whose generator of seed 0
-    draws the keys that pick the scan's sampled orderings, not a state.
+    amplitudes: the ordering scan draws nothing, since its plan checks its
+    groups at sign level rather than on sampled orderings.
     ``theorem_sweep`` draws through that routine into its stacks and calls
     neither ``random_state`` nor ``np.stack``, so a second draw, or a
     ``FockVector`` per trial stacked again, cannot come back unnoticed."""
@@ -381,7 +382,7 @@ def test_one_draw_of_a_random_state():
         for node in ast.parse(path.read_text(), filename=str(path)).body
         for _ in _calls_of(node, "default_rng")
     )
-    assert found == ["fock._draw_amplitudes", "reduction._scan_plan"]
+    assert found == ["fock._draw_amplitudes"]
     fock = ast.parse((PACKAGE_DIR / "fock.py").read_text(), filename="fock.py")
     assert _callers(fock, "_draw_amplitudes") == ["random_state"]
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
@@ -393,9 +394,10 @@ def test_one_draw_of_a_random_state():
 def test_one_chunk_rule():
     """``_STACK_BYTES`` is read in the package only by ``fock._stack_runs``,
     the one rule that cuts a stacked evaluation into runs of items within
-    the budget, and ``ssr_compliant``, the sweep and both loops of the
-    ordering scan iterate over it, so a chunk rule written by hand, or an
-    import of the budget to write one, cannot come back unnoticed."""
+    the budget, and ``ssr_compliant``, the sweep, the check of the scan's
+    plan and both loops of the ordering scan iterate over it, so a chunk
+    rule written by hand, or an import of the budget to write one, cannot
+    come back unnoticed."""
     found = sorted(
         f"{path.stem}.{getattr(node, 'name', node.lineno)}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
@@ -409,4 +411,4 @@ def test_one_chunk_rule():
     fock = ast.parse((PACKAGE_DIR / "fock.py").read_text(), filename="fock.py")
     assert _callers(fock, "_stack_runs") == ["ssr_compliant"]
     tree = ast.parse((PACKAGE_DIR / "reduction.py").read_text(), filename="reduction.py")
-    assert sorted(_callers(tree, "_stack_runs")) == ["ordering_scan", "ordering_scan", "theorem_sweep"]
+    assert sorted(_callers(tree, "_stack_runs")) == ["_scan_plan", "ordering_scan", "ordering_scan", "theorem_sweep"]
