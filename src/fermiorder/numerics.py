@@ -141,10 +141,13 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenResul
     Hermitized exactly before the call. Eigenvalues come back sorted
     descending. A LAPACK failure surfaces as ``numpy.linalg.LinAlgError``.
     A ``tol`` that is not positive, or NaN, which no deviation or every
-    deviation would fail, is a ``ValueError`` before the matrix is read.
+    deviation would fail, or infinite, which every deviation would pass, is
+    a ``ValueError`` before the matrix is read.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if tol == np.inf:
+        raise ValueError(f"tol must be finite, got {tol}")
     m = as_complex_matrix(m)
     w, v = _eigh(m, tol)
     return EigenResult(eigenvalues=w, vectors=v, _input=m)

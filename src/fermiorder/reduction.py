@@ -80,17 +80,19 @@ from .ordering import (
 #: Orderings are enumerated exhaustively. At the cap, the permutations and
 #: their ranks (``_permutations``), two 8! x 8 int8 matrices of 315 KiB,
 #: are shared by every 8-mode plan; a split's scan plan (``_scan_plan``)
-#: holds one int64 array of 8! entries (315 KiB), each permutation's orbit,
-#: then its group heads and its orbits' bounds and signs, 315-426 KiB in
-#: all (``nbytes``; 2.77-3.77 MiB at 9 modes), and both outlive the call in
-#: their caches. Each call adds a few int64 arrays of 8! entries and an
-#: int8 copy of the permutations in class order, which the returned
-#: classes keep. It builds no ``ModeOrdering`` but its fermionic trace's,
-#: and no ``DensityOperator``: ``OrderingClass`` builds its representative
-#: and its members from their int8 rows, and wraps its matrix's bytes, when
-#: read. A density's group heads are signed on their traced-diagonal slab,
-#: dk^2 dt entries, which the chunk budget of ``_STACK_BYTES`` counts, not
-#: on the whole density.
+#: holds one int32 array of 8! entries (158 KiB), each permutation's orbit,
+#: then its group heads and its orbits' groups, sizes, first members
+#: and signs, 158-287 KiB in all (``nbytes``; 1.38-2.47 MiB at 9
+#: modes), and both outlive the call in their caches. After its chunk loop
+#: a call works per orbit and per class, and builds no array of 8! entries
+#: unless a caller reads a class's ``orderings``: the first such read sorts
+#: the permutations by class, once for all the scan's classes, which keep
+#: that int8 copy of them in class order. It builds no ``ModeOrdering`` but
+#: its fermionic trace's, and no ``DensityOperator``: ``OrderingClass``
+#: builds its representative and its members from their int8 rows, and
+#: wraps its matrix's bytes, when read. A density's group heads are signed
+#: on their traced-diagonal slab, dk^2 dt entries, which the chunk budget
+#: of ``_STACK_BYTES`` counts, not on the whole density.
 MAX_SCAN_MODES = 8
 
 
@@ -383,22 +385,48 @@ def theorem_check(
 # --- exhaustive ordering scan ----------------------------------------------
 
 
+class _ScanMembers:
+    """The orderings one scan's classes share: the system's labels
+    ``names``, the permutation rows ``perms``, each permutation's orbit and
+    each orbit's class. No member is listed until a caller reads one: the
+    first ``orderings`` read on any class of the scan sorts every
+    permutation by class, once, stably, so each class lists its members in
+    permutation order, and the scan's other classes read the same sort."""
+
+    def __init__(self, names: np.ndarray, perms: np.ndarray, orbit: np.ndarray, orbit_class: np.ndarray):
+        self.names, self.perms, self.orbit, self.orbit_class = names, perms, orbit, orbit_class
+
+    @cached_property
+    def by_class(self) -> tuple[np.ndarray, list[int]]:
+        """The permutation rows in class order, and where each class's run
+        starts, the last entry the permutation count."""
+        member_class = self.orbit_class[self.orbit]
+        ends = np.cumsum(np.bincount(member_class)).tolist()
+        ordered = self.perms[np.argsort(member_class, kind="stable")]
+        ordered.setflags(write=False)
+        return ordered, [0, *ends]
+
+
 @dataclass(frozen=True, eq=False)
 class OrderingClass:
-    """All orderings whose qubit-route reduced state is one and the same,
-    held as int8 rows of indices into ``_modes``, the system's labels, in
-    permutation order. The first row, the class's earliest permutation, is
-    the representative, built as a ``ModeOrdering`` when first read and
-    kept from then on. The reduced state is held as ``_matrix``, the bytes
-    of its matrix on the kept system ``_system``, already checked as a row
-    of its scan's stack, and ``reduced`` wraps them as a
-    ``DensityOperator`` when first read, without checking or copying them
-    again."""
+    """All orderings whose qubit-route reduced state is one and the same:
+    ``size`` permutations, class ``_index`` of the scan whose orderings
+    ``_scan`` holds. The representative, the class's earliest permutation,
+    number ``_first``, is built as a ``ModeOrdering`` when first read and
+    kept from then on; ``orderings`` lists the members in permutation
+    order, from the scan's one sort of its permutations by class, made when
+    any of its classes is first read. The reduced state is held as
+    ``_matrix``, the bytes of its matrix on the kept system ``_system``,
+    already checked as a row of its scan's stack, and ``reduced`` wraps
+    them as a ``DensityOperator`` when first read, without checking or
+    copying them again."""
 
-    _modes: np.ndarray
-    _members: np.ndarray
+    _scan: _ScanMembers
+    _index: int
+    _first: int
     _system: ModeSystem
     _matrix: bytes
+    size: int
     contains_physical: bool
     matches_fermionic: bool
     max_entry_diff: float
@@ -420,15 +448,13 @@ class OrderingClass:
 
     @cached_property
     def representative(self) -> ModeOrdering:
-        return ModeOrdering(tuple(self._modes[self._members[0]].tolist()))
+        return ModeOrdering(tuple(self._scan.names[self._scan.perms[self._first]].tolist()))
 
     @property
     def orderings(self) -> tuple[ModeOrdering, ...]:
-        return tuple(ModeOrdering(tuple(row)) for row in self._modes[self._members].tolist())
-
-    @property
-    def size(self) -> int:
-        return len(self._members)
+        ordered, starts = self._scan.by_class
+        rows = ordered[starts[self._index] : starts[self._index + 1]]
+        return tuple(ModeOrdering(tuple(row)) for row in self._scan.names[rows].tolist())
 
     def to_json(self) -> dict:
         return {
@@ -457,11 +483,11 @@ def _permutations(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Plans ``_scan_plan`` keeps. An 8-mode plan, at the ``MAX_SCAN_MODES``
-#: cap, holds 315-426 KiB besides the permutations it shares (``nbytes``):
-#: at most 426 KiB, a (5,3) split for a state of one parity, and 423 KiB
+#: cap, holds 158-287 KiB besides the permutations it shares (``nbytes``):
+#: at most 287 KiB, a (5,3) split for a state of one parity, and 266 KiB
 #: for a (4,4) split keyed by precedence matrix. So a full cache holds at
-#: most 3.4 MiB, and 4.0 MiB with the permutations of every mode count up
-#: to the cap. A 9-mode plan would hold 2.77-3.77 MiB.
+#: most 2.3 MiB, and 2.9 MiB with the permutations of every mode count up
+#: to the cap. A 9-mode plan would hold 1.38-2.47 MiB.
 _SCAN_PLANS = 8
 
 
@@ -470,15 +496,20 @@ class _ScanPlan(NamedTuple):
     read-only arrays, and two orbits, of the physical and of the
     traced-first orderings. Groups are the orderings the route runs once
     for, on their first member, their head; orbits are those a class
-    matrix is derived for. Sign rows are the kept-side signs d_R of the
+    matrix is derived for. Each orbit's group, size and first member, its
+    least permutation number, let a scan size its classes, pick their
+    representatives and order them per orbit, without reading the
+    per-permutation ``orbit``. Sign rows are the kept-side signs d_R of the
     rows R an orbit complements relative to its group's head, one set per
     total parity p, since the rows an ordering complements depend on its
     orbit alone, and they exist only where the verdict frees row flips
-    (``_scan_plan``)."""
+    (``_scan_plan``). Orbit and permutation numbers are int32: 8! < 2^31."""
 
     orbit: np.ndarray  # each permutation's orbit; a group's orbits are one run
     heads: np.ndarray  # group g's first member, in permutation order
-    orbit_bounds: np.ndarray  # group g's orbits are orbit_bounds[g] to [g + 1]
+    orbit_group: np.ndarray  # each orbit's group, ascending
+    orbit_size: np.ndarray  # each orbit's permutation count
+    orbit_first: np.ndarray  # each orbit's first member, in permutation order
     orbit_signs: Union[np.ndarray, None]  # [o, p]: orbit o's for parity p
     physical: int
     traced_first: int
@@ -537,13 +568,15 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
     codes = ((columns ^ flips * ones) << shifts).sum(axis=1)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(first))[inverse]
-    heads = np.sort(first)
+    heads = np.sort(first).astype(np.int32)
     # orbits are numbered by group, then by column key, so each group's
-    # orbits are one run; member holds one member of each orbit, which
-    # shares its group and its flips
+    # orbits are one run; member holds each orbit's first member, which
+    # shares its group and its flips. 8! < 2^31, so the numbers the plan
+    # keeps are int32
     orbit_keys = group << k * t | (columns << shifts).sum(axis=1)
     _, member, orbit = np.unique(orbit_keys, return_index=True, return_inverse=True)
-    orbit_bounds = np.searchsorted(group[member], np.arange(len(first) + 1))
+    orbit, member = orbit.astype(np.int32), member.astype(np.int32)
+    orbit_group = group[member].astype(np.int32)
     # each orbit's flipped rows relative to its group head's orbit, kept
     # mode a at bit k - 1 - a as in a kept index; 0, so d_R = 1, where the
     # verdict frees no row flips
@@ -576,12 +609,15 @@ def _scan_plan(n_modes: int, kept: tuple[int, ...], traced: tuple[int, ...], par
             i = bad.argmax()
             other, head = perms[pair[[i, hi - lo + i]]].tolist()
             raise AssertionError(f"scan group of {tuple(head)} is not uniform: {tuple(other)} disagrees")
-    for array in (orbit, heads, orbit_bounds, orbit_signs):
+    orbit_size = np.bincount(orbit).astype(np.int32)
+    for array in (orbit, heads, orbit_group, orbit_size, member, orbit_signs):
         array.setflags(write=False)
     return _ScanPlan(
         orbit=orbit,
         heads=heads,
-        orbit_bounds=orbit_bounds,
+        orbit_group=orbit_group,
+        orbit_size=orbit_size,
+        orbit_first=member,
         orbit_signs=orbit_signs if parity == _ONE_PARITY else None,
         physical=int(orbit[rows.any(axis=1).argmin()]),
         traced_first=int(orbit[(rows == ones).all(axis=1).argmax()]),
@@ -669,16 +705,23 @@ def ordering_scan(
     fermionic trace in one array operation, and each writes its largest
     entry difference as its class's: the orbits of a class share its
     bytes, so they write the same value, with no search for the orbit that
-    opened it. Each class lists its members in permutation order, the
-    order of ``itertools.permutations`` over the system's modes, so the
-    result does not depend on the grouping, and its representative is its
-    earliest permutation. Classes are returned largest first, ties broken
-    by representative labels. ``contains_physical`` flags only the class
-    of the kept-before-traced orderings.
+    opened it. After the chunks the scan works per orbit, not per
+    permutation: a class's size is the sum of its orbits' sizes, and its
+    representative, its earliest permutation, the least of its orbits'
+    first members. Classes are returned largest first, ties broken by
+    representative labels, compared as strings, by one ``np.argsort``.
+    Each class lists its members in permutation order, the order of
+    ``itertools.permutations`` over the system's modes, so the result does
+    not depend on the grouping; they are not listed until a caller reads
+    ``orderings``, and the first such read on any class sorts the scan's
+    permutations by class, once, for all of its classes.
+    ``contains_physical`` flags only the class of the kept-before-traced
+    orderings.
 
     What no state changes is the split's plan, ``_scan_plan``: each
-    permutation's orbit number, each group's head, where each group's run
-    of orbits starts, and the kept-side signs of each orbit. It is keyed
+    permutation's orbit number, each group's head, each orbit's group,
+    size and first member, and the kept-side signs of each orbit. It is
+    keyed
     by the mode count, the kept and traced positions and ``_exact_parity``'s
     verdict, so a plan never serves a state whose grouping it does not
     fit, and the cache keeps the last ``_SCAN_PLANS`` plans, read-only. The
@@ -722,8 +765,8 @@ def ordering_scan(
     classes: dict[bytes, int] = {}
     # each class's largest entry difference from the fermionic trace; a
     # scan has at most one class per orbit
-    diffs = np.empty(plan.orbit_bounds[-1])
-    orbit_class = np.empty(plan.orbit_bounds[-1], dtype=np.int64)
+    diffs = np.empty(len(plan.orbit_group))
+    orbit_class = np.empty(len(plan.orbit_group), dtype=np.int64)
     for g, end in _stack_runs(0, len(plan.heads), head_bytes):
         signs = _kept_traced_view(_inversion_signs(ranks[plan.heads[g:end]]), route.kept, route.traced)
         reduced = _qubit_reduction(view, pure, signs)
@@ -739,10 +782,9 @@ def ordering_scan(
         # group of a state of one parity may have many orbits; adding 0.0
         # flushes negative zeros left behind by sign flips, which would
         # otherwise split byte-identical classes
-        o_lo, o_hi = plan.orbit_bounds[g], plan.orbit_bounds[end]
-        orbit_heads = np.repeat(np.arange(end - g), np.diff(plan.orbit_bounds[g : end + 1]))
+        o_lo, o_hi = np.searchsorted(plan.orbit_group, (g, end)).tolist()
         for o, o_end in _stack_runs(o_lo, o_hi, data.itemsize * dk * dk):
-            flushed = reduced[orbit_heads[o - o_lo : o_end - o_lo]]
+            flushed = reduced[plan.orbit_group[o:o_end] - g]
             if parity == _ONE_PARITY:
                 flushed = _sign_conjugate(plan.orbit_signs[o:o_end, p], flushed)
             flushed += 0.0
@@ -757,40 +799,44 @@ def ordering_scan(
             # no stack is held while the next is derived
             del flushed
 
-    # the last chunk's reductions are not held while the members are sorted
+    # the last chunk's reductions are not held while the classes are built
     del reduced
-    # each class lists its members in permutation order; class c's members
-    # are ordered[starts[c] : ends[c]], its representative ordered[starts[c]].
-    # Each permutation's class, 315 KiB at 8 modes, is not held while the
-    # classes are built
-    member_class = orbit_class[plan.orbit]
-    ordered = perms[np.argsort(member_class, kind="stable")]
-    ordered.setflags(write=False)
-    ends = np.cumsum(np.bincount(member_class)).tolist()
-    del member_class
-    starts = [0, *ends[:-1]]
-    # classes go largest first, ties broken by representative labels, read
-    # as each mode's rank in label order
-    label_rank = np.argsort(sorted(range(system.n_modes), key=system.modes.__getitem__))
-    representatives = label_rank[ordered[starts]].tolist()
+    # a class's size is the sum of its orbits' sizes, and its representative
+    # its earliest permutation, the least of its orbits' first members
+    n_classes = len(classes)
+    sizes = np.zeros(n_classes, dtype=np.int64)
+    np.add.at(sizes, orbit_class, plan.orbit_size)
+    firsts = np.full(n_classes, len(perms), dtype=np.int32)
+    np.minimum.at(firsts, orbit_class, plan.orbit_first)
+    # classes go largest first, ties broken by representative labels: a
+    # representative reads as one base-N number, N the mode count, of its
+    # modes' ranks in label order, less than N^N, and its class sorts by
+    # that number less its size times N^N
+    n = system.n_modes
+    label_rank = np.argsort(sorted(range(n), key=system.modes.__getitem__))
+    order = np.argsort(label_rank[perms[firsts]] @ n ** np.arange(n)[::-1] - sizes * n**n).tolist()
     keys = list(classes)
-    class_diffs = diffs[: len(keys)].tolist()
+    class_diffs = diffs[:n_classes].tolist()
     # the traced-first orderings' class, whose matrix is derived like any
     # other, checked against the fermionic trace, signed independently
     if class_diffs[orbit_class[plan.traced_first]] != 0.0:
         raise AssertionError("the traced-first orderings' class differs from the fermionic trace")
     physical = int(orbit_class[plan.physical])
+    members = _ScanMembers(names, perms, plan.orbit, orbit_class)
+    sizes, firsts = sizes.tolist(), firsts.tolist()
     return [
         OrderingClass._wrap(
-            _modes=names,
-            _members=ordered[starts[c] : ends[c]],
+            _scan=members,
+            _index=c,
+            _first=firsts[c],
             _system=route.kept_system,
             _matrix=keys[c],
+            size=sizes[c],
             contains_physical=c == physical,
             matches_fermionic=class_diffs[c] < tol,
             max_entry_diff=class_diffs[c],
         )
-        for c in sorted(range(len(keys)), key=lambda c: (starts[c] - ends[c], representatives[c]))
+        for c in order
     ]
 
 

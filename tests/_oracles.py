@@ -208,3 +208,28 @@ def row_column_orbit(rows: tuple[int, ...], n_traced: int) -> tuple[int, ...]:
         for mask in range(1 << n_traced)
         for subset in range(1 << len(rows))
     )
+
+
+def ordering_classes(data: np.ndarray, modes, kept, tol: float = 1e-9) -> list[tuple[list[tuple], np.ndarray]]:
+    """Every ordering of ``modes`` grouped by its qubit-route reduction, by
+    brute force: each permutation of the labels, in ``itertools`` order, is
+    reduced through the Walsh-Hadamard table and joins the first class
+    whose matrix it matches within ``tol``, or opens one. Classes come back
+    largest first, ties broken by their first member's labels compared as
+    strings, each with its members, label tuples in permutation order, and
+    its matrix."""
+    from itertools import permutations
+
+    n = len(modes)
+    traced = [p for p in range(n) if modes[p] not in kept]
+    table = walsh_hadamard_table(data, n, traced)
+    classes: list[tuple[list[tuple], np.ndarray]] = []
+    for ordering in permutations(modes):
+        matrix = walsh_hadamard_reduction(table, n, traced, [ordering.index(m) for m in modes])
+        for members, held in classes:
+            if np.abs(held - matrix).max() < tol:
+                members.append(ordering)
+                break
+        else:
+            classes.append(([ordering], matrix))
+    return sorted(classes, key=lambda c: (-len(c[0]), c[0][0]))

@@ -123,6 +123,26 @@ def test_eigensolver_refuses_a_tolerance_no_deviation_fails(monkeypatch, tol):
         trace_norm(m, tol=1e-12)
 
 
+def test_eigensolver_refuses_an_infinite_tolerance(monkeypatch):
+    """An infinite tolerance passes every deviation, since ``dev >= inf`` is
+    False for any finite matrix: ``trace_norm([[1, 5], [0, 1]])`` read 5.0.
+    It is a plain ``ValueError`` from ``hermitian_eigenvalues`` and
+    ``trace_norm``, raised before the matrix is read, while the largest
+    finite tolerance still reaches the Hermiticity check."""
+
+    def forbidden(m):
+        raise AssertionError("read the matrix before the tolerance was checked")
+
+    m = np.array([[1.0, 5.0], [0.0, 1.0]])
+    for call in (hermitian_eigenvalues, trace_norm):
+        with monkeypatch.context() as patched:
+            patched.setattr(numerics, "as_complex_matrix", forbidden)
+            with pytest.raises(ValueError, match=r"^tol must be finite, got inf$") as refused:
+                call(m, tol=float("inf"))
+        assert type(refused.value) is ValueError
+    assert trace_norm(np.eye(2), tol=np.finfo(float).max) == 2.0
+
+
 def test_trace_norm_of_density_is_one():
     rng = np.random.default_rng(13)
     for dim in (2, 4, 8):

@@ -58,6 +58,7 @@ from fermiorder.states import (
 from _oracles import (
     column_orbit,
     fermionic_trace,
+    ordering_classes,
     partial_transpose as partial_transpose_oracle,
     precedence_rows,
     qubit_ptrace,
@@ -741,6 +742,78 @@ def test_scan_builds_orderings_only_for_representatives(monkeypatch):
         assert labels == sorted(labels, key=perms.index)
 
 
+@pytest.mark.parametrize(
+    "modes, kept",
+    [(("q", "b", "z", "a", "m"), ("a", "b")), (("q", "b", "z", "a", "m", "c"), ("m", "z", "c"))],
+)
+def test_scan_classes_equal_a_brute_force_grouping(modes, kept):
+    """On systems whose labels do not sort in canonical order, with kept
+    sets that are not first, the scan's classes of even, odd and
+    any-sector states, pure and as densities, are those of a brute-force
+    grouping of every permutation by its Walsh-Hadamard reduction
+    (``_oracles.ordering_classes``): the same classes in the same order,
+    largest first with ties broken by the representative's labels, read as
+    strings and not as canonical positions, each with its size, its
+    representative, its members in permutation order and its matrix."""
+    system = ModeSystem(modes, a_count=2)
+    bp = BipartitionSpec(kept=kept, traced=tuple(m for m in modes if m not in kept))
+    ties = 0
+    for seed, sector in enumerate(("even", "odd", "any")):
+        state = random_state(system, sector=sector, seed=60 + seed)
+        for given in (state, state.to_density()):
+            data = given.amplitudes if isinstance(given, FockVector) else given.matrix
+            expected = ordering_classes(data, modes, kept)
+            classes = ordering_scan(given, bp)
+            assert len(classes) == len(expected)
+            for c, (members, matrix) in zip(classes, expected):
+                assert c.size == len(members)
+                assert c.representative.labels == members[0]
+                assert [o.labels for o in c.orderings] == members
+                assert np.abs(c.reduced.matrix - matrix).max() < tol
+            sizes = [c.size for c in classes]
+            ties += sum(a == b for a, b in zip(sizes, sizes[1:]))
+    # the tie-break is exercised, and on labels whose string order is not
+    # their canonical order
+    assert ties > 0
+    assert sorted(modes) != list(modes)
+
+
+def test_scan_sorts_its_members_once_and_only_when_read(monkeypatch):
+    """A warm (4,4) scan whose ``orderings`` are never read sorts no array
+    of the 8! permutations, though its records read every class's size and
+    representative: those come from per-orbit arrays. The first
+    ``orderings`` read on a class sorts the scan's permutations by class,
+    once, for all its classes; reading a second class, or the first again,
+    sorts nothing."""
+    system = sweep_system(4, 4)
+    bp = BipartitionSpec(kept=("a2", "c1", "c3", "a4"), traced=("a1", "a3", "c2", "c4"))
+    state = random_state(system, sector="even", seed=44)
+    ordering_scan(state, bp)
+    sorts = []
+
+    def spying(name):
+        sort = getattr(np, name)
+
+        def spy(a, *args, **kwargs):
+            sorts.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
+        return spy
+
+    for name in ("argsort", "sort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, spying(name))
+    classes = ordering_scan(state, bp)
+    records = [c.to_json() for c in classes]
+    assert sum(r["size"] for r in records) == factorial(8)
+    assert max(sorts) < factorial(8)
+    sorts.clear()
+    first = classes[0].orderings
+    assert sorts == [factorial(8)]
+    assert classes[1].orderings[0] == classes[1].representative
+    assert classes[0].orderings == first
+    assert sorts == [factorial(8)]
+
+
 def _split_not_first(rng, system):
     """A random kept set that does not sit first in canonical order."""
     while True:
@@ -1274,14 +1347,24 @@ def test_scan_plan_serves_only_the_grouping_a_state_fits(monkeypatch):
 def test_scan_plan_arrays_are_read_only():
     """No array of a cached plan, whichever grouping it is keyed by, nor of
     the permutations the plans of one mode count share, can be written to.
-    A plan holds each permutation's orbit, each group's head, where each
-    group's orbits start and, for a state of one parity, their kept-side
-    signs, and no sampled orderings; it ends with the orbits of the
-    physical and of the traced-first orderings, two numbers."""
+    A plan holds each permutation's orbit, each group's head, each
+    orbit's group, size and first member and, for a state of one parity,
+    their kept-side signs, and no sampled orderings; it ends with the
+    orbits of the physical and of the traced-first orderings, two
+    numbers."""
     arrays = list(reduction._permutations(5))
     for parity in (fock._CROSS_PARITY, fock._BOTH_PARITIES, fock._ONE_PARITY):
         plan = reduction._scan_plan(5, (0, 1), (2, 3, 4), parity)
-        assert plan._fields == ("orbit", "heads", "orbit_bounds", "orbit_signs", "physical", "traced_first")
+        assert plan._fields == (
+            "orbit",
+            "heads",
+            "orbit_group",
+            "orbit_size",
+            "orbit_first",
+            "orbit_signs",
+            "physical",
+            "traced_first",
+        )
         assert isinstance(plan.physical, int) and isinstance(plan.traced_first, int)
         assert (plan.orbit_signs is None) == (parity != fock._ONE_PARITY)
         arrays += [array for array in plan[:-2] if array is not None]
@@ -1292,7 +1375,7 @@ def test_scan_plan_arrays_are_read_only():
 
 def test_scan_plans_at_the_cap_stay_within_their_stated_bound():
     """Every 8-mode plan of a split with one to seven kept modes, under
-    each parity verdict, holds at most the 426 KiB the ``_SCAN_PLANS``
+    each parity verdict, holds at most the 287 KiB the ``_SCAN_PLANS``
     comment states, and each plan exactly one array with an 8!-entry axis,
     its orbit numbers."""
     try:
@@ -1301,7 +1384,7 @@ def test_scan_plans_at_the_cap_stay_within_their_stated_bound():
                 plan = reduction._scan_plan(8, tuple(range(k)), tuple(range(k, 8)), parity)
                 arrays = [array for array in plan[:-2] if array is not None]
                 held = sum(array.nbytes for array in arrays)
-                assert held <= 426 * 1024
+                assert held <= 287 * 1024
                 assert [array.shape[-1] == factorial(8) for array in arrays].count(True) == 1
     finally:
         reduction._scan_plan.cache_clear()

@@ -179,6 +179,9 @@ SCAN_FIELDS = {"count": len} | {
     field: (lambda read: lambda classes: tuple(read(c) for c in classes))(read)
     for field, read in CLASS_FIELDS.items()
 }
+#: The scan fields with every class's members read before any
+#: representative, which the scan does not derive from its members
+ORDERINGS_FIRST_FIELDS = {"orderings": SCAN_FIELDS["orderings"]} | SCAN_FIELDS
 MEASURE_FIELDS = {"value": lambda m: m.value, "json": lambda m: m.to_json()}
 EIGEN_FIELDS = {
     "eigenvalues": lambda e: e.eigenvalues,
@@ -337,6 +340,26 @@ def _add_stacked_scans(manifest) -> None:
         manifest.add(f"scan/{n}-{m}-even-{seed}", lambda: fo.ordering_scan(state), SCAN_FIELDS)
 
 
+def _add_unsorted_label_scans(manifest) -> None:
+    """Scans on systems whose labels do not sort in canonical order, where
+    classes of one size go in the string order of their representatives'
+    labels, not in the order of their mode positions: pure and density,
+    one parity and any sector, each scanned twice, reading every class's
+    representative before its members and then after them."""
+    for modes, kept, cases in (
+        (("q", "b", "z", "a", "m", "c"), ("m", "z", "c"), (("odd", 1), ("any", 2))),
+        (("q", "b", "z", "a", "m", "c", "d", "e"), ("e", "b", "m", "a"), (("even", 3),)),
+    ):
+        system = fo.ModeSystem(modes, len(modes) // 2)
+        bp = fo.BipartitionSpec(kept=kept, traced=tuple(m for m in modes if m not in kept))
+        for sector, seed in cases:
+            state = fo.random_state(system, sector, seed)
+            for form, given in (("pure", state), ("density", state.to_density())):
+                name = f"labels/{''.join(modes)}/{sector}-{seed}-{form}"
+                manifest.add(f"{name}/representative-first", lambda: fo.ordering_scan(given, bp), SCAN_FIELDS)
+                manifest.add(f"{name}/orderings-first", lambda: fo.ordering_scan(given, bp), ORDERINGS_FIRST_FIELDS)
+
+
 def _add_sweeps(manifest, quick: bool) -> None:
     for n, m, trials, seed in ((1, 1, 5, 0), (2, 2, 20, 3)) if quick else (
         (1, 1, 5, 0), (2, 2, 20, 3), (3, 3, 10, 7), (4, 4, 25, 3), (2, 5, 8, 11), (6, 1, 4, 2),
@@ -466,6 +489,7 @@ def manifest(quick: bool = False) -> list[str]:
     if not quick:
         _add_named_states(m)
         _add_stacked_scans(m)
+        _add_unsorted_label_scans(m)
     return m.lines()
 
 
